@@ -11,8 +11,10 @@
 // latency bound, heuristics H5–H6). -heuristic selects one heuristic by
 // identifier, "best" (default) runs all applicable ones and keeps the best
 // result, "all" prints every result, "portfolio" races all applicable
-// heuristics plus the exact DP (platforms ≤ 14 processors) concurrently
-// and reports the winner.
+// heuristics plus the exact DP concurrently and reports the winner. The DP
+// joins wherever exact.Eligible admits the platform: its compressed state
+// space, ∏ (class size + 1) over the speed classes, is at most 2^16, so
+// any 16 processors qualify and larger platforms do when speeds repeat.
 //
 // Examples:
 //
@@ -69,8 +71,8 @@ func run(args []string, out, errOut io.Writer) error {
 		heuristic = fs.String("heuristic", "best", "H1..H6, \"best\", \"all\" or \"portfolio\" (race heuristics + exact DP)")
 		simulate  = fs.Int("simulate", 0, "additionally simulate N data sets through the chosen mapping")
 		gantt     = fs.Int("gantt", 0, "print an ASCII Gantt chart of the first N data sets")
-		exactFlag = fs.Bool("exact", false, "also compute the exact optimum (≤ 14 processors)")
-		pareto    = fs.Bool("pareto", false, "also print the exact Pareto front (≤ 14 processors)")
+		exactFlag = fs.Bool("exact", false, "also compute the exact optimum (compressed DP state space ≤ 2^16)")
+		pareto    = fs.Bool("pareto", false, "also print the exact Pareto front (compressed DP state space ≤ 2^16)")
 		sweep     = fs.Bool("sweep", false, "also print the heuristic trade-off frontier (any platform size)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -272,7 +272,7 @@ func (a *arena) run(obj objective, periodBound float64) (best float64, bestState
 		best, bestState, ok = a.runParallel(obj, periodBound, w)
 	} else {
 		dpStats.serialRuns.Add(1)
-		best, bestState, ok = a.runSerial(obj, periodBound)
+		best, bestState, ok = a.runSerial(obj, periodBound, nil)
 	}
 	if saturated {
 		a.freeValid = true
@@ -318,9 +318,17 @@ func (a *arena) prepareFeasStart(obj objective, periodBound float64) {
 	}
 }
 
+// latencyExit arms runSerial's early exit for a feasibility probe: the
+// fill stops at the first state whose final cell v is reachable and
+// satisfies v+tail <= bound.
+type latencyExit struct{ tail, bound float64 }
+
 // runSerial visits states in ascending id order (every predecessor
-// S-radix[k] is smaller than S, so its row is complete when read).
-func (a *arena) runSerial(obj objective, periodBound float64) (best float64, bestState int, ok bool) {
+// S-radix[k] is smaller than S, so its row is complete when read). With
+// exit set the fill returns at the first final cell that passes it,
+// leaving the rows after that state stale; only when no cell passes does
+// it reach the merge.
+func (a *arena) runSerial(obj objective, periodBound float64, exit *latencyExit) (best float64, bestState int, ok bool) {
 	a.freeValid = false // the fill below overwrites the table the memo indexes into
 	a.prepareFeasStart(obj, periodBound)
 	n, states := a.n, a.states
@@ -331,8 +339,28 @@ func (a *arena) runSerial(obj objective, periodBound float64) (best float64, bes
 	}
 	for S := 1; S < states; S++ {
 		a.computeRow(obj, periodBound, S)
+		if exit != nil {
+			if v := f[S*(n+1)+n]; v < inf && v+exit.tail <= exit.bound {
+				return v, S, true
+			}
+		}
 	}
 	return a.merge()
+}
+
+// probe is one feasibility test of the min-period bisection: does some
+// mapping whose cycle-times all stay within periodBound have latency
+// (tail included) within latBound? It is runSerial with the exit armed.
+// Float addition is monotone, so some final cell passes exactly when the
+// merged optimum of a full fill would. Speed classes are numbered
+// fastest-first, so the states that hold a feasible mapping's fast
+// processors are among the first rows filled. Probes keep the serial row
+// order at any state count. They leave a partial table, so they
+// invalidate the saturated-bound memo and never set it.
+func (a *arena) probe(periodBound, tail, latBound float64) bool {
+	dpStats.serialRuns.Add(1)
+	v, _, ok := a.runSerial(objMinLatency, periodBound, &latencyExit{tail: tail, bound: latBound})
+	return ok && v+tail <= latBound
 }
 
 // merge scans the complete table for the winning final state. The scan

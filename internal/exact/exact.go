@@ -48,6 +48,11 @@ type Result struct {
 // requested constraint.
 var ErrInfeasible = errors.New("exact: no interval mapping satisfies the constraint")
 
+// ErrNotBelow is returned by MinPeriodUnderLatencyBelow when no interval
+// mapping with a period strictly below the ceiling meets the latency
+// bound.
+var ErrNotBelow = errors.New("exact: no interval mapping below the ceiling satisfies the constraint")
+
 // Eligible reports whether the exact solvers accept the platform: it must
 // be Communication Homogeneous with a compressed state space within
 // MaxStates. This is the gate portfolio races and batch solvers key their
@@ -101,13 +106,28 @@ func MinLatencyUnderPeriod(ev *mapping.Evaluator, maxPeriod float64) (Result, er
 }
 
 // MinPeriodUnderLatency returns the minimum-period interval mapping among
-// those of latency ≤ maxLatency, or ErrInfeasible when none exists. The
-// period only takes values among the distinct interval cycle-times — of
-// which there are at most n²·K over the K speed classes — so the solver
-// precomputes that candidate set once and binary-searches it, probing each
-// bound with the min-latency DP in the shared arena; probes never
-// reconstruct a mapping, they compare DP values directly.
+// those of latency ≤ maxLatency, or ErrInfeasible when none exists. It is
+// MinPeriodUnderLatencyBelow with no ceiling.
 func MinPeriodUnderLatency(ev *mapping.Evaluator, maxLatency float64) (Result, error) {
+	return MinPeriodUnderLatencyBelow(ev, maxLatency, nil)
+}
+
+// MinPeriodUnderLatencyBelow is MinPeriodUnderLatency for a caller that
+// only wants a period strictly below ceiling() — a portfolio race whose
+// incumbent already holds a mapping of that period. The period only takes
+// values among the distinct interval cycle-times — at most n(n+1)/2·K
+// over the K speed classes — so the solver bisects that candidate set:
+// each probe is an early-exit feasibility test in the shared arena, and
+// only the chosen candidate gets a full fill and a reconstruction.
+//
+// ceiling is polled before every probe, and the bisection is capped at
+// the largest candidate strictly below it. When no candidate below the
+// ceiling is feasible the result is ErrNotBelow, or ErrInfeasible when the
+// ceiling excluded no candidate. The mapping an unbounded solve returns
+// never has a period below its candidate, so ErrNotBelow only withholds a
+// mapping whose period reaches the ceiling. A nil ceiling never binds. Any
+// mapping returned is bit-identical to MinPeriodUnderLatency's.
+func MinPeriodUnderLatencyBelow(ev *mapping.Evaluator, maxLatency float64, ceiling func() float64) (Result, error) {
 	if err := guard(ev); err != nil {
 		return Result{}, err
 	}
@@ -116,25 +136,43 @@ func MinPeriodUnderLatency(ev *mapping.Evaluator, maxLatency float64) (Result, e
 	cands := a.candidates()
 	tail := a.latencyTail()
 	latBound := maxLatency * slack
-	feasibleAt := func(period float64) (int, bool) {
-		v, state, ok := a.run(objMinLatency, period*slack)
-		return state, ok && v+tail <= latBound
-	}
-	lo, hi := 0, len(cands)-1
-	if _, ok := feasibleAt(cands[hi]); !ok {
-		return Result{}, ErrInfeasible
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if _, ok := feasibleAt(cands[mid]); ok {
-			hi = mid
+	// Every candidate below lo is infeasible; hi is the smallest candidate
+	// proven feasible (len(cands) until one is).
+	lo, hi := 0, len(cands)
+	for {
+		top := len(cands) // cands[:top] lie strictly below the ceiling
+		if ceiling != nil {
+			top = sort.SearchFloat64s(cands, ceiling())
+		}
+		if hi < top {
+			if lo == hi {
+				break
+			}
+			mid := (lo + hi) / 2
+			if a.probe(cands[mid]*slack, tail, latBound) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+			continue
+		}
+		// Nothing below the ceiling is proven feasible yet: the largest
+		// candidate under it decides whether anything there is.
+		if lo >= top {
+			if top == len(cands) {
+				return Result{}, ErrInfeasible
+			}
+			return Result{}, ErrNotBelow
+		}
+		if a.probe(cands[top-1]*slack, tail, latBound) {
+			hi = top - 1
 		} else {
-			lo = mid + 1
+			lo = top
 		}
 	}
-	state, ok := feasibleAt(cands[lo])
-	if !ok {
-		return Result{}, fmt.Errorf("exact: bisection lost feasibility at %g", cands[lo])
+	v, state, ok := a.run(objMinLatency, cands[hi]*slack)
+	if !ok || v+tail > latBound {
+		return Result{}, fmt.Errorf("exact: bisection lost feasibility at %g", cands[hi])
 	}
 	return a.result(state)
 }

@@ -51,9 +51,25 @@ func TestSaturatedMemoBitIdentity(t *testing.T) {
 				t.Fatalf("seed %d bound[%d]=%g: memoized %+v != reference %+v", seed, i, bound, got, ref)
 			}
 		}
+		// Under -race sync.Pool drops entries at random, so a repeat may
+		// get a fresh arena: there the saturated call repeats, up to 64
+		// more times, until one lands on the pooled arena.
+		for extra := 0; raceEnabled && extra < 64 && ReadStats().MemoHits == before; extra++ {
+			if got := capture(MinLatencyUnderPeriod(ev, maxCand)); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("seed %d repeat %d: memoized %+v != reference %+v", seed, extra, got, ref)
+			}
+		}
 		if hits := ReadStats().MemoHits; hits == before {
 			t.Fatalf("seed %d: saturated repeats never hit the memo", seed)
 		}
+		// A held arena must hit on every saturated rerun.
+		a = acquireArena(ev)
+		a.run(objMinLatency, maxCand*slack)
+		before = ReadStats().MemoHits
+		if a.run(objMinLatency, maxCand*2); ReadStats().MemoHits == before {
+			t.Fatalf("seed %d: a saturated rerun on a held arena missed the memo", seed)
+		}
+		a.release()
 
 		// Interleave runs that overwrite the table: the memo must drop and
 		// the recomputation must land on the same answer.

@@ -65,7 +65,7 @@ func TestParallelTableBitIdentity(t *testing.T) {
 			{objMinLatency, a.candidates()[len(a.candidates())/2] * slack},
 		}
 		for ci, c := range cases {
-			sv, sstate, sok := a.runSerial(c.obj, c.bound)
+			sv, sstate, sok := a.runSerial(c.obj, c.bound, nil)
 			sf := append([]float64(nil), a.f...)
 			sback := append([]int32(nil), a.back...)
 			for workers := 2; workers <= 4; workers++ {

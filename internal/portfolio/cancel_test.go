@@ -2,11 +2,15 @@ package portfolio
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 
+	"pipesched/internal/heuristics"
 	"pipesched/internal/lowerbound"
+	"pipesched/internal/mapping"
 	"pipesched/internal/workload"
 )
 
@@ -29,6 +33,35 @@ func TestRaceModesBitIdentical(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	ctx := context.Background()
+	check := func(label string, ev *mapping.Evaluator, run func(opts SolveOptions) (Outcome, bool, error)) {
+		ref, refFound, refClosest := run(SolveOptions{Exact: true, Serial: true})
+		for lane, opts := range map[string]SolveOptions{
+			"sequential": {Exact: true, seqRace: true},
+			"concurrent": {Exact: true},
+		} {
+			if lane == "concurrent" && raceModeFor(ev, opts) != raceConcurrent {
+				continue // at or below the serial-fallback size it is the sequential lane again
+			}
+			got, found, closest := run(opts)
+			if found != refFound {
+				t.Fatalf("%s %s: found %v != reference %v", label, lane, found, refFound)
+			}
+			if !found {
+				if (closest == nil) != (refClosest == nil) ||
+					(closest != nil && closest.Error() != refClosest.Error()) {
+					t.Fatalf("%s %s: closest %v != reference %v", label, lane, closest, refClosest)
+				}
+				continue
+			}
+			if got.Solver != ref.Solver ||
+				math.Float64bits(got.Result.Metrics.Period) != math.Float64bits(ref.Result.Metrics.Period) ||
+				math.Float64bits(got.Result.Metrics.Latency) != math.Float64bits(ref.Result.Metrics.Latency) ||
+				!sameResult(got.Result, ref.Result) {
+				t.Fatalf("%s %s: outcome (%q %+v) != reference (%q %+v)",
+					label, lane, got.Solver, got.Result.Metrics, ref.Solver, ref.Result.Metrics)
+			}
+		}
+	}
 	// 30×9 sits above the serial-fallback cell count (so the concurrent
 	// lane really fans out) while keeping the DP's compressed state space
 	// small enough that the full mode × bound × seed matrix stays fast.
@@ -37,45 +70,54 @@ func TestRaceModesBitIdentical(t *testing.T) {
 			Family: workload.E2, Stages: 30, Processors: 9, Seed: 7000 + seed,
 		})
 		ev := in.Evaluator()
-		check := func(label string, run func(opts SolveOptions) (Outcome, bool, error)) {
-			ref, refFound, refClosest := run(SolveOptions{Exact: true, Serial: true})
-			for lane, opts := range map[string]SolveOptions{
-				"sequential": {Exact: true, seqRace: true},
-				"concurrent": {Exact: true},
-			} {
-				got, found, closest := run(opts)
-				if found != refFound {
-					t.Fatalf("seed %d %s %s: found %v != reference %v", seed, label, lane, found, refFound)
-				}
-				if !found {
-					if (closest == nil) != (refClosest == nil) ||
-						(closest != nil && closest.Error() != refClosest.Error()) {
-						t.Fatalf("seed %d %s %s: closest %v != reference %v", seed, label, lane, closest, refClosest)
-					}
-					continue
-				}
-				if got.Solver != ref.Solver ||
-					math.Float64bits(got.Result.Metrics.Period) != math.Float64bits(ref.Result.Metrics.Period) ||
-					math.Float64bits(got.Result.Metrics.Latency) != math.Float64bits(ref.Result.Metrics.Latency) ||
-					!sameResult(got.Result, ref.Result) {
-					t.Fatalf("seed %d %s %s: outcome (%q %+v) != reference (%q %+v)",
-						seed, label, lane, got.Solver, got.Result.Metrics, ref.Solver, ref.Result.Metrics)
-				}
-			}
-		}
 		lb := lowerbound.Period(ev)
 		for _, factor := range []float64{0.9, 1.05, 1.3, 2.0} {
 			bound := lb * factor
-			check("period", func(opts SolveOptions) (Outcome, bool, error) {
+			check(fmt.Sprintf("seed %d period×%g", seed, factor), ev, func(opts SolveOptions) (Outcome, bool, error) {
 				return UnderPeriod(ctx, ev, bound, opts)
 			})
 		}
 		optLat := ev.OptimalLatencyValue()
 		for _, factor := range []float64{0.9, 1.1, 1.6} {
 			budget := optLat * factor
-			check("latency", func(opts SolveOptions) (Outcome, bool, error) {
+			check(fmt.Sprintf("seed %d latency×%g", seed, factor), ev, func(opts SolveOptions) (Outcome, bool, error) {
 				return UnderLatency(ctx, ev, budget, opts)
 			})
 		}
+	}
+	// The cold benchmark's latency-constrained races: p=10 platforms of
+	// every family at 1.2/1.5/1.8× the optimal latency. At n=5 H5 often
+	// ties the optimum, so the raced DP must abandon its bisection below
+	// the incumbent; at n=40 the 400 cells put the race on the concurrent
+	// lane. The matrix must hold both a race the DP abandons and one it
+	// wins, or the abandon path is not under test.
+	abandoned, won := 0, 0
+	for fi, fam := range workload.Families() {
+		for _, n := range []int{5, 40} {
+			ev := workload.Generate(workload.Config{
+				Family: fam, Stages: n, Processors: 10, Seed: int64(7100 + 10*fi + n),
+			}).Evaluator()
+			for _, factor := range []float64{1.2, 1.5, 1.8} {
+				budget := ev.OptimalLatencyValue() * factor
+				check(fmt.Sprintf("%v n=%d latency×%g", fam, n, factor), ev, func(opts SolveOptions) (Outcome, bool, error) {
+					return UnderLatency(ctx, ev, budget, opts)
+				})
+				solvers, hasExact := latencyMembers(ev, budget, SolveOptions{Exact: true})
+				if !hasExact {
+					t.Fatalf("%v n=%d: the DP does not race", fam, n)
+				}
+				attempts := race(solvers, raceSequential, hasExact, periodMetric)
+				if errors.Is(attempts[len(attempts)-1].err, heuristics.ErrRaceLost) {
+					abandoned++
+				}
+				if out, _, _ := pickUnderLatency(attempts); out.Solver == ExactID {
+					won++
+				}
+			}
+		}
+	}
+	t.Logf("sequential lane: DP abandoned %d races, won %d", abandoned, won)
+	if abandoned == 0 || won == 0 {
+		t.Fatalf("DP abandoned %d races and won %d; the matrix must hold both", abandoned, won)
 	}
 }

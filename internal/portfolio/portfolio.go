@@ -112,8 +112,8 @@ type attempt struct {
 // solver is one portfolio member, closed over its instance and bound.
 // raced, when non-nil, is the cancellation-aware variant: it polls the
 // race incumbent and aborts with heuristics.ErrRaceLost once its running
-// bound proves defeat. Members without one (the DP, the fullhet lane) run
-// to completion and only feed the incumbent.
+// bound proves defeat. Members without one (the min-latency DP, the
+// fullhet lane) run to completion and only feed the incumbent.
 type solver struct {
 	id    string
 	run   func() (heuristics.Result, error)
@@ -180,7 +180,8 @@ func runRaced(s *solver, inc *heuristics.Incumbent, metric func(mapping.Metrics)
 
 // seqIndex schedules the sequential cancelling lane: the first member
 // (the cheap splitter) seeds the incumbent, then the exact DP — when
-// present, always last in the solver slice — publishes the optimal value,
+// present, always last in the solver slice — publishes the optimal value
+// (or, on the latency side, abandons when the seed is already as good),
 // so every expensive explorer that follows races against the best
 // possible incumbent and aborts at the first provably-losing split.
 func seqIndex(k, n int, hasExact bool) int {
@@ -302,7 +303,16 @@ func UnderLatency(ctx context.Context, ev *mapping.Evaluator, maxLatency float64
 	if err := ctx.Err(); err != nil {
 		return Outcome{}, false, err
 	}
-	var solvers []solver
+	solvers, hasExact := latencyMembers(ev, maxLatency, opts)
+	return pickUnderLatency(race(solvers, raceModeFor(ev, opts), hasExact, periodMetric))
+}
+
+// periodMetric is the incumbent metric of latency-constrained races.
+func periodMetric(m mapping.Metrics) float64 { return m.Period }
+
+// latencyMembers builds UnderLatency's race members in portfolio order,
+// the exact DP last when it applies.
+func latencyMembers(ev *mapping.Evaluator, maxLatency float64, opts SolveOptions) (solvers []solver, hasExact bool) {
 	for _, h := range latencySolvers(ev.Platform()) {
 		h := h
 		s := solver{id: h.ID(), run: func() (heuristics.Result, error) {
@@ -315,16 +325,28 @@ func UnderLatency(ctx context.Context, ev *mapping.Evaluator, maxLatency float64
 		}
 		solvers = append(solvers, s)
 	}
-	hasExact := exactApplies(ev, opts)
+	hasExact = exactApplies(ev, opts)
 	if hasExact {
-		solvers = append(solvers, solver{id: ExactID, run: func() (heuristics.Result, error) {
-			r, err := exact.MinPeriodUnderLatency(ev, maxLatency)
-			return heuristics.Result{Mapping: r.Mapping, Metrics: r.Metrics}, err
-		}})
+		// The raced DP caps its bisection below the incumbent period. A
+		// mapping it could only find at or above that period would lose
+		// the selection anyway (strict improvement, DP scanned last), so
+		// not finding one is a lost race.
+		solvers = append(solvers, solver{
+			id: ExactID,
+			run: func() (heuristics.Result, error) {
+				r, err := exact.MinPeriodUnderLatency(ev, maxLatency)
+				return heuristics.Result{Mapping: r.Mapping, Metrics: r.Metrics}, err
+			},
+			raced: func(inc *heuristics.Incumbent) (heuristics.Result, error) {
+				r, err := exact.MinPeriodUnderLatencyBelow(ev, maxLatency, inc.Best)
+				if errors.Is(err, exact.ErrNotBelow) {
+					err = heuristics.ErrRaceLost
+				}
+				return heuristics.Result{Mapping: r.Mapping, Metrics: r.Metrics}, err
+			},
+		})
 	}
-	attempts := race(solvers, raceModeFor(ev, opts), hasExact,
-		func(m mapping.Metrics) float64 { return m.Period })
-	return pickUnderLatency(attempts)
+	return solvers, hasExact
 }
 
 // pickUnderLatency mirrors the serial selection of BestUnderLatency:

@@ -745,6 +745,13 @@ func (s *Server) solveOne(ctx context.Context, objective portfolio.Objective, mo
 		}
 		res, resp.Solver = out.Result, out.Solver
 	case "exact":
+		if plat := ev.Platform(); !exact.Eligible(plat) {
+			// Out of the DP's reach is a property of the request, not an
+			// infeasible bound (normalizeMode already turned fully
+			// heterogeneous platforms away).
+			return resp, badRequest("mode \"exact\" needs a compressed DP state space of at most %d; this platform's is %d (%d processors in %d speed classes): use portfolio or best",
+				exact.MaxStates, plat.ClassStateSpace(), plat.Processors(), plat.SpeedClasses())
+		}
 		var (
 			xr  exact.Result
 			err error

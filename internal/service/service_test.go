@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pipesched/internal/exact"
 	"pipesched/internal/heuristics"
 	"pipesched/internal/mapping"
 	"pipesched/internal/pipeline"
@@ -150,20 +152,30 @@ func TestSolveHeuristicModeMatchesDirectRun(t *testing.T) {
 func TestSolveValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	in := testInstance(t)
+	// E1 at p=100 draws 20 speed classes: a comm-homogeneous platform
+	// whose compressed state space is beyond the DP's reach. That is a
+	// bad request naming the limit, not an infeasible bound.
+	wide := workload.Generate(workload.Config{Family: workload.E1, Stages: 10, Processors: 100, Seed: 3})
+	if exact.Eligible(wide.Plat) {
+		t.Fatalf("test platform has %d states, within the DP's limit", wide.Plat.ClassStateSpace())
+	}
 	for _, tc := range []struct {
 		name string
 		body []byte
 		want int
+		msg  string // substring the error must contain, if set
 	}{
-		{"not-json", []byte("{nope"), http.StatusBadRequest},
-		{"unknown-field", solveBody(t, in, map[string]any{"bound": 1.0, "bogus": true}), http.StatusBadRequest},
-		{"missing-platform", []byte(`{"pipeline":{"works":[1],"deltas":[0,0]},"bound":1}`), http.StatusBadRequest},
-		{"zero-bound", solveBody(t, in, map[string]any{"bound": 0.0}), http.StatusBadRequest},
-		{"bad-objective", solveBody(t, in, map[string]any{"bound": 1.0, "objective": "min-energy"}), http.StatusBadRequest},
-		{"bad-mode", solveBody(t, in, map[string]any{"bound": 1.0, "mode": "H9"}), http.StatusBadRequest},
-		{"wrong-side-heuristic", solveBody(t, in, map[string]any{"bound": 1.0, "objective": "min-period", "mode": "H1"}), http.StatusBadRequest},
-		{"invalid-pipeline", []byte(`{"pipeline":{"works":[-1],"deltas":[0,0]},"platform":{"speeds":[1],"bandwidth":1},"bound":1}`), http.StatusBadRequest},
-		{"infeasible", solveBody(t, in, map[string]any{"bound": 1e-9, "mode": "best"}), http.StatusUnprocessableEntity},
+		{"not-json", []byte("{nope"), http.StatusBadRequest, ""},
+		{"unknown-field", solveBody(t, in, map[string]any{"bound": 1.0, "bogus": true}), http.StatusBadRequest, ""},
+		{"missing-platform", []byte(`{"pipeline":{"works":[1],"deltas":[0,0]},"bound":1}`), http.StatusBadRequest, ""},
+		{"zero-bound", solveBody(t, in, map[string]any{"bound": 0.0}), http.StatusBadRequest, ""},
+		{"bad-objective", solveBody(t, in, map[string]any{"bound": 1.0, "objective": "min-energy"}), http.StatusBadRequest, ""},
+		{"bad-mode", solveBody(t, in, map[string]any{"bound": 1.0, "mode": "H9"}), http.StatusBadRequest, ""},
+		{"wrong-side-heuristic", solveBody(t, in, map[string]any{"bound": 1.0, "objective": "min-period", "mode": "H1"}), http.StatusBadRequest, ""},
+		{"invalid-pipeline", []byte(`{"pipeline":{"works":[-1],"deltas":[0,0]},"platform":{"speeds":[1],"bandwidth":1},"bound":1}`), http.StatusBadRequest, ""},
+		{"infeasible", solveBody(t, in, map[string]any{"bound": 1e-9, "mode": "best"}), http.StatusUnprocessableEntity, ""},
+		{"exact-beyond-state-limit", solveBody(t, wide, map[string]any{"bound": wide.Evaluator().OptimalLatencyValue() * 1.5, "objective": "min-period", "mode": "exact"}),
+			http.StatusBadRequest, strconv.Itoa(exact.MaxStates)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := post(t, ts, "/v1/solve", tc.body)
@@ -173,6 +185,9 @@ func TestSolveValidation(t *testing.T) {
 			var er errorResponse
 			if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 				t.Fatalf("error body %s not an error object (%v)", body, err)
+			}
+			if !strings.Contains(er.Error, tc.msg) {
+				t.Fatalf("error %q does not contain %q", er.Error, tc.msg)
 			}
 		})
 	}
