@@ -6,6 +6,7 @@ package pipesched_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -242,6 +243,74 @@ func BenchmarkExactMinPeriodParallel(b *testing.B) {
 		run(b)
 	})
 	b.Run("parallel", run)
+}
+
+// BenchmarkExactMinPeriodUnderLatencyFewClass times the min-period
+// bisection on 6561 compressed states (32 processors in 4 speed classes
+// of 8): at exactly the optimal latency, where nearly every probe is
+// infeasible, and at 1.5× it. The chosen candidate's full fill runs on
+// the wave runner on multi-core hosts; probes stay serial.
+func BenchmarkExactMinPeriodUnderLatencyFewClass(b *testing.B) {
+	for _, n := range []int{10, 40} {
+		ev := fewClassEvaluator(n, 32, 4, 7)
+		_, optLat := ev.OptimalLatency()
+		for _, factor := range []float64{1, 1.5} {
+			b.Run(fmt.Sprintf("n=%d/lat=%gx", n, factor), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := exact.MinPeriodUnderLatency(ev, optLat*factor); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkExactMinLatencyUnderPeriodRaced times the min-latency DP on
+// p=10 paper instances (E1–E4, one each) at a period bound halfway
+// between the period lower bound and the single-processor period: dense,
+// as MinLatencyUnderPeriod and the reference race lane fill it, and
+// raced, cut at H1's latency as the sequential race lane runs it. A raced
+// solve may abandon with ErrNotBelow: H1 can report the optimal mapping
+// with a running-sum latency an ulp below the DP's sum of the same terms.
+func BenchmarkExactMinLatencyUnderPeriodRaced(b *testing.B) {
+	type instance struct {
+		ev    *mapping.Evaluator
+		bound float64
+		inc   *heuristics.Incumbent
+	}
+	for _, n := range []int{10, 40} {
+		var insts []instance
+		for fi, fam := range workload.Families() {
+			ev := workload.Generate(workload.Config{Family: fam, Stages: n, Processors: 10, Seed: int64(300 + fi)}).Evaluator()
+			single, _ := ev.OptimalLatency()
+			bound := (pipesched.PeriodLowerBound(ev) + ev.Period(single)) / 2
+			inc := heuristics.NewIncumbent()
+			if res, err := (heuristics.SpMonoP{}).MinimizeLatency(ev, bound); err == nil {
+				inc.Offer(res.Metrics.Latency)
+			}
+			insts = append(insts, instance{ev, bound, inc})
+		}
+		for _, mode := range []string{"dense", "raced"} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, mode), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, x := range insts {
+						var err error
+						if mode == "dense" {
+							_, err = exact.MinLatencyUnderPeriod(x.ev, x.bound)
+						} else {
+							_, err = exact.MinLatencyUnderPeriodWithin(x.ev, x.bound, x.inc)
+						}
+						if err != nil && !errors.Is(err, exact.ErrNotBelow) {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	}
 }
 
 // Chains-to-chains ablation (DESIGN.md §6): exact DP vs bisection vs the

@@ -128,16 +128,24 @@
 // ExactMinPeriodUnderLatency bisects the candidate periods with
 // feasibility probes that exit early: a probe fills states in ascending
 // order and stops at the first complete final cell that meets the
-// latency bound. Speed classes are numbered fastest-first, so the states
-// holding a feasible mapping's fast processors come early. Only the
-// chosen candidate gets a full fill and a reconstruction, so the mapping
-// is unchanged. Inside a portfolio race the DP also polls the incumbent
-// (the best finished H5/H6 period) before every probe, caps the
-// bisection below it, and abandons as a lost race when nothing below it
-// is feasible: the race's strict-improvement selection could never pick
-// that result. On the loopbench solve-cold workload (2-vCPU Xeon, medians
-// of ten alternating 20 s runs) this took throughput from 360 to 708
-// req/s and p99 from 74.6 to 31.7 ms, with identical answers.
+// latency bound. Probes and the chosen candidate's full fill are cut at
+// that bound: a cell is skipped when its remaining work exceeds the
+// period bound times the speed its state leaves spare, or when its
+// value plus the next input transfer and the remaining work on the
+// fastest spare class exceeds the bound. Both bounds are admissible and
+// consistent, with a 1e-9 relative margin for rounding, so every cell
+// that can still meet the bound keeps its exact value and the mapping
+// is unchanged bit for bit. Each row records its first and last finite
+// cell, and later rows read only that window of it. Inside a portfolio
+// race both DP members poll the incumbent: the min-period DP caps its
+// bisection below the best finished H5/H6 period, and the min-latency
+// DP cuts its fill at the best finished H1–H4 latency (non-strictly: an
+// equal latency can still win on its period). Either abandons as a lost
+// race when nothing meets its ceiling, a result the race's selection
+// could never pick. On the loopbench solve-cold workload (2-vCPU Xeon,
+// medians of ten alternating 20 s runs) the cut fills took throughput
+// from 642 to 1114 req/s and p99 from 35.9 to 14.8 ms, with identical
+// answers; the early-exit probes had taken it from 360 to 708 req/s.
 //
 // scripts/bench.sh snapshots the exact/heuristic/portfolio/serving
 // benchmarks into BENCH_<pr>.json (ns/op, B/op, allocs/op per

@@ -89,6 +89,18 @@ type arena struct {
 	f    []float64 // DP values, states×(n+1) state-major: f[S*(n+1)+i]
 	back []int32   // packed backpointers, same shape
 
+	// Bound tables of the pruned latency kernel (cutRow), set at bind.
+	// spare[S] is the total speed of the processors S leaves unused and
+	// fastInv[S] the reciprocal speed of the fastest of them (0 when S
+	// uses every processor). rem[i] is the work of stages i+1..n and
+	// nextIn[i] the input term δ_i/b of an interval starting at stage
+	// i+1; both are 0 at i = n.
+	spare, fastInv []float64
+	rem, nextIn    []float64
+	// first[S] and last[S] delimit the finite cells of row S after a
+	// pruned fill (first > last when the row has none).
+	first, last []int32
+
 	cands  []float64          // sorted unique candidate cycle-times (lazy)
 	ivbuf  []mapping.Interval // reconstruction scratch
 	cursor []int              // per-class member cursor for reconstruction
@@ -195,19 +207,41 @@ func (a *arena) bind(ev *mapping.Evaluator) {
 		}
 	}
 
+	a.rem = resize(a.rem, n+1)
+	a.nextIn = resize(a.nextIn, n+1)
+	a.rem[n], a.nextIn[n] = 0, 0
+	for i := 0; i < n; i++ {
+		// The same prefix difference the cost tables use, so the bound
+		// and the work of any completion share their rounding.
+		a.rem[i] = ev.Pipeline().IntervalWork(i+1, n)
+		a.nextIn[i], _, _ = ev.ClassCycleParts(i+1, i+1, 0)
+	}
+
 	a.transOff = resize(a.transOff, states+1)
 	a.transClass = a.transClass[:0]
 	a.transPrev = a.transPrev[:0]
 	a.usage = resize(a.usage, states)
 	a.usage[0] = 0
+	a.spare = resize(a.spare, states)
+	a.fastInv = resize(a.fastInv, states)
 	for S := 0; S < states; S++ {
 		a.transOff[S] = int32(len(a.transClass))
+		spare, fastInv := 0.0, 0.0
 		for k := 0; k < a.classes; k++ {
-			if (S/a.radix[k])%(a.csize[k]+1) > 0 {
+			used := (S / a.radix[k]) % (a.csize[k] + 1)
+			if used > 0 {
 				a.transClass = append(a.transClass, int8(k))
 				a.transPrev = append(a.transPrev, int32(S-a.radix[k]))
 			}
+			if free := a.csize[k] - used; free > 0 {
+				speed := plat.ClassSpeed(k)
+				spare += float64(free) * speed
+				if fastInv == 0 { // classes are numbered fastest-first
+					fastInv = 1 / speed
+				}
+			}
 		}
+		a.spare[S], a.fastInv[S] = spare, fastInv
 		if S > 0 {
 			// Every transition consumes one processor: derive the usage
 			// count from any predecessor (the last recorded one).
@@ -218,6 +252,8 @@ func (a *arena) bind(ev *mapping.Evaluator) {
 
 	a.f = resize(a.f, (n+1)*states)
 	a.back = resize(a.back, (n+1)*states)
+	a.first = resize(a.first, states)
+	a.last = resize(a.last, states)
 	a.cursor = resize(a.cursor, a.classes)
 	a.cands = a.cands[:0]
 	a.boundTo = ev
@@ -253,15 +289,17 @@ func (a *arena) candidates() []float64 {
 // run executes the compressed DP and returns the optimal objective value
 // with its winning final state. For objMinLatency, periodBound is the
 // admissibility cutoff on individual cycle-times (slack already applied by
-// the caller). ok is false when no complete assignment is feasible.
+// the caller). ok is false when no complete assignment is feasible, and
+// with cut set also when the optimum misses the cut.
 //
-// The recurrence itself lives in computeRow; run only picks the schedule.
-// Small state spaces stay on the serial, allocation-free path; above
-// ParallelStateThreshold the usage-level wave runner (parallel.go) splits
-// each level's states across worker strata. Both schedules produce the
-// same table cell by cell, so the choice is invisible to every caller.
-func (a *arena) run(obj objective, periodBound float64) (best float64, bestState int, ok bool) {
-	saturated := obj == objMinLatency && periodBound >= a.maxCycle
+// The recurrence itself lives in computeRow (cutRow for a latency run
+// with a cut); run only picks the schedule. Small state spaces stay on
+// the serial, allocation-free path; above ParallelStateThreshold the
+// usage-level wave runner (parallel.go) splits each level's states
+// across worker strata. Both schedules produce the same table cell by
+// cell, so the choice is invisible to every caller.
+func (a *arena) run(obj objective, periodBound float64, cut *latencyCut) (best float64, bestState int, ok bool) {
+	saturated := cut == nil && obj == objMinLatency && periodBound >= a.maxCycle
 	if saturated && a.freeValid {
 		dpStats.memoHits.Add(1)
 		return a.freeBest, a.freeState, a.freeOK
@@ -269,10 +307,10 @@ func (a *arena) run(obj objective, periodBound float64) (best float64, bestState
 	if w := a.parallelWorkers(); w > 1 {
 		dpStats.parallelRuns.Add(1)
 		dpStats.strata.Add(uint64(w))
-		best, bestState, ok = a.runParallel(obj, periodBound, w)
+		best, bestState, ok = a.runParallel(obj, periodBound, cut, w)
 	} else {
 		dpStats.serialRuns.Add(1)
-		best, bestState, ok = a.runSerial(obj, periodBound, nil)
+		best, bestState, ok = a.runSerial(obj, periodBound, cut)
 	}
 	if saturated {
 		a.freeValid = true
@@ -318,17 +356,40 @@ func (a *arena) prepareFeasStart(obj objective, periodBound float64) {
 	}
 }
 
-// latencyExit arms runSerial's early exit for a feasibility probe: the
-// fill stops at the first state whose final cell v is reachable and
-// satisfies v+tail <= bound.
-type latencyExit struct{ tail, bound float64 }
+// cutMargin is the relative margin of cutRow's bounds: a cell is pruned
+// only when its bound exceeds the cutoff or the spare capacity by this
+// factor, far above the rounding of any latency or work sum, so rounding
+// can never prune a cell that still finishes within the cutoff.
+const cutMargin = 1e-9
+
+// latencyCut arms the pruned kernel for a latency run: only mappings of
+// latency v+tail <= bound count, and every cell that can no longer reach
+// one is pruned. A cut fill therefore yields the dense fill's optimum,
+// winning state and path bit for bit, or nothing.
+type latencyCut struct {
+	tail  float64 // the trailing δ_n/b term (latencyTail)
+	bound float64 // the final-latency cutoff, non-strict
+	// inc, when non-nil, is polled before every row (every usage level
+	// on the wave runner); bound keeps the smallest value seen.
+	inc Incumbent
+	// exit stops the fill at the first final cell within bound (a
+	// feasibility probe), leaving the later rows stale.
+	exit bool
+}
+
+func (c *latencyCut) poll() {
+	if c.inc != nil {
+		if v := c.inc.Best(); v < c.bound {
+			c.bound = v
+		}
+	}
+}
 
 // runSerial visits states in ascending id order (every predecessor
-// S-radix[k] is smaller than S, so its row is complete when read). With
-// exit set the fill returns at the first final cell that passes it,
-// leaving the rows after that state stale; only when no cell passes does
-// it reach the merge.
-func (a *arena) runSerial(obj objective, periodBound float64, exit *latencyExit) (best float64, bestState int, ok bool) {
+// S-radix[k] is smaller than S, so its row is complete when read). With a
+// cut whose exit is armed, the fill returns at the first final cell that
+// meets the cut; only when no cell does it reach the merge.
+func (a *arena) runSerial(obj objective, periodBound float64, cut *latencyCut) (best float64, bestState int, ok bool) {
 	a.freeValid = false // the fill below overwrites the table the memo indexes into
 	a.prepareFeasStart(obj, periodBound)
 	n, states := a.n, a.states
@@ -337,20 +398,28 @@ func (a *arena) runSerial(obj objective, periodBound float64, exit *latencyExit)
 	for i := 1; i <= n; i++ {
 		f[i] = inf
 	}
+	if cut == nil {
+		for S := 1; S < states; S++ {
+			a.computeRow(obj, periodBound, S)
+		}
+		return a.merge(nil)
+	}
+	a.first[0], a.last[0] = 0, 0
 	for S := 1; S < states; S++ {
-		a.computeRow(obj, periodBound, S)
-		if exit != nil {
-			if v := f[S*(n+1)+n]; v < inf && v+exit.tail <= exit.bound {
+		cut.poll()
+		a.cutRow(periodBound, cut.bound*(1+cutMargin), cut.tail, S)
+		if cut.exit {
+			if v := f[S*(n+1)+n]; v < inf && v+cut.tail <= cut.bound {
 				return v, S, true
 			}
 		}
 	}
-	return a.merge()
+	return a.merge(cut)
 }
 
 // probe is one feasibility test of the min-period bisection: does some
 // mapping whose cycle-times all stay within periodBound have latency
-// (tail included) within latBound? It is runSerial with the exit armed.
+// (tail included) within latBound? It is a cut fill with the exit armed.
 // Float addition is monotone, so some final cell passes exactly when the
 // merged optimum of a full fill would. Speed classes are numbered
 // fastest-first, so the states that hold a feasible mapping's fast
@@ -359,14 +428,15 @@ func (a *arena) runSerial(obj objective, periodBound float64, exit *latencyExit)
 // invalidate the saturated-bound memo and never set it.
 func (a *arena) probe(periodBound, tail, latBound float64) bool {
 	dpStats.serialRuns.Add(1)
-	v, _, ok := a.runSerial(objMinLatency, periodBound, &latencyExit{tail: tail, bound: latBound})
-	return ok && v+tail <= latBound
+	_, _, ok := a.runSerial(objMinLatency, periodBound, &latencyCut{tail: tail, bound: latBound, exit: true})
+	return ok
 }
 
 // merge scans the complete table for the winning final state. The scan
 // runs in ascending state order with strict improvement, so ties resolve
-// to the smallest state id no matter which schedule filled the table.
-func (a *arena) merge() (best float64, bestState int, ok bool) {
+// to the smallest state id no matter which schedule filled the table. A
+// winner that misses the cut is no answer: its cells may have been pruned.
+func (a *arena) merge(cut *latencyCut) (best float64, bestState int, ok bool) {
 	n := a.n
 	best = inf
 	for S := 1; S < a.states; S++ {
@@ -374,7 +444,7 @@ func (a *arena) merge() (best float64, bestState int, ok bool) {
 			best, bestState = v, S
 		}
 	}
-	return best, bestState, best < inf
+	return best, bestState, best < inf && (cut == nil || best+cut.tail <= cut.bound)
 }
 
 // computeRow fills every cell of state S's row — values and backpointers —
@@ -472,6 +542,92 @@ func (a *arena) computeRow(obj objective, periodBound float64, S int) {
 			back[rowS+i] = bestB
 		}
 	}
+}
+
+// cutRow is computeRow's latency recurrence under a cut: it leaves cell
+// (S, i) unreachable when no completion of it can meet both bounds.
+//
+//   - Capacity: every remaining interval's work is at most periodBound ×
+//     its processor's speed, so the remaining work rem[i] cannot exceed
+//     periodBound × the spare speed of S.
+//   - Latency: the next interval pays δ_i/b, and the remaining work runs
+//     no faster than on the fastest spare class, so the final latency is
+//     at least f + nextIn[i] + rem[i]×fastInv[S] + tail; it must not
+//     exceed lim, the latency cutoff with cutMargin applied.
+//
+// Both bounds are admissible, and consistent: a predecessor's bound never
+// exceeds its edge cost plus the cell's bound (spare capacity only grows
+// going back). So every cell that can still finish within the cutoff
+// keeps the dense value and backpointer, and candidates tied with the
+// one it selects are never pruned. The row records its first and last
+// finite cell, and only those windows of its predecessor rows are read:
+// the pruned cells are what a bound saves, the windows are what turns
+// them into saved time.
+func (a *arena) cutRow(periodBound, lim, tail float64, S int) {
+	n, nn := a.n, a.n*a.n
+	f, back := a.f, a.back
+	rowS := S * (n + 1)
+	cS := int(a.usage[S])
+	t0, t1 := a.transOff[S], a.transOff[S+1]
+	// The first cell that can be finite: past the usage floor and some
+	// predecessor's first finite cell, and where the spare speed can
+	// carry the remaining work (rem only falls as i grows).
+	start := n + 1
+	if cS <= n {
+		for t := t0; t < t1; t++ {
+			start = min(start, int(a.first[a.transPrev[t]])+1)
+		}
+		start = max(start, cS)
+		capacity := periodBound * a.spare[S] * (1 + cutMargin)
+		for start < n && a.rem[start] > capacity {
+			start++
+		}
+	}
+	for i := 0; i < start && i <= n; i++ {
+		f[rowS+i] = inf
+	}
+	first, last := n+1, -1
+	fastInv := a.fastInv[S]
+	for i := start; i <= n; i++ {
+		bestV := inf
+		var bestB int32
+		for t := t0; t < t1; t++ {
+			k := int(a.transClass[t])
+			p := int(a.transPrev[t])
+			prevRow := p * (n + 1)
+			base := k*nn + (i-1)*n // cycle[k][kk+1..i] is at base + kk
+			lo := max(cS-1, int(a.first[p]))
+			if len(a.feasStart) > 0 {
+				lo = max(lo, int(a.feasStart[k*n+i-1]))
+			}
+			hi := min(i, int(a.last[p])+1)
+			if lo >= hi {
+				continue
+			}
+			fprev := f[prevRow+lo : prevRow+hi]
+			cyc := a.cycle[base+lo : base+hi]
+			lats := a.lat[base+lo : base+hi]
+			for j, fv := range fprev {
+				if fv == inf || cyc[j] > periodBound {
+					continue
+				}
+				if cand := fv + lats[j]; cand < bestV {
+					bestV = cand
+					bestB = int32(lo+j)<<classShift | int32(k)
+				}
+			}
+		}
+		if bestV < inf && bestV+a.nextIn[i]+a.rem[i]*fastInv+tail > lim {
+			bestV = inf
+		}
+		f[rowS+i] = bestV
+		if bestV < inf {
+			back[rowS+i] = bestB
+			first = min(first, i)
+			last = i
+		}
+	}
+	a.first[S], a.last[S] = int32(first), int32(last)
 }
 
 // latencyTail is the constant trailing δ_n/b term of the latency: adding

@@ -62,7 +62,7 @@ func TestCompressedMatchesLegacyAndBrute(t *testing.T) {
 			t.Logf("seed %d: MinPeriod compressed %v != legacy %v", seed, comp.Metrics.Period, leg.Metrics.Period)
 			return false
 		}
-		brute := BruteMinPeriod(ev)
+		brute := bruteMinPeriod(ev)
 		if math.Abs(comp.Metrics.Period-brute.Metrics.Period) > 1e-9 {
 			return false
 		}
@@ -88,7 +88,7 @@ func TestCompressedMatchesLegacyAndBrute(t *testing.T) {
 				return false
 			}
 			best := math.Inf(1)
-			Enumerate(ev, func(m *mapping.Mapping) {
+			enumerate(ev, func(m *mapping.Mapping) {
 				met := ev.Metrics(m)
 				if met.Period <= bound*(1+1e-12) && met.Latency < best {
 					best = met.Latency
@@ -184,7 +184,7 @@ func TestExactSolveBeyondLegacyProcessorCeiling(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		brute := BruteMinPeriod(ev)
+		brute := bruteMinPeriod(ev)
 		return math.Abs(res.Metrics.Period-brute.Metrics.Period) < 1e-9 &&
 			ev.Period(res.Mapping) == res.Metrics.Period
 	}

@@ -32,12 +32,6 @@ import (
 // a homogeneous 100-processor platform needs only 101 states.
 const MaxStates = 1 << 16
 
-// MaxProcs is the historical processor cap of the bitmask dynamic
-// program, which allocated O(2^p · n) state regardless of speed
-// structure. It still bounds the legacy oracle used in tests; production
-// eligibility is decided by Eligible against MaxStates instead.
-const MaxProcs = 14
-
 // Result is an optimal mapping together with its metrics.
 type Result struct {
 	Mapping *mapping.Mapping
@@ -48,10 +42,16 @@ type Result struct {
 // requested constraint.
 var ErrInfeasible = errors.New("exact: no interval mapping satisfies the constraint")
 
-// ErrNotBelow is returned by MinPeriodUnderLatencyBelow when no interval
-// mapping with a period strictly below the ceiling meets the latency
-// bound.
+// ErrNotBelow is returned by the race entry points when no interval
+// mapping that could beat the race's incumbent meets the constraint:
+// none with a period strictly below the ceiling (MinPeriodUnderLatencyBelow),
+// or none with a latency within the incumbent's (MinLatencyUnderPeriodWithin).
 var ErrNotBelow = errors.New("exact: no interval mapping below the ceiling satisfies the constraint")
+
+// Incumbent is a portfolio race's incumbent as the exact solvers poll it:
+// Best is the best metric another member has achieved so far. It only
+// ever falls; a solver keeps the smallest value it has read.
+type Incumbent interface{ Best() float64 }
 
 // Eligible reports whether the exact solvers accept the platform: it must
 // be Communication Homogeneous with a compressed state space within
@@ -82,7 +82,7 @@ func MinPeriod(ev *mapping.Evaluator) (Result, error) {
 	}
 	a := acquireArena(ev)
 	defer a.release()
-	_, state, ok := a.run(objMinPeriod, 0)
+	_, state, ok := a.run(objMinPeriod, 0, nil)
 	if !ok {
 		return Result{}, ErrInfeasible
 	}
@@ -91,18 +91,44 @@ func MinPeriod(ev *mapping.Evaluator) (Result, error) {
 
 // MinLatencyUnderPeriod returns the minimum-latency interval mapping among
 // those of period ≤ maxPeriod, or ErrInfeasible when none exists. This is
-// the exact counterpart of the paper's period-constrained heuristics.
+// the exact counterpart of the paper's period-constrained heuristics. It
+// is MinLatencyUnderPeriodWithin with no incumbent, a dense fill.
 func MinLatencyUnderPeriod(ev *mapping.Evaluator, maxPeriod float64) (Result, error) {
+	return MinLatencyUnderPeriodWithin(ev, maxPeriod, nil)
+}
+
+// MinLatencyUnderPeriodWithin is MinLatencyUnderPeriod for a caller that
+// only wants a mapping whose latency is at most inc.Best(): a portfolio
+// race whose incumbent already holds a mapping of that latency. The
+// cutoff is non-strict, because a mapping of equal latency can still win
+// the race on its period.
+//
+// The fill reads inc before every row (every usage level on the wave
+// runner) and prunes each cell that can no longer finish within the
+// smallest value read. Every cell that can keeps its exact value and
+// backpointer, so when the optimum is within the cutoff the mapping is
+// MinLatencyUnderPeriod's, bit for bit. Otherwise the result is
+// ErrNotBelow, or ErrInfeasible when inc read +Inf throughout and no
+// mapping meets the period bound.
+func MinLatencyUnderPeriodWithin(ev *mapping.Evaluator, maxPeriod float64, inc Incumbent) (Result, error) {
 	if err := guard(ev); err != nil {
 		return Result{}, err
 	}
 	a := acquireArena(ev)
 	defer a.release()
-	_, state, ok := a.run(objMinLatency, maxPeriod*slack)
-	if !ok {
+	var cut *latencyCut
+	if inc != nil {
+		cut = &latencyCut{tail: a.latencyTail(), bound: math.Inf(1), inc: inc}
+	}
+	_, state, ok := a.run(objMinLatency, maxPeriod*slack, cut)
+	switch {
+	case ok:
+		return a.result(state)
+	case cut != nil && !math.IsInf(cut.bound, 1):
+		return Result{}, ErrNotBelow
+	default:
 		return Result{}, ErrInfeasible
 	}
-	return a.result(state)
 }
 
 // MinPeriodUnderLatency returns the minimum-period interval mapping among
@@ -118,7 +144,9 @@ func MinPeriodUnderLatency(ev *mapping.Evaluator, maxLatency float64) (Result, e
 // values among the distinct interval cycle-times — at most n(n+1)/2·K
 // over the K speed classes — so the solver bisects that candidate set:
 // each probe is an early-exit feasibility test in the shared arena, and
-// only the chosen candidate gets a full fill and a reconstruction.
+// only the chosen candidate gets a full fill and a reconstruction. Probes
+// and that fill are cut at the latency bound: they skip every cell that
+// cannot finish within it.
 //
 // ceiling is polled before every probe, and the bisection is capped at
 // the largest candidate strictly below it. When no candidate below the
@@ -170,64 +198,11 @@ func MinPeriodUnderLatencyBelow(ev *mapping.Evaluator, maxLatency float64, ceili
 			lo = top
 		}
 	}
-	v, state, ok := a.run(objMinLatency, cands[hi]*slack)
-	if !ok || v+tail > latBound {
+	_, state, ok := a.run(objMinLatency, cands[hi]*slack, &latencyCut{tail: tail, bound: latBound})
+	if !ok {
 		return Result{}, fmt.Errorf("exact: bisection lost feasibility at %g", cands[hi])
 	}
 	return a.result(state)
-}
-
-// Enumerate calls fn for every valid interval mapping (exhaustive;
-// exponential — use on tiny instances only). The used set is a slice, not
-// a bitmask, so platforms beyond 32 processors — which the class-keyed
-// gate can admit — enumerate correctly.
-func Enumerate(ev *mapping.Evaluator, fn func(*mapping.Mapping)) {
-	app, plat := ev.Pipeline(), ev.Platform()
-	n, p := app.Stages(), plat.Processors()
-	used := make([]bool, p+1)
-	var rec func(start int, acc []mapping.Interval)
-	rec = func(start int, acc []mapping.Interval) {
-		if start > n {
-			m, err := mapping.New(app, plat, acc)
-			if err != nil {
-				panic(err)
-			}
-			fn(m)
-			return
-		}
-		if len(acc) == p {
-			return
-		}
-		for end := start; end <= n; end++ {
-			for u := 1; u <= p; u++ {
-				if used[u] {
-					continue
-				}
-				used[u] = true
-				rec(end+1, append(acc, mapping.Interval{Start: start, End: end, Proc: u}))
-				used[u] = false
-			}
-		}
-	}
-	rec(1, nil)
-}
-
-// BruteMinPeriod computes the minimum period by exhaustive enumeration —
-// an independent oracle for MinPeriod in tests.
-func BruteMinPeriod(ev *mapping.Evaluator) Result {
-	var best Result
-	found := false
-	Enumerate(ev, func(m *mapping.Mapping) {
-		met := ev.Metrics(m)
-		if !found || met.Period < best.Metrics.Period {
-			best = Result{Mapping: m, Metrics: met}
-			found = true
-		}
-	})
-	if !found {
-		panic("exact: enumeration produced no mapping")
-	}
-	return best
 }
 
 // ParetoPoint is one non-dominated (period, latency) trade-off with a
@@ -259,7 +234,7 @@ func ParetoFront(ev *mapping.Evaluator) ([]ParetoPoint, error) {
 
 	// The minimum period is itself a candidate cycle-time (a period is the
 	// max cycle of some mapping); everything below it is infeasible.
-	minP, _, ok := a.run(objMinPeriod, 0)
+	minP, _, ok := a.run(objMinPeriod, 0, nil)
 	if !ok {
 		return nil, ErrInfeasible
 	}
@@ -268,7 +243,7 @@ func ParetoFront(ev *mapping.Evaluator) ([]ParetoPoint, error) {
 	var points []ParetoPoint
 	prevLatency := math.Inf(1)
 	for _, c := range cands[first:] {
-		v, state, ok := a.run(objMinLatency, c*slack)
+		v, state, ok := a.run(objMinLatency, c*slack, nil)
 		if !ok {
 			continue // numeric edge: bound still below every mapping
 		}

@@ -54,7 +54,7 @@ func TestMinPeriodMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		brute := BruteMinPeriod(ev)
+		brute := bruteMinPeriod(ev)
 		if math.Abs(dp.Metrics.Period-brute.Metrics.Period) > 1e-9 {
 			return false
 		}
@@ -92,7 +92,7 @@ func TestMinLatencyUnderPeriodMatchesBruteForce(t *testing.T) {
 		}
 		// Brute-force check.
 		best := math.Inf(1)
-		Enumerate(ev, func(m *mapping.Mapping) {
+		enumerate(ev, func(m *mapping.Mapping) {
 			met := ev.Metrics(m)
 			if met.Period <= bound*(1+1e-12) && met.Latency < best {
 				best = met.Latency
@@ -165,7 +165,7 @@ func TestMinPeriodUnderLatencyBruteForce(t *testing.T) {
 			return false
 		}
 		best := math.Inf(1)
-		Enumerate(ev, func(m *mapping.Mapping) {
+		enumerate(ev, func(m *mapping.Mapping) {
 			met := ev.Metrics(m)
 			if met.Latency <= bound*(1+1e-12) && met.Period < best {
 				best = met.Period
@@ -212,7 +212,7 @@ func TestParetoFrontProperties(t *testing.T) {
 		}
 		// No enumerated mapping dominates any front point.
 		ok := true
-		Enumerate(ev, func(m *mapping.Mapping) {
+		enumerate(ev, func(m *mapping.Mapping) {
 			met := ev.Metrics(m)
 			for _, pt := range front {
 				if met.Dominates(pt.Metrics) {
@@ -259,7 +259,7 @@ func TestGuardRejectsLargeStateSpaces(t *testing.T) {
 func TestGuardKeyedOnClassesNotProcessors(t *testing.T) {
 	// The same 17 processors all at speed 1 compress to 18 states: the
 	// raw processor count no longer matters, only the class structure.
-	// This platform was rejected outright under the old MaxProcs gate.
+	// This platform was rejected outright under the old 14-processor gate.
 	speeds := make([]float64, 17)
 	for i := range speeds {
 		speeds[i] = 1
@@ -342,7 +342,60 @@ func TestMinPeriodReducesToHeteroChains(t *testing.T) {
 	}
 }
 
-// Enumerate historically tracked used processors in a uint32 bitmask,
+// enumerate calls fn for every valid interval mapping (exhaustive;
+// exponential — use on tiny instances only). The used set is a slice, not
+// a bitmask, so platforms beyond 32 processors — which the class-keyed
+// gate can admit — enumerate correctly.
+func enumerate(ev *mapping.Evaluator, fn func(*mapping.Mapping)) {
+	app, plat := ev.Pipeline(), ev.Platform()
+	n, p := app.Stages(), plat.Processors()
+	used := make([]bool, p+1)
+	var rec func(start int, acc []mapping.Interval)
+	rec = func(start int, acc []mapping.Interval) {
+		if start > n {
+			m, err := mapping.New(app, plat, acc)
+			if err != nil {
+				panic(err)
+			}
+			fn(m)
+			return
+		}
+		if len(acc) == p {
+			return
+		}
+		for end := start; end <= n; end++ {
+			for u := 1; u <= p; u++ {
+				if used[u] {
+					continue
+				}
+				used[u] = true
+				rec(end+1, append(acc, mapping.Interval{Start: start, End: end, Proc: u}))
+				used[u] = false
+			}
+		}
+	}
+	rec(1, nil)
+}
+
+// bruteMinPeriod computes the minimum period by exhaustive enumeration —
+// an independent oracle for MinPeriod in tests.
+func bruteMinPeriod(ev *mapping.Evaluator) Result {
+	var best Result
+	found := false
+	enumerate(ev, func(m *mapping.Mapping) {
+		met := ev.Metrics(m)
+		if !found || met.Period < best.Metrics.Period {
+			best = Result{Mapping: m, Metrics: met}
+			found = true
+		}
+	})
+	if !found {
+		panic("exact: enumeration produced no mapping")
+	}
+	return best
+}
+
+// enumerate historically tracked used processors in a uint32 bitmask,
 // which silently overflowed at p ≥ 32 — platform sizes the class-keyed
 // gate now admits. Lock the slice-based fix with a wide platform.
 func TestEnumerateBeyond32Processors(t *testing.T) {
@@ -355,12 +408,12 @@ func TestEnumerateBeyond32Processors(t *testing.T) {
 		pipeline.MustNew([]float64{6, 4}, []float64{0, 0, 0}),
 		platform.MustNew(speeds, 1))
 	count := 0
-	Enumerate(ev, func(*mapping.Mapping) { count++ })
+	enumerate(ev, func(*mapping.Mapping) { count++ })
 	// 33 single-interval mappings plus 33·32 two-interval splits.
 	if want := 33 + 33*32; count != want {
-		t.Fatalf("Enumerate produced %d mappings, want %d", count, want)
+		t.Fatalf("enumerate produced %d mappings, want %d", count, want)
 	}
-	brute := BruteMinPeriod(ev)
+	brute := bruteMinPeriod(ev)
 	res, err := MinPeriod(ev)
 	if err != nil {
 		t.Fatal(err)

@@ -17,12 +17,16 @@ import (
 // (and both against exhaustive enumeration) on instances with duplicated
 // speeds. It lives in a test file so it never ships in consumer binaries.
 
+// maxProcs is the processor cap of the bitmask dynamic program, which
+// allocates O(2^p · n) state regardless of speed structure.
+const maxProcs = 14
+
 func legacyGuard(ev *mapping.Evaluator) error {
 	if ev.Platform().Kind() != platform.CommHomogeneous {
 		return fmt.Errorf("exact: legacy solver is defined on comm-homogeneous platforms")
 	}
-	if p := ev.Platform().Processors(); p > MaxProcs {
-		return fmt.Errorf("exact: platform has %d processors, legacy limit is %d", p, MaxProcs)
+	if p := ev.Platform().Processors(); p > maxProcs {
+		return fmt.Errorf("exact: platform has %d processors, legacy limit is %d", p, maxProcs)
 	}
 	return nil
 }

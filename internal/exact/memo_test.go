@@ -64,9 +64,9 @@ func TestSaturatedMemoBitIdentity(t *testing.T) {
 		}
 		// A held arena must hit on every saturated rerun.
 		a = acquireArena(ev)
-		a.run(objMinLatency, maxCand*slack)
+		a.run(objMinLatency, maxCand*slack, nil)
 		before = ReadStats().MemoHits
-		if a.run(objMinLatency, maxCand*2); ReadStats().MemoHits == before {
+		if a.run(objMinLatency, maxCand*2, nil); ReadStats().MemoHits == before {
 			t.Fatalf("seed %d: a saturated rerun on a held arena missed the memo", seed)
 		}
 		a.release()

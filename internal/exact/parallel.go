@@ -102,11 +102,18 @@ type spinBarrier struct {
 	arrived atomic.Int32
 	gen     atomic.Uint32
 	total   int32
+	// last, when set, runs on the last arriver before it releases the
+	// others, so what it writes is visible to every worker past the
+	// barrier.
+	last func()
 }
 
 func (b *spinBarrier) wait() {
 	g := b.gen.Load()
 	if b.arrived.Add(1) == b.total {
+		if b.last != nil {
+			b.last()
+		}
 		b.arrived.Store(0)
 		b.gen.Add(1)
 		return
@@ -151,8 +158,11 @@ func (a *arena) buildLevels() {
 // runParallel fills the DP table level by level, splitting each usage
 // level's states into contiguous strata, one per worker. The caller acts
 // as worker 0; the others are spawned once per run and live across all
-// levels, crossing the spin barrier between them.
-func (a *arena) runParallel(obj objective, periodBound float64, workers int) (best float64, bestState int, ok bool) {
+// levels, crossing the spin barrier between them. With a cut, the
+// workers share one copy of it: it is polled before the first level and
+// then by the last worker to reach each barrier, so every row of a level
+// is cut at the same bound and the bound never rises.
+func (a *arena) runParallel(obj objective, periodBound float64, cut *latencyCut, workers int) (best float64, bestState int, ok bool) {
 	a.freeValid = false // the fill below overwrites the table the memo indexes into
 	a.prepareFeasStart(obj, periodBound)
 	a.buildLevels()
@@ -164,6 +174,14 @@ func (a *arena) runParallel(obj objective, periodBound float64, workers int) (be
 	}
 	levels := len(a.levelOff) - 1
 	bar := &spinBarrier{total: int32(workers)}
+	pruned := cut != nil
+	var c latencyCut // the workers' copy; cut itself must not escape
+	if pruned {
+		c = *cut
+		c.poll()
+		bar.last = c.poll
+		a.first[0], a.last[0] = 0, 0
+	}
 	work := func(w int) {
 		for lvl := 1; lvl < levels; lvl++ {
 			lo, hi := int(a.levelOff[lvl]), int(a.levelOff[lvl+1])
@@ -173,8 +191,13 @@ func (a *arena) runParallel(obj objective, periodBound float64, workers int) (be
 			if e > hi {
 				e = hi
 			}
+			lim := c.bound * (1 + cutMargin)
 			for idx := s; idx < e; idx++ {
-				a.computeRow(obj, periodBound, int(a.levelStates[idx]))
+				if pruned {
+					a.cutRow(periodBound, lim, c.tail, int(a.levelStates[idx]))
+				} else {
+					a.computeRow(obj, periodBound, int(a.levelStates[idx]))
+				}
 			}
 			bar.wait()
 		}
@@ -189,5 +212,8 @@ func (a *arena) runParallel(obj objective, periodBound float64, workers int) (be
 	}
 	work(0)
 	wg.Wait()
-	return a.merge()
+	if pruned {
+		*cut = c
+	}
+	return a.merge(cut)
 }

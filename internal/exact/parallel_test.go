@@ -69,7 +69,7 @@ func TestParallelTableBitIdentity(t *testing.T) {
 			sf := append([]float64(nil), a.f...)
 			sback := append([]int32(nil), a.back...)
 			for workers := 2; workers <= 4; workers++ {
-				pv, pstate, pok := a.runParallel(c.obj, c.bound, workers)
+				pv, pstate, pok := a.runParallel(c.obj, c.bound, nil, workers)
 				if sv != pv || sstate != pstate || sok != pok {
 					t.Fatalf("seed %d case %d workers %d: serial (%g,%d,%v) != parallel (%g,%d,%v)",
 						seed, ci, workers, sv, sstate, sok, pv, pstate, pok)

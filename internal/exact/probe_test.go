@@ -23,7 +23,7 @@ func fullFillMinPeriodUnderLatency(ev *mapping.Evaluator, maxLatency float64) (R
 	tail := a.latencyTail()
 	latBound := maxLatency * slack
 	feasibleAt := func(period float64) (int, bool) {
-		v, state, ok := a.run(objMinLatency, period*slack)
+		v, state, ok := a.run(objMinLatency, period*slack, nil)
 		return state, ok && v+tail <= latBound
 	}
 	lo, hi := 0, len(cands)-1
@@ -81,7 +81,7 @@ func TestProbeMatchesFullFill(t *testing.T) {
 		optLat := ev.OptimalLatencyValue()
 		for ci, c := range append([]float64(nil), a.candidates()...) {
 			bound := c * slack
-			v, _, ok := a.run(objMinLatency, bound)
+			v, _, ok := a.run(objMinLatency, bound, nil)
 			lats := []float64{0, optLat, optLat * 1.25, optLat * 2, math.Inf(1)}
 			if ok {
 				lats = append(lats, v+tail, math.Nextafter(v+tail, math.Inf(-1)))

@@ -85,13 +85,29 @@ func TestRaceModesBitIdentical(t *testing.T) {
 			})
 		}
 	}
-	// The cold benchmark's latency-constrained races: p=10 platforms of
-	// every family at 1.2/1.5/1.8× the optimal latency. At n=5 H5 often
-	// ties the optimum, so the raced DP must abandon its bisection below
-	// the incumbent; at n=40 the 400 cells put the race on the concurrent
-	// lane. The matrix must hold both a race the DP abandons and one it
-	// wins, or the abandon path is not under test.
-	abandoned, won := 0, 0
+	// The cold benchmark's races: p=10 platforms of every family, n=5 and
+	// n=40. Latency-constrained at 1.2/1.5/1.8× the optimal latency: at
+	// n=5 H5 often ties the optimum, so the raced DP must abandon its
+	// bisection below the incumbent. Period-constrained at 20/50/80% of
+	// the way from the period lower bound to the single-processor period,
+	// on four draws per family and size: the raced DP abandons when H1's
+	// latency undercuts its optimum. In practice H1 has found an optimal
+	// mapping and its running sum puts the latency an ulp below the
+	// evaluator's sum, which the DP reproduces (about 4% of these races).
+	// At n=40 the 400 cells put the race on the concurrent lane. For each
+	// objective the matrix must hold both a race the DP abandons on the
+	// sequential lane and one it wins, or the abandon path is not under
+	// test.
+	type tally struct{ abandoned, won int }
+	var latency, period tally
+	count := func(c *tally, attempts []attempt, pick func([]attempt) (Outcome, bool, error)) {
+		if errors.Is(attempts[len(attempts)-1].err, heuristics.ErrRaceLost) {
+			c.abandoned++
+		}
+		if out, _, _ := pick(attempts); out.Solver == ExactID {
+			c.won++
+		}
+	}
 	for fi, fam := range workload.Families() {
 		for _, n := range []int{5, 40} {
 			ev := workload.Generate(workload.Config{
@@ -106,18 +122,29 @@ func TestRaceModesBitIdentical(t *testing.T) {
 				if !hasExact {
 					t.Fatalf("%v n=%d: the DP does not race", fam, n)
 				}
-				attempts := race(solvers, raceSequential, hasExact, periodMetric)
-				if errors.Is(attempts[len(attempts)-1].err, heuristics.ErrRaceLost) {
-					abandoned++
-				}
-				if out, _, _ := pickUnderLatency(attempts); out.Solver == ExactID {
-					won++
+				count(&latency, race(solvers, raceSequential, hasExact, periodMetric), pickUnderLatency)
+			}
+			for draw := 0; draw < 4; draw++ {
+				ev := workload.Generate(workload.Config{
+					Family: fam, Stages: n, Processors: 10, Seed: int64(7100 + 10*fi + n + 1000*draw),
+				}).Evaluator()
+				single, _ := ev.OptimalLatency()
+				lb, top := lowerbound.Period(ev), ev.Period(single)
+				for _, f := range []float64{0.2, 0.5, 0.8} {
+					bound := lb + f*(top-lb)
+					check(fmt.Sprintf("%v n=%d draw %d period %g of range", fam, n, draw, f), ev, func(opts SolveOptions) (Outcome, bool, error) {
+						return UnderPeriod(ctx, ev, bound, opts)
+					})
+					solvers, hasExact := periodMembers(ev, bound, SolveOptions{Exact: true})
+					count(&period, race(solvers, raceSequential, hasExact, latencyMetric), pickUnderPeriod)
 				}
 			}
 		}
 	}
-	t.Logf("sequential lane: DP abandoned %d races, won %d", abandoned, won)
-	if abandoned == 0 || won == 0 {
-		t.Fatalf("DP abandoned %d races and won %d; the matrix must hold both", abandoned, won)
+	t.Logf("sequential lane: latency DP abandoned %d races, won %d; period DP abandoned %d, won %d",
+		latency.abandoned, latency.won, period.abandoned, period.won)
+	if latency.abandoned == 0 || latency.won == 0 || period.abandoned == 0 || period.won == 0 {
+		t.Fatalf("latency DP abandoned %d races and won %d, period DP abandoned %d and won %d; the matrix must hold both for each",
+			latency.abandoned, latency.won, period.abandoned, period.won)
 	}
 }

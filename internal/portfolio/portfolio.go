@@ -110,14 +110,14 @@ type attempt struct {
 }
 
 // solver is one portfolio member, closed over its instance and bound.
-// raced, when non-nil, is the cancellation-aware variant: it polls the
-// race incumbent and aborts with heuristics.ErrRaceLost once its running
-// bound proves defeat. Members without one (the min-latency DP, the
-// fullhet lane) run to completion and only feed the incumbent.
+// run with a nil incumbent is the reference run. Given the race
+// incumbent, a cancellation-aware member polls it and aborts with
+// heuristics.ErrRaceLost once its running bound proves defeat: H1–H6
+// and both exact DP members do. The fullhet lane ignores it, runs to
+// completion and only feeds the incumbent.
 type solver struct {
-	id    string
-	run   func() (heuristics.Result, error)
-	raced func(inc *heuristics.Incumbent) (heuristics.Result, error)
+	id  string
+	run func(inc *heuristics.Incumbent) (heuristics.Result, error)
 }
 
 // incPool recycles race incumbents so the cancelling lanes stay
@@ -135,7 +135,7 @@ func race(solvers []solver, mode raceMode, hasExact bool, metric func(mapping.Me
 	out := make([]attempt, len(solvers))
 	if mode == raceReference {
 		for i, s := range solvers {
-			res, err := s.run()
+			res, err := s.run(nil)
 			out[i] = attempt{id: s.id, res: res, err: err}
 		}
 		return out
@@ -165,13 +165,7 @@ func race(solvers []solver, mode raceMode, hasExact bool, metric func(mapping.Me
 // runRaced executes one member against the shared incumbent: raced
 // members poll it, every finished member offers its selection metric.
 func runRaced(s *solver, inc *heuristics.Incumbent, metric func(mapping.Metrics) float64) attempt {
-	var res heuristics.Result
-	var err error
-	if s.raced != nil {
-		res, err = s.raced(inc)
-	} else {
-		res, err = s.run()
-	}
+	res, err := s.run(inc)
 	if err == nil {
 		inc.Offer(metric(res.Metrics))
 	}
@@ -180,10 +174,11 @@ func runRaced(s *solver, inc *heuristics.Incumbent, metric func(mapping.Metrics)
 
 // seqIndex schedules the sequential cancelling lane: the first member
 // (the cheap splitter) seeds the incumbent, then the exact DP — when
-// present, always last in the solver slice — publishes the optimal value
-// (or, on the latency side, abandons when the seed is already as good),
-// so every expensive explorer that follows races against the best
-// possible incumbent and aborts at the first provably-losing split.
+// present, always last in the solver slice — runs against that seed. It
+// publishes the optimal value when that value could still be selected
+// over the seed and abandons otherwise; either way every expensive
+// explorer that follows races against the best possible incumbent and
+// aborts at the first provably-losing split.
 func seqIndex(k, n int, hasExact bool) int {
 	if !hasExact || n < 2 {
 		return k
@@ -240,29 +235,44 @@ func UnderPeriod(ctx context.Context, ev *mapping.Evaluator, maxPeriod float64, 
 	if err := ctx.Err(); err != nil {
 		return Outcome{}, false, err
 	}
-	var solvers []solver
+	solvers, hasExact := periodMembers(ev, maxPeriod, opts)
+	return pickUnderPeriod(race(solvers, raceModeFor(ev, opts), hasExact, latencyMetric))
+}
+
+// latencyMetric is the incumbent metric of period-constrained races.
+func latencyMetric(m mapping.Metrics) float64 { return m.Latency }
+
+// periodMembers builds UnderPeriod's race members in portfolio order,
+// the exact DP last when it applies.
+func periodMembers(ev *mapping.Evaluator, maxPeriod float64, opts SolveOptions) (solvers []solver, hasExact bool) {
 	for _, h := range periodSolvers(ev.Platform()) {
 		h := h
-		s := solver{id: h.ID(), run: func() (heuristics.Result, error) {
-			return h.MinimizeLatency(ev, maxPeriod)
-		}}
-		if r, ok := h.(heuristics.PeriodRacer); ok {
-			s.raced = func(inc *heuristics.Incumbent) (heuristics.Result, error) {
+		solvers = append(solvers, solver{id: h.ID(), run: func(inc *heuristics.Incumbent) (heuristics.Result, error) {
+			if r, ok := h.(heuristics.PeriodRacer); ok && inc != nil {
 				return r.MinimizeLatencyRaced(ev, maxPeriod, inc)
 			}
-		}
-		solvers = append(solvers, s)
+			return h.MinimizeLatency(ev, maxPeriod)
+		}})
 	}
-	hasExact := exactApplies(ev, opts)
+	hasExact = exactApplies(ev, opts)
 	if hasExact {
-		solvers = append(solvers, solver{id: ExactID, run: func() (heuristics.Result, error) {
-			r, err := exact.MinLatencyUnderPeriod(ev, maxPeriod)
+		// The raced DP prunes every cell that cannot finish within the
+		// incumbent latency. A mapping of larger latency would lose the
+		// selection anyway, so not finding one is a lost race; a tie is
+		// still returned, as it can win on its period.
+		solvers = append(solvers, solver{id: ExactID, run: func(inc *heuristics.Incumbent) (heuristics.Result, error) {
+			if inc == nil {
+				r, err := exact.MinLatencyUnderPeriod(ev, maxPeriod)
+				return heuristics.Result{Mapping: r.Mapping, Metrics: r.Metrics}, err
+			}
+			r, err := exact.MinLatencyUnderPeriodWithin(ev, maxPeriod, inc)
+			if errors.Is(err, exact.ErrNotBelow) {
+				err = heuristics.ErrRaceLost
+			}
 			return heuristics.Result{Mapping: r.Mapping, Metrics: r.Metrics}, err
 		}})
 	}
-	attempts := race(solvers, raceModeFor(ev, opts), hasExact,
-		func(m mapping.Metrics) float64 { return m.Latency })
-	return pickUnderPeriod(attempts)
+	return solvers, hasExact
 }
 
 // pickUnderPeriod mirrors the serial selection of BestUnderPeriod: strict
@@ -315,15 +325,12 @@ func periodMetric(m mapping.Metrics) float64 { return m.Period }
 func latencyMembers(ev *mapping.Evaluator, maxLatency float64, opts SolveOptions) (solvers []solver, hasExact bool) {
 	for _, h := range latencySolvers(ev.Platform()) {
 		h := h
-		s := solver{id: h.ID(), run: func() (heuristics.Result, error) {
-			return h.MinimizePeriod(ev, maxLatency)
-		}}
-		if r, ok := h.(heuristics.LatencyRacer); ok {
-			s.raced = func(inc *heuristics.Incumbent) (heuristics.Result, error) {
+		solvers = append(solvers, solver{id: h.ID(), run: func(inc *heuristics.Incumbent) (heuristics.Result, error) {
+			if r, ok := h.(heuristics.LatencyRacer); ok && inc != nil {
 				return r.MinimizePeriodRaced(ev, maxLatency, inc)
 			}
-		}
-		solvers = append(solvers, s)
+			return h.MinimizePeriod(ev, maxLatency)
+		}})
 	}
 	hasExact = exactApplies(ev, opts)
 	if hasExact {
@@ -331,20 +338,17 @@ func latencyMembers(ev *mapping.Evaluator, maxLatency float64, opts SolveOptions
 		// mapping it could only find at or above that period would lose
 		// the selection anyway (strict improvement, DP scanned last), so
 		// not finding one is a lost race.
-		solvers = append(solvers, solver{
-			id: ExactID,
-			run: func() (heuristics.Result, error) {
+		solvers = append(solvers, solver{id: ExactID, run: func(inc *heuristics.Incumbent) (heuristics.Result, error) {
+			if inc == nil {
 				r, err := exact.MinPeriodUnderLatency(ev, maxLatency)
 				return heuristics.Result{Mapping: r.Mapping, Metrics: r.Metrics}, err
-			},
-			raced: func(inc *heuristics.Incumbent) (heuristics.Result, error) {
-				r, err := exact.MinPeriodUnderLatencyBelow(ev, maxLatency, inc.Best)
-				if errors.Is(err, exact.ErrNotBelow) {
-					err = heuristics.ErrRaceLost
-				}
-				return heuristics.Result{Mapping: r.Mapping, Metrics: r.Metrics}, err
-			},
-		})
+			}
+			r, err := exact.MinPeriodUnderLatencyBelow(ev, maxLatency, inc.Best)
+			if errors.Is(err, exact.ErrNotBelow) {
+				err = heuristics.ErrRaceLost
+			}
+			return heuristics.Result{Mapping: r.Mapping, Metrics: r.Metrics}, err
+		}})
 	}
 	return solvers, hasExact
 }
