@@ -478,13 +478,18 @@ func BenchmarkPortfolioRace(b *testing.B) {
 
 // BenchmarkHeuristicSolve is the snapshot benchmark of one heuristic
 // solve per H1–H6 on the shared mid-sized instance — the per-solver
-// trajectory scripts/bench.sh records into BENCH_*.json.
+// trajectory scripts/bench.sh records into BENCH_*.json. The p=100 rows
+// time H2–H4 on the largest shape the service's bulk traffic sends, where
+// trajectories run longest and the 3-Explo tables are widest.
 func BenchmarkHeuristicSolve(b *testing.B) {
 	for _, h := range pipesched.PeriodHeuristics() {
 		b.Run(h.ID(), func(b *testing.B) { benchHeuristicPeriod(b, h, 40, 10) })
 	}
 	for _, h := range pipesched.LatencyHeuristics() {
 		b.Run(h.ID(), func(b *testing.B) { benchHeuristicLatency(b, h, 40, 10) })
+	}
+	for _, h := range pipesched.PeriodHeuristics()[1:] {
+		b.Run(h.ID()+"_p100", func(b *testing.B) { benchHeuristicPeriod(b, h, 40, 100) })
 	}
 }
 

@@ -230,7 +230,7 @@ func ParetoFront(ev *mapping.Evaluator) ([]ParetoPoint, error) {
 	defer a.release()
 	cands := a.candidates()
 	tail := a.latencyTail()
-	_, optLat := ev.OptimalLatency()
+	optLat := ev.OptimalLatencyValue()
 
 	// The minimum period is itself a candidate cycle-time (a period is the
 	// max cycle of some mapping); everything below it is infeasible.

@@ -24,11 +24,12 @@
 // The engine is allocation-free in steady state: its working set (the
 // interval list, per-interval cycle-times and the fastest-first free
 // list) lives in a mapping.Scratch leased from the evaluator, the state
-// struct itself is pooled, candidates are fixed-size values, and apply
-// splices parts into the interval list in place. A solve touches the
-// heap only to materialise the final Mapping. The pre-pooling engine is
-// retained verbatim in legacy_oracle_test.go as the oracle the rebuilt
-// engine must match bit for bit.
+// struct itself is pooled with its flat cost tables, 3-way last-part
+// table and H4 trajectory log, candidates are fixed-size values, and
+// apply splices parts into the interval list in place. A solve touches
+// the heap only to materialise the final Mapping. The pre-pooling engine
+// is retained verbatim in legacy_oracle_test.go as the oracle the
+// rebuilt engine must match bit for bit.
 package heuristics
 
 import (
@@ -38,6 +39,7 @@ import (
 	"sync"
 
 	"pipesched/internal/mapping"
+	"pipesched/internal/pipeline"
 	"pipesched/internal/platform"
 )
 
@@ -81,10 +83,10 @@ func lt(x, y float64) bool { return x < y-relEps*(1+math.Abs(y)) }
 // state is the mutable working set of the splitting engine: the current
 // interval mapping, its per-interval cycle-times, the current latency,
 // and the unused processors. Acquire with acquireState, return with
-// release; between the two every slice aliases the evaluator-leased
-// scratch, and reset rewinds to the initial mapping without touching the
-// heap (H4's bisection trials and the sweepers rerun the engine through
-// it).
+// release; between the two the interval, cycle and free slices alias the
+// evaluator-leased scratch, and reset rewinds to the initial mapping
+// without touching the heap (H4's bisection trials and the sweepers rerun
+// the engine through it).
 type state struct {
 	ev *mapping.Evaluator
 	sc *mapping.Scratch
@@ -93,11 +95,21 @@ type state struct {
 	cycles []float64 // cycles[j] = cycle-time of ivs[j]
 	lat    float64   // current latency, equation (2)
 
-	// deltaB[k] = δ_k/b, computed once per acquire: the communication
-	// term of every latency contribution, hoisted out of the candidate
-	// loops (the value is the same division the legacy engine performs
-	// per candidate, so results are unchanged bit for bit).
-	deltaB []float64
+	// Flat cost tables, rebound at every acquire and kept (with their
+	// capacity) on the pooled state. Candidate scoring reads them
+	// directly instead of calling Evaluator.Cycle → CycleParts →
+	// Pipeline.Delta/IntervalWork and Platform.Speed per term. Each entry
+	// is the value those accessors compute, and cycle and
+	// latencyContribution combine the entries with the accessors' float
+	// operations in the accessors' order, so every score is bit-identical.
+	work     []float64 // work[k] = IntervalWork(1, k), work[0] = 0
+	commB    []float64 // commB[k] = δ_k·(1/b): the cycle-time communication term
+	deltaB   []float64 // deltaB[k] = δ_k/b: the latency communication term
+	speed    []float64 // speed[u] = s_u: latency terms divide by it
+	invSpeed []float64 // invSpeed[u] = 1/s_u: cycle-times multiply by it
+
+	// ends is the last-part table of one 3-way scan (see scanThreeWay).
+	ends []endPart
 
 	// free holds every non-fastest processor in fastest-first order;
 	// entries before freeOff are enrolled. Candidates only ever enroll
@@ -112,6 +124,11 @@ type state struct {
 	// the invariant LatencySweeper's warm starts rest on.
 	minRejectedLat float64
 
+	// log is the trajectory of H4's uncapped trial: every applied step in
+	// order (see replay). It is cleared at acquire, because the state
+	// pool is shared across evaluators.
+	log []step
+
 	// race holds the mid-race cancellation hooks (race.go); the zero
 	// value — every solo run — disables them.
 	race raceWatch
@@ -120,10 +137,11 @@ type state struct {
 var statePool = sync.Pool{New: func() any { return new(state) }}
 
 // acquireState takes an engine state from the pool, leases scratch
-// buffers from ev and rewinds to the initial latency-optimal mapping.
-// The caller must release the state when done. On a platform kind the
-// engine cannot price it returns ErrUnsupportedPlatform instead of
-// panicking — no request input may reach a panic through a heuristic.
+// buffers from ev, binds the flat cost tables and rewinds to the initial
+// latency-optimal mapping. The caller must release the state when done.
+// On a platform kind the engine cannot price it returns
+// ErrUnsupportedPlatform instead of panicking — no request input may
+// reach a panic through a heuristic.
 func acquireState(ev *mapping.Evaluator) (*state, error) {
 	plat := ev.Platform()
 	if plat.Kind() != platform.CommHomogeneous {
@@ -132,6 +150,7 @@ func acquireState(ev *mapping.Evaluator) (*state, error) {
 	st := statePool.Get().(*state)
 	st.ev = ev
 	st.race = raceWatch{}
+	st.log = st.log[:0]
 	st.sc = ev.LeaseScratch()
 	st.ivs = st.sc.Ivs[:0]
 	st.cycles = st.sc.Cycles[:0]
@@ -139,47 +158,71 @@ func acquireState(ev *mapping.Evaluator) (*state, error) {
 	for i := 1; i < plat.Processors(); i++ {
 		st.free = append(st.free, plat.OrderedProcessor(i))
 	}
-	app := ev.Pipeline()
-	b := plat.Bandwidth()
-	st.deltaB = st.sc.Comm[:0]
-	for k := 0; k <= app.Stages(); k++ {
-		st.deltaB = append(st.deltaB, app.Delta(k)/b)
-	}
+	st.bindTables(ev.Pipeline(), plat)
 	st.reset()
 	return st, nil
 }
 
+// bindTables fills the flat cost tables for one pipeline and platform.
+// The reciprocals are the ones mapping.Evaluator precomputes (1/b and
+// 1/s_u), and work[e]-work[d-1] is the prefix-sum difference
+// IntervalWork(d, e) returns, bit for bit.
+func (st *state) bindTables(app *pipeline.Pipeline, plat *platform.Platform) {
+	b := plat.Bandwidth()
+	invB := 1 / b
+	st.work = append(st.work[:0], 0)
+	st.commB = append(st.commB[:0], app.Delta(0)*invB)
+	st.deltaB = append(st.deltaB[:0], app.Delta(0)/b)
+	for k := 1; k <= app.Stages(); k++ {
+		st.work = append(st.work, app.IntervalWork(1, k))
+		st.commB = append(st.commB, app.Delta(k)*invB)
+		st.deltaB = append(st.deltaB, app.Delta(k)/b)
+	}
+	// Processors are numbered from 1; entry 0 is padding.
+	st.speed = append(st.speed[:0], 0)
+	st.invSpeed = append(st.invSpeed[:0], 0)
+	for u := 1; u <= plat.Processors(); u++ {
+		s := plat.Speed(u)
+		st.speed = append(st.speed, s)
+		st.invSpeed = append(st.invSpeed, 1/s)
+	}
+}
+
 // release hands the grown buffers back to the evaluator's scratch pool
-// and the state back to the engine pool.
+// and the state, with its tables, back to the engine pool.
 func (st *state) release() {
 	st.sc.Ivs = st.ivs[:0]
 	st.sc.Cycles = st.cycles[:0]
-	st.sc.Comm = st.deltaB[:0]
 	st.sc.Procs = st.free[:0]
 	st.sc.Release()
 	st.ev, st.sc = nil, nil
-	st.ivs, st.cycles, st.free, st.deltaB = nil, nil, nil, nil
+	st.ivs, st.cycles, st.free = nil, nil, nil
 	statePool.Put(st)
 }
 
 // reset rewinds the state to the initial mapping: all stages on the
 // fastest processor, every other processor free.
 func (st *state) reset() {
-	app, plat := st.ev.Pipeline(), st.ev.Platform()
-	n := app.Stages()
-	first := plat.Fastest()
+	n := st.ev.Pipeline().Stages()
+	first := st.ev.Platform().Fastest()
 	st.ivs = append(st.ivs[:0], mapping.Interval{Start: 1, End: n, Proc: first})
-	st.cycles = append(st.cycles[:0], st.ev.Cycle(1, n, first))
+	st.cycles = append(st.cycles[:0], st.cycle(1, n, first))
 	st.freeOff = 0
 	st.lat = st.latencyContribution(1, n, first) + st.deltaB[n]
 	st.minRejectedLat = math.Inf(1)
+}
+
+// cycle is Evaluator.Cycle(d, e, u) on the flat tables:
+// δ_{d-1}·(1/b) + W(d,e)·(1/s_u) + δ_e·(1/b), summed in that order.
+func (st *state) cycle(d, e, u int) float64 {
+	return st.commB[d-1] + (st.work[e]-st.work[d-1])*st.invSpeed[u] + st.commB[e]
 }
 
 // latencyContribution returns the latency term of one interval:
 // δ_{d-1}/b + W(d,e)/s_u (the trailing δ_n/b of equation (2) is tracked
 // separately as a constant).
 func (st *state) latencyContribution(d, e, u int) float64 {
-	return st.deltaB[d-1] + st.ev.Pipeline().IntervalWork(d, e)/st.ev.Platform().Speed(u)
+	return st.deltaB[d-1] + (st.work[e]-st.work[d-1])/st.speed[u]
 }
 
 // period returns the current period (max cycle-time).
@@ -222,37 +265,13 @@ type candidate struct {
 	n        int     // parts in use (2 or 3)
 	maxCycle float64 // max cycle among the parts
 	dLat     float64 // latency change of the whole mapping
-	ratio    float64 // max_i Δlatency/Δperiod(i); +Inf when some Δperiod(i) ≤ 0
+	ratio    float64 // selectBi only: max_i Δlatency/Δperiod(i); +Inf when some Δperiod(i) ≤ 0
 }
 
-// score fills c's derived metrics for parts replacing an interval of
-// cycle-time oldCycle and latency contribution oldLat. The caller
-// supplies each part's cycle (in parts[i].cycle) and latency
-// contribution (latContrib[i]); sums run in part order, matching the
-// legacy engine bit for bit.
-func scoreCandidate(oldCycle, oldLat float64, c *candidate, latContrib *[3]float64) {
-	newLat := 0.0
-	maxCycle := 0.0
-	for i := 0; i < c.n; i++ {
-		if c.parts[i].cycle > maxCycle {
-			maxCycle = c.parts[i].cycle
-		}
-		newLat += latContrib[i]
-	}
-	c.maxCycle = maxCycle
-	c.dLat = newLat - oldLat
-	ratio := math.Inf(-1)
-	for i := 0; i < c.n; i++ {
-		dp := oldCycle - c.parts[i].cycle
-		if dp <= relEps*(1+oldCycle) {
-			ratio = math.Inf(1)
-			break
-		}
-		if r := c.dLat / dp; r > ratio {
-			ratio = r
-		}
-	}
-	c.ratio = ratio
+// step is one applied split of a recorded trajectory.
+type step struct {
+	idx int // bottleneck interval index
+	c   candidate
 }
 
 // selection rules: the mono-criterion rule minimises the worst new
@@ -267,19 +286,56 @@ const (
 	selectBi
 )
 
-func better(rule selectRule, a, b *candidate) bool {
+// better reports whether a candidate scored (maxCycle, dLat, ratio)
+// beats b under rule. The mono rule never reads the ratio.
+func better(rule selectRule, maxCycle, dLat, ratio float64, b *candidate) bool {
 	switch rule {
 	case selectMono:
-		if a.maxCycle != b.maxCycle {
-			return a.maxCycle < b.maxCycle
+		if maxCycle != b.maxCycle {
+			return maxCycle < b.maxCycle
 		}
-		return a.dLat < b.dLat
+		return dLat < b.dLat
 	default: // selectBi
-		if a.ratio != b.ratio {
-			return a.ratio < b.ratio
+		if ratio != b.ratio {
+			return ratio < b.ratio
 		}
-		return a.maxCycle < b.maxCycle
+		return maxCycle < b.maxCycle
 	}
+}
+
+// splitRatio returns max_i Δlatency/Δperiod(i) over the first n parts'
+// cycle-times (worst maxCycle), or +Inf when some part does not undercut
+// the old cycle-time by more than the tolerance. Rounding is monotone, so
+// the smallest Δperiod(i) is the worst part's, and the largest quotient
+// is that of the smallest Δperiod when dLat ≥ 0 and of the largest one
+// otherwise: one division yields the per-part maximum bit for bit.
+func splitRatio(oldCycle, dLat, maxCycle float64, n int, cyc *[3]float64) float64 {
+	dp := oldCycle - maxCycle
+	if dp <= relEps*(1+oldCycle) {
+		return math.Inf(1)
+	}
+	if dLat < 0 {
+		minCycle := cyc[0]
+		for i := 1; i < n; i++ {
+			if cyc[i] < minCycle {
+				minCycle = cyc[i]
+			}
+		}
+		dp = oldCycle - minCycle
+	}
+	return dLat / dp
+}
+
+// maxOf returns the largest of the first n cycle-times (0 when all are
+// smaller), scanning in part order.
+func maxOf(n int, cyc *[3]float64) float64 {
+	max := 0.0
+	for i := 0; i < n; i++ {
+		if cyc[i] > max {
+			max = cyc[i]
+		}
+	}
+	return max
 }
 
 // splitOptions bundles the knobs the six heuristics vary.
@@ -287,102 +343,195 @@ type splitOptions struct {
 	rule       selectRule
 	threeWay   bool    // try 3-way splits, falling back to 2-way
 	maxLatency float64 // candidates must keep latency ≤ maxLatency (+Inf to disable)
+	record     bool    // append every applied step to the log (H4's uncapped trial)
 }
 
-// consider scores cur and keeps it in best when admissible and better
-// under the options. Admissible means: strictly reduces the bottleneck
-// cycle-time and respects the latency cap. Candidates failing only the
-// cap feed minRejectedLat (the sweep warm-start invariant).
-func (st *state) consider(opt splitOptions, oldCycle, oldLat float64, cur *candidate, latContrib *[3]float64, best *candidate, found *bool) {
-	scoreCandidate(oldCycle, oldLat, cur, latContrib)
-	if !lt(cur.maxCycle, oldCycle) {
-		return // must strictly improve the bottleneck
+// scan is one bestSplit: its loop invariants and its running best.
+type scan struct {
+	st       *state
+	rule     selectRule
+	oldCycle float64 // cycle-time of the interval being split
+	oldLat   float64 // its latency contribution
+	improve  float64 // lt(x, oldCycle) ⇔ x < improve
+	capLim   float64 // leq(x, maxLatency) ⇔ x <= capLim
+	// lazy is set under the mono rule with no latency cap: a candidate
+	// whose worst cycle exceeds the best one's can then neither win nor
+	// feed minRejectedLat, so its latency is never summed.
+	lazy  bool
+	best  candidate
+	found bool
+}
+
+// admit takes a candidate that strictly reduces the bottleneck, given its
+// n parts' cycle-times (worst maxCycle) and latency contributions. It
+// reports whether the candidate respects the latency cap and beats the
+// best so far; if so its score is now the best's and the caller records
+// the parts. Candidates failing only the cap feed minRejectedLat (the
+// sweep warm-start invariant). Sums run in part order, matching the
+// legacy engine bit for bit.
+func (s *scan) admit(maxCycle float64, n int, cyc, lat *[3]float64) bool {
+	newLat := 0.0
+	for i := 0; i < n; i++ {
+		newLat += lat[i]
 	}
-	if total := st.lat + cur.dLat; !leq(total, opt.maxLatency) {
-		if total < st.minRejectedLat {
-			st.minRejectedLat = total
+	dLat := newLat - s.oldLat
+	if total := s.st.lat + dLat; !(total <= s.capLim) {
+		if total < s.st.minRejectedLat {
+			s.st.minRejectedLat = total
 		}
-		return
+		return false
 	}
-	if !*found || better(opt.rule, cur, best) {
-		*best, *found = *cur, true
+	ratio := 0.0
+	if s.rule == selectBi {
+		ratio = splitRatio(s.oldCycle, dLat, maxCycle, n, cyc)
 	}
+	if s.found && !better(s.rule, maxCycle, dLat, ratio, &s.best) {
+		return false
+	}
+	s.best.n, s.best.maxCycle, s.best.dLat, s.best.ratio = n, maxCycle, dLat, ratio
+	s.found = true
+	return true
+}
+
+// skip reports whether a candidate of worst cycle maxCycle can be
+// dropped before its latency is summed: it does not strictly reduce the
+// bottleneck, or (lazy scans) it is worse than the best on the mono
+// rule's first key.
+func (s *scan) skip(maxCycle float64) bool {
+	return !(maxCycle < s.improve) || (s.lazy && s.found && maxCycle > s.best.maxCycle)
 }
 
 // bestSplit enumerates the admissible splits of interval idx and returns
 // the best candidate under the options, or ok=false when no admissible
 // candidate exists.
 func (st *state) bestSplit(idx int, opt splitOptions) (candidate, bool) {
-	iv := st.ivs[idx]
-	oldCycle := st.cycles[idx]
-	oldLat := st.latencyContribution(iv.Start, iv.End, iv.Proc)
-	var best, cur candidate
-	var latContrib [3]float64
-	found := false
-
 	nFree := len(st.free) - st.freeOff
 	if nFree == 0 {
 		return candidate{}, false
 	}
+	iv := st.ivs[idx]
+	oldCycle := st.cycles[idx]
+	s := scan{
+		st:       st,
+		rule:     opt.rule,
+		oldCycle: oldCycle,
+		oldLat:   st.latencyContribution(iv.Start, iv.End, iv.Proc),
+		improve:  oldCycle - relEps*(1+math.Abs(oldCycle)),
+		capLim:   opt.maxLatency + relEps*(1+math.Abs(opt.maxLatency)),
+		lazy:     opt.rule == selectMono && math.IsInf(opt.maxLatency, 1),
+	}
 	stages := iv.End - iv.Start + 1
-
 	if opt.threeWay && nFree >= 2 && stages >= 3 {
-		j1, j2 := st.free[st.freeOff], st.free[st.freeOff+1]
-		procs := [3]int{iv.Proc, j1, j2}
-		// All cut pairs and all bijections of the three parts onto
-		// {j, j', j''} — the paper's "testing all possible
-		// permutations and all possible positions where to cut".
-		perms := [6][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
-		cur.n = 3
-		// cyc[b][p] and latc[b][p] cache the cycle-time and latency
-		// contribution of bounds b on procs[p], so the six permutations
-		// of one cut pair share nine evaluations instead of redoing
-		// eighteen. Values are identical either way — only the sharing
-		// is new.
-		var cyc, latc [3][3]float64
-		for k1 := iv.Start; k1 < iv.End; k1++ {
-			for k2 := k1 + 1; k2 < iv.End; k2++ {
-				bounds := [3][2]int{{iv.Start, k1}, {k1 + 1, k2}, {k2 + 1, iv.End}}
-				for b := 0; b < 3; b++ {
-					for pi := 0; pi < 3; pi++ {
-						cyc[b][pi] = st.ev.Cycle(bounds[b][0], bounds[b][1], procs[pi])
-						latc[b][pi] = st.latencyContribution(bounds[b][0], bounds[b][1], procs[pi])
-					}
-				}
-				for _, pm := range perms {
-					for b := 0; b < 3; b++ {
-						cur.parts[b] = part{d: bounds[b][0], e: bounds[b][1], proc: procs[pm[b]], cycle: cyc[b][pm[b]]}
-						latContrib[b] = latc[b][pm[b]]
-					}
-					st.consider(opt, oldCycle, oldLat, &cur, &latContrib, &best, &found)
-				}
-			}
-		}
-		if found {
-			return best, true
+		st.scanThreeWay(&s, iv)
+		if s.found {
+			return s.best, true
 		}
 		// No admissible 3-way split: fall through to 2-way below.
 	}
-
 	if stages < 2 {
 		return candidate{}, false
 	}
-	j1 := st.free[st.freeOff]
-	cur.n = 2
-	for k := iv.Start; k < iv.End; k++ {
-		cur.parts[0] = part{d: iv.Start, e: k, proc: iv.Proc, cycle: st.ev.Cycle(iv.Start, k, iv.Proc)}
-		cur.parts[1] = part{d: k + 1, e: iv.End, proc: j1, cycle: st.ev.Cycle(k+1, iv.End, j1)}
-		latContrib[0] = st.latencyContribution(iv.Start, k, iv.Proc)
-		latContrib[1] = st.latencyContribution(k+1, iv.End, j1)
-		st.consider(opt, oldCycle, oldLat, &cur, &latContrib, &best, &found)
+	st.scanTwoWay(&s, iv)
+	return s.best, s.found
+}
 
-		cur.parts[0] = part{d: iv.Start, e: k, proc: j1, cycle: st.ev.Cycle(iv.Start, k, j1)}
-		cur.parts[1] = part{d: k + 1, e: iv.End, proc: iv.Proc, cycle: st.ev.Cycle(k+1, iv.End, iv.Proc)}
-		latContrib[0] = st.latencyContribution(iv.Start, k, j1)
-		latContrib[1] = st.latencyContribution(k+1, iv.End, iv.Proc)
-		st.consider(opt, oldCycle, oldLat, &cur, &latContrib, &best, &found)
+// scanTwoWay offers every cut k of iv with the left part [d..k] on the
+// interval's processor and the right part on the next free one, then the
+// mirror assignment.
+func (st *state) scanTwoWay(s *scan, iv mapping.Interval) {
+	d, e := iv.Start, iv.End
+	procs := [2]int{iv.Proc, st.free[st.freeOff]}
+	w0, wE := st.work[d-1], st.work[e]
+	var cyc, lat [3]float64
+	for k := d; k < e; k++ {
+		wl, wr := st.work[k]-w0, wE-st.work[k]
+		for o := 0; o < 2; o++ {
+			a, b := procs[o], procs[1-o]
+			cyc[0] = st.commB[d-1] + wl*st.invSpeed[a] + st.commB[k]
+			cyc[1] = st.commB[k] + wr*st.invSpeed[b] + st.commB[e]
+			maxCycle := maxOf(2, &cyc)
+			if s.skip(maxCycle) {
+				continue
+			}
+			lat[0] = st.deltaB[d-1] + wl/st.speed[a]
+			lat[1] = st.deltaB[k] + wr/st.speed[b]
+			if s.admit(maxCycle, 2, &cyc, &lat) {
+				s.best.parts[0] = part{d: d, e: k, proc: a, cycle: cyc[0]}
+				s.best.parts[1] = part{d: k + 1, e: e, proc: b, cycle: cyc[1]}
+			}
+		}
 	}
-	return best, found
+}
+
+// endPart prices one part on each of the three processors of a 3-way
+// scan: cycle-times and latency contributions.
+type endPart struct {
+	cyc, lat [3]float64
+}
+
+// perms lists the bijections of the three parts onto the three
+// processors, in the legacy engine's generation order.
+var perms = [6][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+
+// scanThreeWay offers all cut pairs k1 < k2 of iv and all bijections of
+// the three parts onto the interval's processor and the next two free
+// ones — the paper's "testing all possible permutations and all possible
+// positions where to cut". The first part [d..k1] depends only on k1 and
+// the last part [k2+1..e] only on k2: the last parts are tabulated once
+// per scan and the first part priced once per k1, so a cut pair prices
+// only its middle part. Values and generation order are unchanged.
+func (st *state) scanThreeWay(s *scan, iv mapping.Interval) {
+	d, e := iv.Start, iv.End
+	procs := [3]int{iv.Proc, st.free[st.freeOff], st.free[st.freeOff+1]}
+	// ends[k2-d-1] prices [k2+1..e], for k2 in [d+1, e-1].
+	st.ends = st.ends[:0]
+	for k2 := d + 1; k2 < e; k2++ {
+		var ep endPart
+		w := st.work[e] - st.work[k2]
+		for pi, u := range procs {
+			ep.cyc[pi] = st.commB[k2] + w*st.invSpeed[u] + st.commB[e]
+			ep.lat[pi] = st.deltaB[k2] + w/st.speed[u]
+		}
+		st.ends = append(st.ends, ep)
+	}
+	var first, mid endPart
+	var cyc, lat [3]float64
+	for k1 := d; k1 < e-1; k1++ {
+		w := st.work[k1] - st.work[d-1]
+		for pi, u := range procs {
+			first.cyc[pi] = st.commB[d-1] + w*st.invSpeed[u] + st.commB[k1]
+			first.lat[pi] = st.deltaB[d-1] + w/st.speed[u]
+		}
+		for k2 := k1 + 1; k2 < e; k2++ {
+			wm := st.work[k2] - st.work[k1]
+			for pi, u := range procs {
+				mid.cyc[pi] = st.commB[k1] + wm*st.invSpeed[u] + st.commB[k2]
+			}
+			priced := false // mid.lat is filled on first need
+			last := &st.ends[k2-d-1]
+			for _, pm := range perms {
+				cyc = [3]float64{first.cyc[pm[0]], mid.cyc[pm[1]], last.cyc[pm[2]]}
+				maxCycle := maxOf(3, &cyc)
+				if s.skip(maxCycle) {
+					continue
+				}
+				if !priced {
+					for pi, u := range procs {
+						mid.lat[pi] = st.deltaB[k1] + wm/st.speed[u]
+					}
+					priced = true
+				}
+				lat = [3]float64{first.lat[pm[0]], mid.lat[pm[1]], last.lat[pm[2]]}
+				if s.admit(maxCycle, 3, &cyc, &lat) {
+					s.best.parts = [3]part{
+						{d: d, e: k1, proc: procs[pm[0]], cycle: cyc[0]},
+						{d: k1 + 1, e: k2, proc: procs[pm[1]], cycle: cyc[1]},
+						{d: k2 + 1, e: e, proc: procs[pm[2]], cycle: cyc[2]},
+					}
+				}
+			}
+		}
+	}
 }
 
 // apply splices the candidate's parts over interval idx in place and
@@ -409,7 +558,8 @@ func (st *state) apply(idx int, c *candidate) {
 // period drops to target or below, or no admissible split remains. It
 // reports whether the target was reached. Raced runs additionally poll
 // their cancellation bounds between splits (racePoll, a no-op for solo
-// runs) and stop early when they prove the run cannot win.
+// runs) and stop early when they prove the run cannot win. With
+// opt.record every applied step is appended to the log.
 func (st *state) splitUntil(target float64, opt splitOptions) bool {
 	for !leq(st.period(), target) {
 		if st.racePoll(target) {
@@ -421,8 +571,29 @@ func (st *state) splitUntil(target float64, opt splitOptions) bool {
 			return false
 		}
 		st.apply(idx, &c)
+		if opt.record {
+			st.log = append(st.log, step{idx: idx, c: c})
+		}
 	}
 	return true
+}
+
+// replay re-applies the logged uncapped trajectory from the initial
+// mapping for as long as each step keeps the latency within latCap, and
+// stops at the first step that does not. A run under latCap takes
+// exactly these steps: on an identical state its admissible set is the
+// uncapped one minus the candidates over latCap, so the uncapped pick is
+// also its pick whenever it meets latCap (a scan keeps the first
+// candidate of best score, and no earlier candidate can tie it). The
+// caller resumes splitUntil under latCap from where replay stops.
+func (st *state) replay(latCap float64) {
+	for i := range st.log {
+		s := &st.log[i]
+		if !leq(st.lat+s.c.dLat, latCap) {
+			return
+		}
+		st.apply(s.idx, &s.c)
+	}
 }
 
 // Result is the outcome of one heuristic run.

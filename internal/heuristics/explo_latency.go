@@ -42,7 +42,7 @@ func (h ThreeExploBiL) MinimizePeriod(ev *mapping.Evaluator, maxLatency float64)
 }
 
 func latencyConstrainedExplo(ev *mapping.Evaluator, maxLatency float64, rule selectRule, name string) (Result, error) {
-	return latencyConstrained(ev, maxLatency, splitOptions{rule: rule, threeWay: true, maxLatency: maxLatency}, name)
+	return latencyConstrained(ev, maxLatency, splitOptions{rule: rule, threeWay: true, maxLatency: maxLatency}, name, nil)
 }
 
 // ExtensionLatencyHeuristics returns the two latency-constrained

@@ -58,7 +58,7 @@ func (SpMonoP) ID() string { return "H1" }
 
 // MinimizeLatency implements PeriodConstrained.
 func (h SpMonoP) MinimizeLatency(ev *mapping.Evaluator, maxPeriod float64) (Result, error) {
-	return periodConstrainedSplit(ev, maxPeriod, splitOptions{rule: selectMono, maxLatency: math.Inf(1)}, h.Name())
+	return periodConstrainedSplit(ev, maxPeriod, splitOptions{rule: selectMono, maxLatency: math.Inf(1)}, h.Name(), nil)
 }
 
 // ---------------------------------------------------------------- H2 --
@@ -78,7 +78,7 @@ func (ThreeExploMono) ID() string { return "H2" }
 
 // MinimizeLatency implements PeriodConstrained.
 func (h ThreeExploMono) MinimizeLatency(ev *mapping.Evaluator, maxPeriod float64) (Result, error) {
-	return periodConstrainedSplit(ev, maxPeriod, splitOptions{rule: selectMono, threeWay: true, maxLatency: math.Inf(1)}, h.Name())
+	return periodConstrainedSplit(ev, maxPeriod, splitOptions{rule: selectMono, threeWay: true, maxLatency: math.Inf(1)}, h.Name(), nil)
 }
 
 // ---------------------------------------------------------------- H3 --
@@ -97,18 +97,24 @@ func (ThreeExploBi) ID() string { return "H3" }
 
 // MinimizeLatency implements PeriodConstrained.
 func (h ThreeExploBi) MinimizeLatency(ev *mapping.Evaluator, maxPeriod float64) (Result, error) {
-	return periodConstrainedSplit(ev, maxPeriod, splitOptions{rule: selectBi, threeWay: true, maxLatency: math.Inf(1)}, h.Name())
+	return periodConstrainedSplit(ev, maxPeriod, splitOptions{rule: selectBi, threeWay: true, maxLatency: math.Inf(1)}, h.Name(), nil)
 }
 
 // periodConstrainedSplit runs one pooled splitting trajectory towards the
-// period bound (the H1–H3 shape).
-func periodConstrainedSplit(ev *mapping.Evaluator, maxPeriod float64, opt splitOptions, name string) (Result, error) {
+// period bound (the H1–H3 shape). A non-nil inc arms the cancellation
+// hooks (race.go): running-latency watch plus infeasibility prediction,
+// both gated on a feasible incumbent. A nil inc is a solo run.
+func periodConstrainedSplit(ev *mapping.Evaluator, maxPeriod float64, opt splitOptions, name string, inc *Incumbent) (Result, error) {
 	st, err := acquireState(ev)
 	if err != nil {
 		return Result{}, err
 	}
 	defer st.release()
+	st.race = raceWatch{inc: inc, watchLat: true, predict: predictLost}
 	ok := st.splitUntil(maxPeriod, opt)
+	if st.race.lost {
+		return Result{}, ErrRaceLost
+	}
 	res := st.result()
 	if !ok {
 		return res, &InfeasibleError{Heuristic: name, Constraint: "period", Target: maxPeriod, Achieved: res.Metrics.Period, Best: res}
@@ -139,37 +145,67 @@ func (SpBiP) Name() string { return "Sp bi, P fix" }
 // ID implements PeriodConstrained.
 func (SpBiP) ID() string { return "H4" }
 
-// MinimizeLatency implements PeriodConstrained.
+// MinimizeLatency implements PeriodConstrained: the raced solve with no
+// incumbent.
 func (h SpBiP) MinimizeLatency(ev *mapping.Evaluator, maxPeriod float64) (Result, error) {
+	return h.MinimizeLatencyRaced(ev, maxPeriod, nil)
+}
+
+// MinimizeLatencyRaced implements PeriodRacer for H4.
+//
+// One pooled engine serves every bisection trial: each trial rewinds it
+// in place, and only the winning cap's state is materialised, so a full
+// binary search allocates once, for the returned Mapping. The first,
+// uncapped trial logs its trajectory. Every later trial, and the final
+// rewind, replays the logged steps while they meet its cap
+// (state.replay) and runs bestSplit only from the first step whose
+// uncapped choice exceeds it. Latency never falls along a trajectory, so
+// the shared steps are a prefix.
+//
+// The bisection cannot use the latency watch — its final latency comes
+// from a later, cheaper-capped trial, so the running latency of one
+// trial bounds nothing about the whole solve. Instead the uncapped trial
+// arms the infeasibility prediction: when the refinement bound proves
+// the period target unreachable and a feasible incumbent exists, the
+// whole solve is a lost race. Later trials arm predictFail — a trial the
+// bound condemns would have ended infeasible anyway, so failing it early
+// steers the bisection identically while skipping its tail. No poll can
+// fire inside a replayed prefix: the uncapped trial continued from every
+// state of it to the target.
+func (h SpBiP) MinimizeLatencyRaced(ev *mapping.Evaluator, maxPeriod float64, inc *Incumbent) (Result, error) {
 	iters := h.Iterations
 	if iters <= 0 {
 		iters = DefaultBinaryIters
 	}
-	// One pooled engine serves every bisection trial: each trial rewinds
-	// it in place, and only the winning cap's state is materialised — a
-	// full binary search allocates once, for the returned Mapping.
 	st, err := acquireState(ev)
 	if err != nil {
 		return Result{}, err
 	}
 	defer st.release()
-	trial := func(latCap float64) (mapping.Metrics, bool) {
+	trial := func(latCap float64, record bool) (mapping.Metrics, bool) {
 		st.reset()
-		ok := st.splitUntil(maxPeriod, splitOptions{rule: selectBi, maxLatency: latCap})
+		st.replay(latCap)
+		ok := st.splitUntil(maxPeriod, splitOptions{rule: selectBi, maxLatency: latCap, record: record})
 		return mapping.Metrics{Period: st.period(), Latency: st.latency()}, ok
 	}
-	// Unlimited cap first: if even that fails, the heuristic fails.
-	best, ok := trial(math.Inf(1))
+	// Unlimited cap first: if even that fails, the heuristic fails. The
+	// log is empty here, so this trial replays nothing and logs all.
+	st.race = raceWatch{inc: inc, predict: predictLost}
+	best, ok := trial(math.Inf(1), true)
+	if st.race.lost {
+		return Result{}, ErrRaceLost
+	}
 	if !ok {
 		res := st.result()
 		return res, &InfeasibleError{Heuristic: h.Name(), Constraint: "period", Target: maxPeriod, Achieved: res.Metrics.Period, Best: res}
 	}
+	st.race = raceWatch{predict: predictFail}
 	bestCap := math.Inf(1)
 	lo := ev.OptimalLatencyValue() // latency lower bound (Lemma 1)
 	hi := best.Latency
 	for i := 0; i < iters && hi-lo > relEps*(1+hi); i++ {
 		mid := (lo + hi) / 2
-		if met, ok := trial(mid); ok {
+		if met, ok := trial(mid, false); ok {
 			if met.Latency < best.Latency {
 				best, bestCap = met, mid
 			}
@@ -180,7 +216,7 @@ func (h SpBiP) MinimizeLatency(ev *mapping.Evaluator, maxPeriod float64) (Result
 	}
 	// Rewind to the winning cap (trials are deterministic) and
 	// materialise that state once.
-	trial(bestCap)
+	trial(bestCap, false)
 	return st.result(), nil
 }
 
@@ -221,13 +257,15 @@ func (h SpBiL) MinimizePeriod(ev *mapping.Evaluator, maxLatency float64) (Result
 }
 
 func latencyConstrainedSplit(ev *mapping.Evaluator, maxLatency float64, rule selectRule, name string) (Result, error) {
-	return latencyConstrained(ev, maxLatency, splitOptions{rule: rule, maxLatency: maxLatency}, name)
+	return latencyConstrained(ev, maxLatency, splitOptions{rule: rule, maxLatency: maxLatency}, name, nil)
 }
 
 // latencyConstrained is the shared H5/H6 (and X7/X8) runner: start from
 // the latency optimum, split as far as the budget allows, on one pooled
-// engine.
-func latencyConstrained(ev *mapping.Evaluator, maxLatency float64, opt splitOptions, name string) (Result, error) {
+// engine. A non-nil inc arms the refinement-bound watch (race.go): the
+// running period itself only falls along a trajectory, but the
+// refinement bound is a floor on wherever it can end.
+func latencyConstrained(ev *mapping.Evaluator, maxLatency float64, opt splitOptions, name string, inc *Incumbent) (Result, error) {
 	st, err := acquireState(ev)
 	if err != nil {
 		return Result{}, err
@@ -237,7 +275,11 @@ func latencyConstrained(ev *mapping.Evaluator, maxLatency float64, opt splitOpti
 		res := st.result()
 		return res, &InfeasibleError{Heuristic: name, Constraint: "latency", Target: maxLatency, Achieved: res.Metrics.Latency, Best: res}
 	}
+	st.race = raceWatch{inc: inc, watchPer: true}
 	st.splitUntil(0, opt) // split as far as the latency budget allows
+	if st.race.lost {
+		return Result{}, ErrRaceLost
+	}
 	return st.result(), nil
 }
 
@@ -280,6 +322,5 @@ func MinAchievablePeriod(ev *mapping.Evaluator, h PeriodConstrained) (float64, e
 // below the optimal latency (Lemma 1), so the threshold is the same for H5
 // and H6 — the paper's Table 1 observes this equality empirically.
 func LatencyFailureThreshold(ev *mapping.Evaluator) float64 {
-	_, l := ev.OptimalLatency()
-	return l
+	return ev.OptimalLatencyValue()
 }

@@ -136,11 +136,18 @@ func comparePooledToLegacy(t *testing.T, label string, ev *mapping.Evaluator) {
 
 // TestPooledEngineMatchesLegacyOracle drives every heuristic across the
 // paper's four workload families and seeded sizes: the pooled engine and
-// the frozen allocating engine must agree bit for bit everywhere.
+// the frozen allocating engine must agree bit for bit everywhere. The
+// n ∈ {20, 40} × p ∈ {10, 100} shapes are the service's bulk traffic,
+// where trajectories are long, 3-way scans are wide and H4's replayed
+// prefixes run many steps; one seed each keeps the oracle's cost down.
 func TestPooledEngineMatchesLegacyOracle(t *testing.T) {
+	shapes := []struct{ n, p, seeds int }{
+		{6, 4, 3}, {10, 6, 3}, {12, 10, 3},
+		{20, 10, 1}, {20, 100, 1}, {40, 10, 1}, {40, 100, 1},
+	}
 	for _, fam := range workload.Families() {
-		for _, shape := range []struct{ n, p int }{{6, 4}, {10, 6}, {12, 10}} {
-			for seed := int64(0); seed < 3; seed++ {
+		for _, shape := range shapes {
+			for seed := int64(0); seed < int64(shape.seeds); seed++ {
 				in := workload.Generate(workload.Config{
 					Family: fam, Stages: shape.n, Processors: shape.p,
 					Seed: 42000 + seed,

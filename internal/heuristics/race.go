@@ -163,136 +163,40 @@ func (st *state) racePoll(target float64) bool {
 // ≤ s_j + S_free), and communication terms only add, so its region's
 // worst cycle is at least W_j/(s_j + S_free).
 func (st *state) refinementPeriodBound() float64 {
-	plat := st.ev.Platform()
 	freeSpeed := 0.0
 	for _, p := range st.free[st.freeOff:] {
-		freeSpeed += plat.Speed(p)
+		freeSpeed += st.speed[p]
 	}
-	app := st.ev.Pipeline()
 	bound := 0.0
 	for _, iv := range st.ivs {
-		if b := app.IntervalWork(iv.Start, iv.End) / (plat.Speed(iv.Proc) + freeSpeed); b > bound {
+		if b := (st.work[iv.End] - st.work[iv.Start-1]) / (st.speed[iv.Proc] + freeSpeed); b > bound {
 			bound = b
 		}
 	}
 	return bound
 }
 
-// periodConstrainedSplitRaced is periodConstrainedSplit with the
-// cancellation hooks armed: running-latency watch plus infeasibility
-// prediction, both gated on a feasible incumbent.
-func periodConstrainedSplitRaced(ev *mapping.Evaluator, maxPeriod float64, opt splitOptions, name string, inc *Incumbent) (Result, error) {
-	st, err := acquireState(ev)
-	if err != nil {
-		return Result{}, err
-	}
-	defer st.release()
-	st.race = raceWatch{inc: inc, watchLat: true, predict: predictLost}
-	ok := st.splitUntil(maxPeriod, opt)
-	if st.race.lost {
-		return Result{}, ErrRaceLost
-	}
-	res := st.result()
-	if !ok {
-		return res, &InfeasibleError{Heuristic: name, Constraint: "period", Target: maxPeriod, Achieved: res.Metrics.Period, Best: res}
-	}
-	return res, nil
-}
-
 // MinimizeLatencyRaced implements PeriodRacer for H1.
 func (h SpMonoP) MinimizeLatencyRaced(ev *mapping.Evaluator, maxPeriod float64, inc *Incumbent) (Result, error) {
-	return periodConstrainedSplitRaced(ev, maxPeriod, splitOptions{rule: selectMono, maxLatency: math.Inf(1)}, h.Name(), inc)
+	return periodConstrainedSplit(ev, maxPeriod, splitOptions{rule: selectMono, maxLatency: math.Inf(1)}, h.Name(), inc)
 }
 
 // MinimizeLatencyRaced implements PeriodRacer for H2.
 func (h ThreeExploMono) MinimizeLatencyRaced(ev *mapping.Evaluator, maxPeriod float64, inc *Incumbent) (Result, error) {
-	return periodConstrainedSplitRaced(ev, maxPeriod, splitOptions{rule: selectMono, threeWay: true, maxLatency: math.Inf(1)}, h.Name(), inc)
+	return periodConstrainedSplit(ev, maxPeriod, splitOptions{rule: selectMono, threeWay: true, maxLatency: math.Inf(1)}, h.Name(), inc)
 }
 
 // MinimizeLatencyRaced implements PeriodRacer for H3.
 func (h ThreeExploBi) MinimizeLatencyRaced(ev *mapping.Evaluator, maxPeriod float64, inc *Incumbent) (Result, error) {
-	return periodConstrainedSplitRaced(ev, maxPeriod, splitOptions{rule: selectBi, threeWay: true, maxLatency: math.Inf(1)}, h.Name(), inc)
-}
-
-// MinimizeLatencyRaced implements PeriodRacer for H4. The bisection
-// cannot use the latency watch — its final latency comes from a later,
-// cheaper-capped trial, so the running latency of one trial bounds
-// nothing about the whole solve. Instead the first (uncapped) trial arms
-// the infeasibility prediction: when the refinement bound proves the
-// period target unreachable and a feasible incumbent exists, the whole
-// solve is a lost race. Later bisection trials arm predictFail — a trial
-// the bound condemns would have ended infeasible anyway, so failing it
-// early steers the bisection identically while skipping its tail.
-func (h SpBiP) MinimizeLatencyRaced(ev *mapping.Evaluator, maxPeriod float64, inc *Incumbent) (Result, error) {
-	iters := h.Iterations
-	if iters <= 0 {
-		iters = DefaultBinaryIters
-	}
-	st, err := acquireState(ev)
-	if err != nil {
-		return Result{}, err
-	}
-	defer st.release()
-	trial := func(latCap float64) (mapping.Metrics, bool) {
-		st.reset()
-		ok := st.splitUntil(maxPeriod, splitOptions{rule: selectBi, maxLatency: latCap})
-		return mapping.Metrics{Period: st.period(), Latency: st.latency()}, ok
-	}
-	st.race = raceWatch{inc: inc, predict: predictLost}
-	best, ok := trial(math.Inf(1))
-	if st.race.lost {
-		return Result{}, ErrRaceLost
-	}
-	if !ok {
-		res := st.result()
-		return res, &InfeasibleError{Heuristic: h.Name(), Constraint: "period", Target: maxPeriod, Achieved: res.Metrics.Period, Best: res}
-	}
-	st.race = raceWatch{predict: predictFail}
-	bestCap := math.Inf(1)
-	lo := ev.OptimalLatencyValue()
-	hi := best.Latency
-	for i := 0; i < iters && hi-lo > relEps*(1+hi); i++ {
-		mid := (lo + hi) / 2
-		if met, ok := trial(mid); ok {
-			if met.Latency < best.Latency {
-				best, bestCap = met, mid
-			}
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	trial(bestCap)
-	return st.result(), nil
-}
-
-// latencyConstrainedRaced arms the refinement-bound watch: the running
-// period itself only falls along a trajectory, but the refinement bound
-// is a floor on wherever it can end.
-func latencyConstrainedRaced(ev *mapping.Evaluator, maxLatency float64, opt splitOptions, name string, inc *Incumbent) (Result, error) {
-	st, err := acquireState(ev)
-	if err != nil {
-		return Result{}, err
-	}
-	defer st.release()
-	if !leq(st.latency(), maxLatency) {
-		res := st.result()
-		return res, &InfeasibleError{Heuristic: name, Constraint: "latency", Target: maxLatency, Achieved: res.Metrics.Latency, Best: res}
-	}
-	st.race = raceWatch{inc: inc, watchPer: true}
-	st.splitUntil(0, opt)
-	if st.race.lost {
-		return Result{}, ErrRaceLost
-	}
-	return st.result(), nil
+	return periodConstrainedSplit(ev, maxPeriod, splitOptions{rule: selectBi, threeWay: true, maxLatency: math.Inf(1)}, h.Name(), inc)
 }
 
 // MinimizePeriodRaced implements LatencyRacer for H5.
 func (h SpMonoL) MinimizePeriodRaced(ev *mapping.Evaluator, maxLatency float64, inc *Incumbent) (Result, error) {
-	return latencyConstrainedRaced(ev, maxLatency, splitOptions{rule: selectMono, maxLatency: maxLatency}, h.Name(), inc)
+	return latencyConstrained(ev, maxLatency, splitOptions{rule: selectMono, maxLatency: maxLatency}, h.Name(), inc)
 }
 
 // MinimizePeriodRaced implements LatencyRacer for H6.
 func (h SpBiL) MinimizePeriodRaced(ev *mapping.Evaluator, maxLatency float64, inc *Incumbent) (Result, error) {
-	return latencyConstrainedRaced(ev, maxLatency, splitOptions{rule: selectBi, maxLatency: maxLatency}, h.Name(), inc)
+	return latencyConstrained(ev, maxLatency, splitOptions{rule: selectBi, maxLatency: maxLatency}, h.Name(), inc)
 }

@@ -29,9 +29,10 @@ import (
 
 // PeriodSweeper solves one period-constrained heuristic across a
 // non-increasing sequence of period bounds. For the pure splitting
-// heuristics (H1–H3) it extends a single trajectory; for SpBiP (whose
-// bisection re-runs the engine per bound) it reuses the pooled engine
-// and caches the infeasibility threshold — once a bound fails, every
+// heuristics (H1–H3) it extends a single trajectory. SpBiP's trajectory
+// depends on its bisection's latency caps, so each bound runs a fresh
+// solve, whose trials replay that solve's own uncapped trajectory; the
+// sweeper caches the infeasibility threshold — once a bound fails, every
 // tighter bound fails with the identical payload. Unknown
 // PeriodConstrained implementations fall back to fresh solves.
 type PeriodSweeper struct {

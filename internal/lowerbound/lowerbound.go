@@ -90,6 +90,5 @@ func computeOnlyBound(ev *mapping.Evaluator) float64 {
 // on the fastest processor); provided here for symmetry with Period so
 // harness code can treat both criteria uniformly.
 func Latency(ev *mapping.Evaluator) float64 {
-	_, l := ev.OptimalLatency()
-	return l
+	return ev.OptimalLatencyValue()
 }

@@ -26,9 +26,6 @@ type Scratch struct {
 	Trial []Interval
 	// Cycles holds one cycle-time per entry of Ivs.
 	Cycles []float64
-	// Comm holds per-boundary communication times (the splitting
-	// engine's δ_k/b table, hoisted out of its candidate loop).
-	Comm []float64
 	// Procs holds a processor list (the engines' fastest-first free
 	// list).
 	Procs []int

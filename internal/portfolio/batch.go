@@ -103,8 +103,7 @@ func resolveBound(ev *mapping.Evaluator, opts BatchOptions) float64 {
 		return opts.Bound
 	}
 	if opts.Objective == MinimizePeriod {
-		_, optLat := ev.OptimalLatency()
-		return opts.Bound * optLat
+		return opts.Bound * ev.OptimalLatencyValue()
 	}
 	return opts.Bound * lowerbound.Period(ev)
 }

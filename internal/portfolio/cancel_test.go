@@ -85,6 +85,34 @@ func TestRaceModesBitIdentical(t *testing.T) {
 			})
 		}
 	}
+	// The bulk benchmark's races: p=100 platforms of every family, n=20
+	// and n=40, where no DP races and H1–H6 run their longest
+	// trajectories. Period-constrained at 1.05× and 1.3× H1's failure
+	// threshold, latency-constrained at 1.25×, 1.5× and 2× the optimal
+	// latency: the bounds its batches resolve to.
+	for fi, fam := range workload.Families() {
+		for _, n := range []int{20, 40} {
+			ev := workload.Generate(workload.Config{
+				Family: fam, Stages: n, Processors: 100, Seed: int64(7300 + 10*fi + n),
+			}).Evaluator()
+			thr, err := heuristics.MinAchievablePeriod(ev, heuristics.SpMonoP{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, factor := range []float64{1.05, 1.3} {
+				bound := thr * factor
+				check(fmt.Sprintf("%v n=%d p=100 period×%g of H1's threshold", fam, n, factor), ev, func(opts SolveOptions) (Outcome, bool, error) {
+					return UnderPeriod(ctx, ev, bound, opts)
+				})
+			}
+			for _, factor := range []float64{1.25, 1.5, 2} {
+				budget := ev.OptimalLatencyValue() * factor
+				check(fmt.Sprintf("%v n=%d p=100 latency×%g", fam, n, factor), ev, func(opts SolveOptions) (Outcome, bool, error) {
+					return UnderLatency(ctx, ev, budget, opts)
+				})
+			}
+		}
+	}
 	// The cold benchmark's races: p=10 platforms of every family, n=5 and
 	// n=40. Latency-constrained at 1.2/1.5/1.8× the optimal latency: at
 	// n=5 H5 often ties the optimum, so the raced DP must abandon its

@@ -14,7 +14,9 @@
 # constant when cutting a snapshot, and CI never collides with a
 # committed file). The output records ns/op, B/op and allocs/op for
 # every benchmark matched by BENCH_PATTERN across BENCH_PACKAGES (the
-# root solvers plus the serving layer, its cache and the cluster fleet).
+# root solvers plus the serving layer, its cache and the cluster fleet),
+# under a header naming the Go version, the CPU model, the host's online
+# core count (nproc) and the GOMAXPROCS the benchmarks ran with.
 # Comparing two commits is a diff of their BENCH_*.json files
 # (scripts/bench_diff.sh automates it); CI uploads the fresh file as a
 # build artifact on every run.
@@ -48,7 +50,8 @@ go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" $PACKAGES 
 
 # Fields are located by their unit token, not position: benchmarks that
 # b.ReportMetric extra columns (collapsed/op, miss/op) still parse.
-awk -v go_version="$(go version | awk '{print $3}')" '
+NPROC="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
+awk -v go_version="$(go version | awk '{print $3}')" -v nproc="$NPROC" -v gomaxprocs="${GOMAXPROCS:-$NPROC}" '
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
 /^Benchmark/ && /ns\/op/ {
     name = $1
@@ -73,6 +76,8 @@ END {
     print "{"
     printf "  \"go\": \"%s\",\n", go_version
     printf "  \"cpu\": \"%s\",\n", cpu
+    printf "  \"nproc\": %s,\n", nproc
+    printf "  \"gomaxprocs\": %s,\n", gomaxprocs
     print  "  \"benchmarks\": ["
     print entries
     print "  ]"
