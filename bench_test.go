@@ -216,40 +216,10 @@ func BenchmarkExactLargeFewClass(b *testing.B) {
 	})
 }
 
-// BenchmarkExactMinPeriodParallel times the wave-parallel DP against the
-// serial runner on an instance above the engagement threshold: 32
-// processors in 4 speed classes of 8 (9⁴ = 6561 compressed states,
-// versus the shipped ParallelStateThreshold of 4096). The serial row
-// pins the threshold out of reach so the allocation-free path runs; the
-// parallel row ships the default policy, so the wave runner engages
-// with one worker stratum per schedulable CPU. On a single-CPU host the
-// engagement gate folds the parallel row back onto the serial path and
-// the two rows coincide — the gate's guarantee that parallelism never
-// loses — so read the delta on a multi-core runner for the real gain.
-func BenchmarkExactMinPeriodParallel(b *testing.B) {
-	ev := fewClassEvaluator(10, 32, 4, 7)
-	run := func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := exact.MinPeriod(ev); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) {
-		old := exact.ParallelStateThreshold
-		exact.ParallelStateThreshold = 1 << 30
-		defer func() { exact.ParallelStateThreshold = old }()
-		run(b)
-	})
-	b.Run("parallel", run)
-}
-
 // BenchmarkExactMinPeriodUnderLatencyFewClass times the min-period
 // bisection on 6561 compressed states (32 processors in 4 speed classes
 // of 8): at exactly the optimal latency, where nearly every probe is
-// infeasible, and at 1.5× it. The chosen candidate's full fill runs on
-// the wave runner on multi-core hosts; probes stay serial.
+// infeasible, and at 1.5× it.
 func BenchmarkExactMinPeriodUnderLatencyFewClass(b *testing.B) {
 	for _, n := range []int{10, 40} {
 		ev := fewClassEvaluator(n, 32, 4, 7)
@@ -270,8 +240,8 @@ func BenchmarkExactMinPeriodUnderLatencyFewClass(b *testing.B) {
 // BenchmarkExactMinLatencyUnderPeriodRaced times the min-latency DP on
 // p=10 paper instances (E1–E4, one each) at a period bound halfway
 // between the period lower bound and the single-processor period: dense,
-// as MinLatencyUnderPeriod and the reference race lane fill it, and
-// raced, cut at H1's latency as the sequential race lane runs it. A raced
+// as MinLatencyUnderPeriod fills it, and raced, cut at H1's latency as
+// the portfolio race runs it. A raced
 // solve may abandon with ErrNotBelow: H1 can report the optimal mapping
 // with a running-sum latency an ulp below the DP's sum of the same terms.
 func BenchmarkExactMinLatencyUnderPeriodRaced(b *testing.B) {
@@ -416,63 +386,40 @@ func BenchmarkSolveBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchGrouped contrasts the per-instance batch lane with the
-// platform-grouped SoA lane on the skewed shape real batches have: 64
-// pipelines against one shared platform object, as the service layer's
-// decode-time platform dedup produces. The grouped lane builds the
-// platform-derived evaluator tables once and shares their backing
-// arrays across the batch; the report is bit-identical either way.
+// BenchmarkBatchGrouped times SolveBatch on the skewed shape real
+// batches have: 64 pipelines against one shared platform object, as the
+// service layer's decode-time platform dedup produces, so the batch
+// builds the platform-derived evaluator tables once.
 func BenchmarkBatchGrouped(b *testing.B) {
 	instances := workload.GenerateSet(workload.E2, 20, 10, 64, 31000)
 	for i := range instances {
 		instances[i].Plat = instances[0].Plat
 	}
 	opts := pipesched.BatchOptions{Bound: 1.5, RelativeBound: true}
-	for _, mode := range []struct {
-		name string
-		run  func(context.Context, []pipesched.WorkloadInstance, pipesched.BatchOptions) (pipesched.BatchReport, error)
-	}{
-		{"ungrouped", pipesched.SolveBatch},
-		{"grouped", portfolio.SolveBatchGrouped},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				report, err := mode.run(context.Background(), instances, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if report.Solved == 0 {
-					b.Fatal("nothing solved")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		report, err := pipesched.SolveBatch(context.Background(), instances, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if report.Solved == 0 {
+			b.Fatal("nothing solved")
+		}
 	}
 }
 
-// BenchmarkPortfolioRace times one instance's portfolio (heuristics +
-// exact DP) serial versus racing.
+// BenchmarkPortfolioRace times one instance's portfolio race (heuristics
+// + exact DP).
 func BenchmarkPortfolioRace(b *testing.B) {
 	ev := benchEvaluator(14, 10, 47)
 	bound := pipesched.PeriodLowerBound(ev) * 1.5
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{
-		{"serial", true},
-		{"parallel", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, found, _ := portfolio.UnderPeriod(context.Background(), ev, bound,
-					portfolio.SolveOptions{Exact: true, Serial: mode.serial})
-				if !found {
-					b.Fatal("infeasible bound")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, found, _ := portfolio.UnderPeriod(context.Background(), ev, bound, portfolio.SolveOptions{Exact: true})
+		if !found {
+			b.Fatal("infeasible bound")
+		}
 	}
 }
 
@@ -591,8 +538,8 @@ func benchFullHetEvaluator(n, p int, seed int64) *pipesched.Evaluator {
 }
 
 // BenchmarkFullHetPortfolioRace times the fully heterogeneous portfolio
-// lane — F1 under a period bound, F5/F6 under a latency bound — serial
-// versus racing, the fullhet counterpart of BenchmarkPortfolioRace.
+// lane — F1 under a period bound, F5/F6 under a latency bound — the
+// fullhet counterpart of BenchmarkPortfolioRace.
 func BenchmarkFullHetPortfolioRace(b *testing.B) {
 	ev := benchFullHetEvaluator(14, 10, 47)
 	single := mapping.SingleProcessor(ev.Pipeline(), ev.Platform(), ev.Platform().Fastest())
@@ -602,34 +549,24 @@ func BenchmarkFullHetPortfolioRace(b *testing.B) {
 	}
 	periodBound := minPeriod * 1.05
 	latencyBound := ev.Latency(single) * 1.5
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{
-		{"serial", true},
-		{"parallel", false},
-	} {
-		b.Run("period/"+mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, found, _ := portfolio.UnderPeriod(context.Background(), ev, periodBound,
-					portfolio.SolveOptions{Exact: true, Serial: mode.serial})
-				if !found {
-					b.Fatal("infeasible bound")
-				}
+	b.Run("period", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, found, _ := portfolio.UnderPeriod(context.Background(), ev, periodBound, portfolio.SolveOptions{Exact: true})
+			if !found {
+				b.Fatal("infeasible bound")
 			}
-		})
-		b.Run("latency/"+mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, found, _ := portfolio.UnderLatency(context.Background(), ev, latencyBound,
-					portfolio.SolveOptions{Exact: true, Serial: mode.serial})
-				if !found {
-					b.Fatal("infeasible bound")
-				}
+		}
+	})
+	b.Run("latency", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, found, _ := portfolio.UnderLatency(context.Background(), ev, latencyBound, portfolio.SolveOptions{Exact: true})
+			if !found {
+				b.Fatal("infeasible bound")
 			}
-		})
-	}
+		}
+	})
 }
 
 func BenchmarkEvaluatorPeriod(b *testing.B) {

@@ -37,12 +37,11 @@
 // comes from throwing many solvers at many instances at once. All
 // orchestration lives in a worker-pool layer (internal/portfolio) that
 // keeps the solvers themselves deterministic and single-threaded; every
-// concurrent entry point returns bit-identical results to its serial
-// reference path, whatever the worker count.
+// concurrent entry point returns bit-identical results whatever the
+// worker count.
 //
-//   - BestUnderPeriod and BestUnderLatency race their heuristics on
-//     separate goroutines and select the winner with the original serial
-//     tie-breaking rules.
+//   - BestUnderPeriod and BestUnderLatency race their heuristics and
+//     select the winner with the original serial tie-breaking rules.
 //   - PortfolioUnderPeriod and PortfolioUnderLatency additionally race
 //     the exact DP on ExactEligible platforms and name the winning
 //     solver.
@@ -165,10 +164,7 @@
 // benchmark); CI uploads the file as an artifact on every run and
 // scripts/bench_diff.sh compares two snapshots with crude regression
 // thresholds (the advisory bench-diff CI job), so comparing commits is a
-// diff of their BENCH_*.json. Tiny instances take a serial fallback
-// inside the portfolio (goroutine fan-out costs more than it overlaps
-// below ~256 stage×processor cells, and always on a single-core host),
-// so the concurrent entry points never lose to the serial reference.
+// diff of their BENCH_*.json.
 //
 // # Serving: the solver service
 //
@@ -252,47 +248,33 @@
 //
 // # Performance: the raw-speed floor
 //
-// Below the serving layer, the solve itself is floored on three axes,
-// each pinned bit-identical to a retained serial oracle:
+// Below the serving layer, each solve runs on one schedule, pinned
+// bit-identical to a reference oracle the tests keep:
 //
-//   - Wave-parallel exact DP. The compressed DP's states group into
-//     usage levels (processors consumed); every predecessor sits one
-//     level down, so a level is a parallel wave. Above
-//     exact.ParallelStateThreshold states (default 4096) the arena
-//     splits each level across strided worker strata (capped at
-//     GOMAXPROCS, max 8) behind a spin barrier; below it — and always
-//     on a single-core host — the serial path runs unchanged. Both
-//     schedules fill the same table cell by cell, so the choice is
-//     invisible to callers. Tune the threshold from a single goroutine
-//     only: raise it when platforms are small or cores scarce, lower
-//     it toward ~1k on wide machines. exact.ReadStats (and the
-//     /metrics Solver section) reports serial/parallel run counts,
-//     strata and memo hits.
-//   - Saturated-bound memo and feasibility prune. A latency run whose
-//     period bound clears every interval cycle-time cannot reject a
-//     candidate, so all such bounds share one table: the winning cell
-//     is memoized per binding and the fill is skipped — the serving
-//     path's "minimise latency, any period" shape hits this
-//     constantly. Tight bounds instead precompute, per (class, end),
-//     the first feasible interval start, and the DP inner loops skip
-//     the infeasible prefix.
-//   - Mid-race cancellation and the SoA batch lane. The portfolio race
-//     publishes an atomic incumbent bound and cancels heuristics that
-//     can no longer win; three race modes (serial reference,
-//     sequential, concurrent) are pinned bit-identical under -race.
-//     For /v1/batch, mapping.NewEvaluators shares one platform's
-//     derived tables across a group and portfolio.SolveBatchGrouped
-//     groups instances by platform; the service dedups wire-identical
-//     platforms at decode time so batches arrive pointer-shared, and
-//     pipeschedbench -batch drives the lane end to end.
+//   - One DP fill. The compressed DP fills its table serially, state by
+//     state in ascending id order, on a pooled arena; a run under a
+//     latency cut (cutRow) prunes every cell that can no longer finish
+//     within the cut. Tight period bounds precompute, per (class, end),
+//     the first feasible interval start, and the inner loops skip the
+//     infeasible prefix. exact.ReadStats (and the /metrics Solver
+//     section) counts the fills, probes included.
+//   - One race lane. The portfolio race runs its members one after the
+//     other on the calling goroutine — the cheap splitter first, then
+//     the DP, then the rest — against one incumbent, and every member
+//     aborts once its running bound proves it cannot be selected. The
+//     race is pinned bit-identical to an oracle that runs every member
+//     to completion, with an AllocsPerRun cap.
+//   - One batch lane. portfolio.SolveBatch runs instances on a bounded
+//     worker pool and builds evaluators per platform group:
+//     mapping.NewEvaluators shares one platform's derived tables across
+//     the group. The service dedups wire-identical platforms at decode
+//     time, so batches arrive pointer-shared, and pipeschedbench -batch
+//     drives the lane end to end. ParetoSweep keeps its per-heuristic
+//     lane fan-out above 2048 stage × processor cells.
 //
 // BENCH_8 → BENCH_9 on the snapshot machine: a cache-miss /v1/solve
 // drops 83.6µs/90 allocs → 16.2µs/54, /v1/batch 65.5µs/252 allocs →
 // ~35µs/23, and the portfolio race clears its 250µs target (~239µs).
-// The snapshots run single-core, where the parallel gate folds every
-// parallel path onto the serial one — parallel rows coinciding with
-// serial is the gate's no-loss guarantee, and the wave-parallel
-// speedup itself is only readable on a multi-core host.
 //
 // # Cluster serving: the peer-aware fleet
 //

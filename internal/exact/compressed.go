@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pipesched/internal/mapping"
 )
@@ -105,15 +106,6 @@ type arena struct {
 	ivbuf  []mapping.Interval // reconstruction scratch
 	cursor []int              // per-class member cursor for reconstruction
 
-	// Usage-level buckets for the wave-parallel runner (parallel.go),
-	// built lazily on first parallel engagement and cached per binding:
-	// levelStates groups every state by its usage count (ascending state
-	// id within a level), levelOff[u]..levelOff[u+1] delimits level u.
-	levelsFor   *mapping.Evaluator
-	levelOff    []int32
-	levelStates []int32
-	levelCur    []int32 // bucket cursors, scratch for buildLevels
-
 	// maxCycle (set at bind) is the largest entry of the cycle table;
 	// period bounds at or above it cannot prune any candidate, so
 	// latency runs under such bounds skip the feasStart precompute.
@@ -124,20 +116,6 @@ type arena struct {
 	// inner loops skip straight past them. nil disables the prune.
 	maxCycle  float64
 	feasStart []int32
-
-	// Saturated-bound memo: a latency run whose period bound is at or
-	// above maxCycle can never reject a candidate, so every such bound
-	// yields the identical table — the unconstrained latency optimum.
-	// The serving path sees this constantly ("minimise latency, period
-	// up to anything"), so the winning cell is remembered per binding
-	// and the whole table fill is skipped while the table is still the
-	// one that memo was taken from. Any other run overwrites f/back and
-	// clears the memo (reconstruction walks back, so the memo is only
-	// valid while the table it indexes into survives).
-	freeValid bool
-	freeBest  float64
-	freeState int
-	freeOK    bool
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
@@ -172,9 +150,7 @@ func (a *arena) bind(ev *mapping.Evaluator) {
 		return // tables, transitions and candidates are still valid
 	}
 	a.boundTo = nil // invalidate while rebinding: a panic must not leave stale tables claimed
-	a.levelsFor = nil
 	a.feasStart = a.feasStart[:0]
-	a.freeValid = false
 	plat := ev.Platform()
 	a.n = ev.Pipeline().Stages()
 	a.classes = plat.SpeedClasses()
@@ -286,6 +262,29 @@ func (a *arena) candidates() []float64 {
 	return a.cands
 }
 
+// dpRuns counts table fills, probes included; read through ReadStats.
+var dpRuns atomic.Uint64
+
+// Stats is a snapshot of the DP counters since process start.
+type Stats struct {
+	// SerialRuns counts DP table fills, feasibility probes included.
+	SerialRuns uint64 `json:"serial_runs"`
+	// ParallelRuns always reads 0: every fill is serial. The field stays
+	// because loopbench/metrics.go reads it for the repository
+	// benchmark's exact.parallel_runs metric.
+	ParallelRuns uint64 `json:"parallel_runs"`
+	// MemoHits always reads 0: every run fills the table. The field
+	// stays because loopbench/metrics.go reads it for the repository
+	// benchmark's exact.memo_hits metric.
+	MemoHits uint64 `json:"memo_hits"`
+}
+
+// ReadStats returns the current DP counters. They are monotone and
+// lock-free; the service /metrics solver section scrapes them.
+func ReadStats() Stats {
+	return Stats{SerialRuns: dpRuns.Load()}
+}
+
 // run executes the compressed DP and returns the optimal objective value
 // with its winning final state. For objMinLatency, periodBound is the
 // admissibility cutoff on individual cycle-times (slack already applied by
@@ -293,30 +292,37 @@ func (a *arena) candidates() []float64 {
 // with cut set also when the optimum misses the cut.
 //
 // The recurrence itself lives in computeRow (cutRow for a latency run
-// with a cut); run only picks the schedule. Small state spaces stay on
-// the serial, allocation-free path; above ParallelStateThreshold the
-// usage-level wave runner (parallel.go) splits each level's states
-// across worker strata. Both schedules produce the same table cell by
-// cell, so the choice is invisible to every caller.
+// with a cut). States are visited in ascending id order: every
+// predecessor S-radix[k] is smaller than S, so its row is complete when
+// read. With a cut whose exit is armed, the fill returns at the first
+// final cell that meets the cut; only when no cell does it reach the
+// merge.
 func (a *arena) run(obj objective, periodBound float64, cut *latencyCut) (best float64, bestState int, ok bool) {
-	saturated := cut == nil && obj == objMinLatency && periodBound >= a.maxCycle
-	if saturated && a.freeValid {
-		dpStats.memoHits.Add(1)
-		return a.freeBest, a.freeState, a.freeOK
+	dpRuns.Add(1)
+	a.prepareFeasStart(obj, periodBound)
+	n, states := a.n, a.states
+	f := a.f
+	f[0] = 0 // f[S=0][i=0]; the rest of row 0 is unreachable
+	for i := 1; i <= n; i++ {
+		f[i] = inf
 	}
-	if w := a.parallelWorkers(); w > 1 {
-		dpStats.parallelRuns.Add(1)
-		dpStats.strata.Add(uint64(w))
-		best, bestState, ok = a.runParallel(obj, periodBound, cut, w)
-	} else {
-		dpStats.serialRuns.Add(1)
-		best, bestState, ok = a.runSerial(obj, periodBound, cut)
+	if cut == nil {
+		for S := 1; S < states; S++ {
+			a.computeRow(obj, periodBound, S)
+		}
+		return a.merge(nil)
 	}
-	if saturated {
-		a.freeValid = true
-		a.freeBest, a.freeState, a.freeOK = best, bestState, ok
+	a.first[0], a.last[0] = 0, 0
+	for S := 1; S < states; S++ {
+		cut.poll()
+		a.cutRow(periodBound, cut.bound*(1+cutMargin), cut.tail, S)
+		if cut.exit {
+			if v := f[S*(n+1)+n]; v < inf && v+cut.tail <= cut.bound {
+				return v, S, true
+			}
+		}
 	}
-	return best, bestState, ok
+	return a.merge(cut)
 }
 
 // prepareFeasStart arms (or disarms) the feasibility-prefix prune for
@@ -369,8 +375,8 @@ const cutMargin = 1e-9
 type latencyCut struct {
 	tail  float64 // the trailing δ_n/b term (latencyTail)
 	bound float64 // the final-latency cutoff, non-strict
-	// inc, when non-nil, is polled before every row (every usage level
-	// on the wave runner); bound keeps the smallest value seen.
+	// inc, when non-nil, is polled before every row; bound keeps the
+	// smallest value seen.
 	inc Incumbent
 	// exit stops the fill at the first final cell within bound (a
 	// feasibility probe), leaving the later rows stale.
@@ -385,57 +391,22 @@ func (c *latencyCut) poll() {
 	}
 }
 
-// runSerial visits states in ascending id order (every predecessor
-// S-radix[k] is smaller than S, so its row is complete when read). With a
-// cut whose exit is armed, the fill returns at the first final cell that
-// meets the cut; only when no cell does it reach the merge.
-func (a *arena) runSerial(obj objective, periodBound float64, cut *latencyCut) (best float64, bestState int, ok bool) {
-	a.freeValid = false // the fill below overwrites the table the memo indexes into
-	a.prepareFeasStart(obj, periodBound)
-	n, states := a.n, a.states
-	f := a.f
-	f[0] = 0 // f[S=0][i=0]; the rest of row 0 is unreachable
-	for i := 1; i <= n; i++ {
-		f[i] = inf
-	}
-	if cut == nil {
-		for S := 1; S < states; S++ {
-			a.computeRow(obj, periodBound, S)
-		}
-		return a.merge(nil)
-	}
-	a.first[0], a.last[0] = 0, 0
-	for S := 1; S < states; S++ {
-		cut.poll()
-		a.cutRow(periodBound, cut.bound*(1+cutMargin), cut.tail, S)
-		if cut.exit {
-			if v := f[S*(n+1)+n]; v < inf && v+cut.tail <= cut.bound {
-				return v, S, true
-			}
-		}
-	}
-	return a.merge(cut)
-}
-
 // probe is one feasibility test of the min-period bisection: does some
 // mapping whose cycle-times all stay within periodBound have latency
 // (tail included) within latBound? It is a cut fill with the exit armed.
 // Float addition is monotone, so some final cell passes exactly when the
 // merged optimum of a full fill would. Speed classes are numbered
 // fastest-first, so the states that hold a feasible mapping's fast
-// processors are among the first rows filled. Probes keep the serial row
-// order at any state count. They leave a partial table, so they
-// invalidate the saturated-bound memo and never set it.
+// processors are among the first rows filled.
 func (a *arena) probe(periodBound, tail, latBound float64) bool {
-	dpStats.serialRuns.Add(1)
-	_, _, ok := a.runSerial(objMinLatency, periodBound, &latencyCut{tail: tail, bound: latBound, exit: true})
+	_, _, ok := a.run(objMinLatency, periodBound, &latencyCut{tail: tail, bound: latBound, exit: true})
 	return ok
 }
 
 // merge scans the complete table for the winning final state. The scan
 // runs in ascending state order with strict improvement, so ties resolve
-// to the smallest state id no matter which schedule filled the table. A
-// winner that misses the cut is no answer: its cells may have been pruned.
+// to the smallest state id. A winner that misses the cut is no answer:
+// its cells may have been pruned.
 func (a *arena) merge(cut *latencyCut) (best float64, bestState int, ok bool) {
 	n := a.n
 	best = inf
@@ -448,9 +419,7 @@ func (a *arena) merge(cut *latencyCut) (best float64, bestState int, ok bool) {
 }
 
 // computeRow fills every cell of state S's row — values and backpointers —
-// reading only predecessor rows (usage level one below S's), which makes
-// it safe for any schedule that completes a usage level before starting
-// the next.
+// reading only predecessor rows (usage level one below S's).
 //
 // f[S][i] is the best value over all assignments of stages 1..i to
 // intervals consuming exactly the class-usage vector S; the recurrence

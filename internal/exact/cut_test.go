@@ -31,15 +31,6 @@ func (c *fallingCeiling) Best() float64 {
 	return math.Inf(1)
 }
 
-// latencyFill runs one latency fill of a: serially when workers is 0,
-// otherwise on the wave runner with that many strata.
-func latencyFill(a *arena, workers int, periodBound float64, cut *latencyCut) (float64, int, bool) {
-	if workers == 0 {
-		return a.runSerial(objMinLatency, periodBound, cut)
-	}
-	return a.runParallel(objMinLatency, periodBound, cut, workers)
-}
-
 // h1Latency is the latency heuristic H1 reaches under maxPeriod, the
 // incumbent a sequential race hands the DP; ok is false when H1 fails.
 func h1Latency(ev *mapping.Evaluator, maxPeriod float64) (float64, bool) {
@@ -48,9 +39,9 @@ func h1Latency(ev *mapping.Evaluator, maxPeriod float64) (float64, bool) {
 }
 
 // TestCutFillMatchesDense pins the pruned kernel at every candidate
-// period bound, on both schedules: a fill cut at latency L returns the
-// dense fill's optimum, winning state and path bit for bit when the
-// optimum is within L, and nothing otherwise. The cuts sit at the
+// period bound: a fill cut at latency L returns the dense fill's
+// optimum, winning state and path bit for bit when the optimum is
+// within L, and nothing otherwise. The cuts sit at the
 // optimum, one ulp either side of it, at H1's latency, well above it and
 // at +Inf; a fixed or falling incumbent is polled the way the race polls
 // it. A bound that ever prunes a cell still able to finish within the
@@ -61,7 +52,7 @@ func TestCutFillMatchesDense(t *testing.T) {
 		tail := a.latencyTail()
 		for ci, c := range append([]float64(nil), a.candidates()...) {
 			bound := c * slack
-			v, state, ok := a.runSerial(objMinLatency, bound, nil)
+			v, state, ok := a.run(objMinLatency, bound, nil)
 			var want []mapping.Interval
 			cuts := []float64{0, ev.OptimalLatencyValue() * 1.5, math.Inf(1)}
 			if ok {
@@ -72,38 +63,34 @@ func TestCutFillMatchesDense(t *testing.T) {
 			if h1, feasible := h1Latency(ev, c); feasible {
 				cuts = append(cuts, h1)
 			}
-			// The serial row order, and the wave runner forced to three
-			// strata so the wave schedule runs at any GOMAXPROCS.
-			for _, workers := range []int{0, 3} {
-				// verify checks one cut fill: the optimum survives exactly
-				// when it is within L, with the dense value, state and path.
-				verify := func(label string, L, cv float64, cstate int, cok bool) {
-					if wantOK := ok && v+tail <= L; cok != wantOK {
-						t.Fatalf("instance %d candidate %d %s workers %d: cut fill ok %v, dense %v (optimum %v)",
-							ii, ci, label, workers, cok, wantOK, v+tail)
-					}
-					if cok && (math.Float64bits(cv) != math.Float64bits(v) || cstate != state ||
-						!reflect.DeepEqual(a.reconstruct(cstate), want)) {
-						t.Fatalf("instance %d candidate %d %s workers %d: cut fill (%v, %d) != dense (%v, %d)",
-							ii, ci, label, workers, cv, cstate, v, state)
-					}
+			// verify checks one cut fill: the optimum survives exactly when
+			// it is within L, with the dense value, state and path.
+			verify := func(label string, L, cv float64, cstate int, cok bool) {
+				if wantOK := ok && v+tail <= L; cok != wantOK {
+					t.Fatalf("instance %d candidate %d %s: cut fill ok %v, dense %v (optimum %v)",
+						ii, ci, label, cok, wantOK, v+tail)
 				}
-				for _, L := range cuts {
-					cv, cstate, cok := latencyFill(a, workers, bound, &latencyCut{tail: tail, bound: L})
-					verify(fmt.Sprintf("cut %v", L), L, cv, cstate, cok)
+				if cok && (math.Float64bits(cv) != math.Float64bits(v) || cstate != state ||
+					!reflect.DeepEqual(a.reconstruct(cstate), want)) {
+					t.Fatalf("instance %d candidate %d %s: cut fill (%v, %d) != dense (%v, %d)",
+						ii, ci, label, cv, cstate, v, state)
 				}
-				// An incumbent reading +Inf for k polls and L after them:
-				// once L has been read the fill answers as a cut at L.
-				for _, k := range []int{0, 2, 40} {
-					for _, L := range cuts[3:] {
-						inc := &fallingCeiling{k: k, ceil: L}
-						cv, cstate, cok := latencyFill(a, workers, bound, &latencyCut{tail: tail, bound: math.Inf(1), inc: inc})
-						seen := math.Inf(1)
-						if inc.polls > k {
-							seen = L
-						}
-						verify(fmt.Sprintf("incumbent %v after %d polls", L, k), seen, cv, cstate, cok)
+			}
+			for _, L := range cuts {
+				cv, cstate, cok := a.run(objMinLatency, bound, &latencyCut{tail: tail, bound: L})
+				verify(fmt.Sprintf("cut %v", L), L, cv, cstate, cok)
+			}
+			// An incumbent reading +Inf for k polls and L after them: once
+			// L has been read the fill answers as a cut at L.
+			for _, k := range []int{0, 2, 40} {
+				for _, L := range cuts[3:] {
+					inc := &fallingCeiling{k: k, ceil: L}
+					cv, cstate, cok := a.run(objMinLatency, bound, &latencyCut{tail: tail, bound: math.Inf(1), inc: inc})
+					seen := math.Inf(1)
+					if inc.polls > k {
+						seen = L
 					}
+					verify(fmt.Sprintf("incumbent %v after %d polls", L, k), seen, cv, cstate, cok)
 				}
 			}
 		}
@@ -113,10 +100,10 @@ func TestCutFillMatchesDense(t *testing.T) {
 
 // TestMinLatencyUnderPeriodWithin pins the raced entry point against
 // MinLatencyUnderPeriod under fixed incumbents — the optimum's latency,
-// one ulp either side, H1's latency and +Inf — on both schedules: the
-// same mapping bit for bit when the optimum is within the incumbent,
-// ErrNotBelow when it is not, and ErrInfeasible only when the incumbent
-// read +Inf throughout and no mapping meets the period bound.
+// one ulp either side, H1's latency and +Inf: the same mapping bit for
+// bit when the optimum is within the incumbent, ErrNotBelow when it is
+// not, and ErrInfeasible only when the incumbent read +Inf throughout
+// and no mapping meets the period bound.
 func TestMinLatencyUnderPeriodWithin(t *testing.T) {
 	for ii, ev := range probeInstances(t) {
 		a := acquireArena(ev)
@@ -136,24 +123,20 @@ func TestMinLatencyUnderPeriodWithin(t *testing.T) {
 			if h1, ok := h1Latency(ev, period); ok {
 				ceilings = append(ceilings, h1)
 			}
-			for _, threshold := range []int{1 << 30, 1} {
-				withThreshold(threshold, func() {
-					for _, ceil := range ceilings {
-						got, err := MinLatencyUnderPeriodWithin(ev, period, fixedCeiling(ceil))
-						switch {
-						case refErr != nil && math.IsInf(ceil, 1):
-							if !errors.Is(err, ErrInfeasible) {
-								t.Fatalf("instance %d period %g: got %v, want ErrInfeasible", ii, period, err)
-							}
-						case refErr != nil || ref.Metrics.Latency > ceil:
-							if !errors.Is(err, ErrNotBelow) {
-								t.Fatalf("instance %d period %g ceiling %v: got (%+v, %v), want ErrNotBelow", ii, period, ceil, got.Metrics, err)
-							}
-						case !sameOutcome(got, err, ref, nil):
-							t.Fatalf("instance %d period %g ceiling %v: (%+v, %v) != dense %+v", ii, period, ceil, got.Metrics, err, ref.Metrics)
-						}
+			for _, ceil := range ceilings {
+				got, err := MinLatencyUnderPeriodWithin(ev, period, fixedCeiling(ceil))
+				switch {
+				case refErr != nil && math.IsInf(ceil, 1):
+					if !errors.Is(err, ErrInfeasible) {
+						t.Fatalf("instance %d period %g: got %v, want ErrInfeasible", ii, period, err)
 					}
-				})
+				case refErr != nil || ref.Metrics.Latency > ceil:
+					if !errors.Is(err, ErrNotBelow) {
+						t.Fatalf("instance %d period %g ceiling %v: got (%+v, %v), want ErrNotBelow", ii, period, ceil, got.Metrics, err)
+					}
+				case !sameOutcome(got, err, ref, nil):
+					t.Fatalf("instance %d period %g ceiling %v: (%+v, %v) != dense %+v", ii, period, ceil, got.Metrics, err, ref.Metrics)
+				}
 			}
 		}
 	}

@@ -103,13 +103,12 @@ func MinLatencyUnderPeriod(ev *mapping.Evaluator, maxPeriod float64) (Result, er
 // cutoff is non-strict, because a mapping of equal latency can still win
 // the race on its period.
 //
-// The fill reads inc before every row (every usage level on the wave
-// runner) and prunes each cell that can no longer finish within the
-// smallest value read. Every cell that can keeps its exact value and
-// backpointer, so when the optimum is within the cutoff the mapping is
-// MinLatencyUnderPeriod's, bit for bit. Otherwise the result is
-// ErrNotBelow, or ErrInfeasible when inc read +Inf throughout and no
-// mapping meets the period bound.
+// The fill reads inc before every row and prunes each cell that can no
+// longer finish within the smallest value read. Every cell that can keeps
+// its exact value and backpointer, so when the optimum is within the
+// cutoff the mapping is MinLatencyUnderPeriod's, bit for bit. Otherwise
+// the result is ErrNotBelow, or ErrInfeasible when inc read +Inf
+// throughout and no mapping meets the period bound.
 func MinLatencyUnderPeriodWithin(ev *mapping.Evaluator, maxPeriod float64, inc Incumbent) (Result, error) {
 	if err := guard(ev); err != nil {
 		return Result{}, err

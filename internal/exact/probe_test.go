@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"pipesched/internal/mapping"
+	"pipesched/internal/pipeline"
+	"pipesched/internal/platform"
 )
 
 // fullFillMinPeriodUnderLatency is the bisection as it stood before
@@ -44,8 +46,7 @@ func fullFillMinPeriodUnderLatency(ev *mapping.Evaluator, maxLatency float64) (R
 }
 
 // probeInstances draws random instances whose speeds repeat, plus one
-// few-class platform large enough (9^4 = 6561 states) that full fills
-// take the wave runner on multi-core hosts while probes stay serial.
+// few-class platform with a large state space (9^4 = 6561 states).
 func probeInstances(t *testing.T) []*mapping.Evaluator {
 	var evs []*mapping.Evaluator
 	for seed := int64(0); seed < 40; seed++ {
@@ -56,6 +57,29 @@ func probeInstances(t *testing.T) []*mapping.Evaluator {
 		t.Fatalf("few-class instance has %d states, want at least 4096", s)
 	}
 	return append(evs, big)
+}
+
+// fewClassEvaluator builds an instance whose platform has exactly
+// `classes` speed classes of roughly p/classes members each — the shape
+// whose compressed state space grows large.
+func fewClassEvaluator(r *rand.Rand, n, p, classes int) *mapping.Evaluator {
+	works := make([]float64, n)
+	for i := range works {
+		works[i] = float64(1 + r.Intn(20))
+	}
+	deltas := make([]float64, n+1)
+	for i := range deltas {
+		deltas[i] = float64(r.Intn(30))
+	}
+	classSpeeds := make([]float64, classes)
+	for k := range classSpeeds {
+		classSpeeds[k] = float64(1 + k*3 + r.Intn(3))
+	}
+	speeds := make([]float64, p)
+	for i := range speeds {
+		speeds[i] = classSpeeds[i%classes]
+	}
+	return mapping.NewEvaluator(pipeline.MustNew(works, deltas), platform.MustNew(speeds, 10))
 }
 
 // sameOutcome compares two solver outcomes bit for bit: the same error,
@@ -72,8 +96,7 @@ func sameOutcome(a Result, aerr error, b Result, berr error) bool {
 // TestProbeMatchesFullFill pins the early exit: at every candidate period
 // bound, the probe's answer equals the predicate a full fill applies to
 // its merged optimum — at the optimum's exact latency, one ulp below it,
-// and at bounds around the Lemma-1 latency. A probe never leaves the
-// saturated-bound memo set.
+// and at bounds around the Lemma-1 latency.
 func TestProbeMatchesFullFill(t *testing.T) {
 	for ii, ev := range probeInstances(t) {
 		a := acquireArena(ev)
@@ -90,9 +113,6 @@ func TestProbeMatchesFullFill(t *testing.T) {
 				want := ok && v+tail <= lat
 				if got := a.probe(bound, tail, lat); got != want {
 					t.Fatalf("instance %d candidate %d latency %g: probe %v, full fill %v", ii, ci, lat, got, want)
-				}
-				if a.freeValid {
-					t.Fatalf("instance %d candidate %d: probe left the saturated-bound memo set", ii, ci)
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 package portfolio
 
-// Allocation-regression caps for the orchestration layer: a serial
-// portfolio race (heuristics + exact DP) and a warm sweep grid point.
+// Allocation-regression caps for the orchestration layer: a portfolio
+// race (heuristics + exact DP) and a warm sweep grid point.
 // The engines underneath are pooled and allocation-free in steady state,
 // so the race budget is dominated by the portfolio's own closures,
 // attempt slots and the winners' materialised mappings. ISSUE 4's
@@ -23,13 +23,13 @@ func TestPortfolioRaceAllocs(t *testing.T) {
 	bound := lowerbound.Period(ev) * 1.5
 	ctx := context.Background()
 	run := func() {
-		if _, found, _ := UnderPeriod(ctx, ev, bound, SolveOptions{Exact: true, Serial: true}); !found {
+		if _, found, _ := UnderPeriod(ctx, ev, bound, SolveOptions{Exact: true}); !found {
 			t.Fatal("infeasible bound")
 		}
 	}
 	run() // warm the pools
 	if got := testing.AllocsPerRun(50, run); got > 50 {
-		t.Errorf("serial portfolio race: %.1f allocs/run, cap 50", got)
+		t.Errorf("portfolio race: %.1f allocs/run, cap 50", got)
 	}
 }
 

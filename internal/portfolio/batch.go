@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"pipesched/internal/lowerbound"
 	"pipesched/internal/mapping"
@@ -56,9 +55,8 @@ type BatchOptions struct {
 	Exact bool
 	// Workers bounds the worker pool; 0 selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Serial runs everything sequentially on the calling goroutine
-	// (one worker, serial portfolios). The reference path for
-	// benchmarks and determinism cross-checks.
+	// Serial means Workers: 1 — the batch runs on the calling goroutine.
+	// Results are the same for every worker count.
 	Serial bool
 }
 
@@ -108,20 +106,15 @@ func resolveBound(ev *mapping.Evaluator, opts BatchOptions) float64 {
 	return opts.Bound * lowerbound.Period(ev)
 }
 
-// solveOne runs one instance's portfolio race. seqRace forces the
-// instance's own portfolio onto the sequential cancelling lane: when the
-// batch level already keeps every core busy, racing each portfolio on top
-// would oversubscribe the CPU by the portfolio size, but the incumbent
-// cancellation still trims losing members (results are identical either
-// way).
-func solveOne(ctx context.Context, ev *mapping.Evaluator, index int, opts BatchOptions, seqRace bool) InstanceResult {
+// solveOne runs one instance's portfolio race.
+func solveOne(ctx context.Context, ev *mapping.Evaluator, index int, opts BatchOptions) InstanceResult {
 	if err := ctx.Err(); err != nil {
 		// Popped after cancellation: report the cancellation itself, not
 		// a bogus infeasibility.
 		return InstanceResult{Index: index, Err: context.Cause(ctx)}
 	}
 	bound := resolveBound(ev, opts)
-	sopts := SolveOptions{Exact: opts.Exact, Serial: opts.Serial, seqRace: seqRace}
+	sopts := SolveOptions{Exact: opts.Exact}
 	var (
 		out     Outcome
 		found   bool
@@ -152,7 +145,8 @@ func solveOne(ctx context.Context, ev *mapping.Evaluator, index int, opts BatchO
 // SolveBatch solves every instance under opts on a bounded worker pool and
 // aggregates the outcomes. Results are reported per instance — one
 // element's failure never aborts the batch — and the report carries the
-// non-dominated frontier of all solved metrics.
+// non-dominated frontier of all solved metrics. Instances sharing a
+// *platform.Platform share its evaluator tables (groupEvaluators).
 //
 // Cancelling ctx stops the batch promptly: instances not yet started are
 // marked with ctx's error and SolveBatch returns it. Instances already
@@ -162,27 +156,15 @@ func solveOne(ctx context.Context, ev *mapping.Evaluator, index int, opts BatchO
 // For a fixed input and options the report is identical whatever the
 // worker count, including Serial: scheduling never influences results.
 func SolveBatch(ctx context.Context, instances []workload.Instance, opts BatchOptions) (BatchReport, error) {
-	workers, seqRace := batchWorkers(opts)
-	rows, err := MapIndexed(ctx, workers, instances, func(ctx context.Context, i int, in workload.Instance) *InstanceResult {
-		r := solveOne(ctx, in.Evaluator(), i, opts, seqRace)
+	workers := opts.Workers
+	if opts.Serial {
+		workers = 1
+	}
+	rows, err := MapIndexed(ctx, workers, groupEvaluators(instances), func(ctx context.Context, i int, ev *mapping.Evaluator) *InstanceResult {
+		r := solveOne(ctx, ev, i, opts)
 		return &r
 	})
 	return batchReport(ctx, rows, err)
-}
-
-// batchWorkers resolves the worker count and the intra-instance race
-// lane. With several batch workers the cores are already saturated;
-// racing each instance's portfolio on top would oversubscribe by the
-// portfolio size for no gain, so multi-worker batches keep each
-// portfolio on the sequential cancelling lane instead.
-func batchWorkers(opts BatchOptions) (workers int, seqRace bool) {
-	workers = opts.Workers
-	if opts.Serial {
-		workers = 1
-	} else if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return workers, workers > 1
 }
 
 // batchReport aggregates per-instance rows into the final report.

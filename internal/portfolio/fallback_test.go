@@ -1,39 +1,16 @@
 package portfolio
 
-// Regression tests for the small-instance serial fallback: the parallel
-// entry points must never do worse than the serial reference on
-// instances too small to amortise goroutine fan-out. "Never worse" is
-// pinned structurally (the fallback routes small instances onto the
-// identical serial path, so allocations cannot exceed serial) and
-// semantically (results stay bit-identical on both sides of the
-// threshold).
-
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"pipesched/internal/lowerbound"
 	"pipesched/internal/workload"
 )
 
-func TestSerialFallbackThreshold(t *testing.T) {
-	// The BENCH_4 PortfolioRace instance (14 stages × 10 processors =
-	// 140 cells) is exactly the shape that measured flat: it must fall
-	// back.
-	small := workload.Generate(workload.Config{Family: workload.E2, Stages: 14, Processors: 10, Seed: 47}).Evaluator()
-	if !serialFallback(small) {
-		t.Errorf("%d-cell instance did not take the serial fallback", small.Pipeline().Stages()*small.Platform().Processors())
-	}
-	large := workload.Generate(workload.Config{Family: workload.E2, Stages: 30, Processors: 40, Seed: 53}).Evaluator()
-	if runtime.GOMAXPROCS(0) > 1 && serialFallback(large) {
-		t.Errorf("%d-cell instance fell back to serial on a %d-way host", large.Pipeline().Stages()*large.Platform().Processors(), runtime.GOMAXPROCS(0))
-	}
-}
-
-// TestFallbackIdenticalAcrossThreshold pins bit-identical outcomes for
-// the parallel entry point on both sides of the fallback threshold, in
-// both objectives.
+// TestFallbackIdenticalAcrossThreshold pins the race to the reference
+// oracle on a 140-cell instance racing the DP and a 1200-cell
+// heuristics-only one, in both objectives.
 func TestFallbackIdenticalAcrossThreshold(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -48,48 +25,22 @@ func TestFallbackIdenticalAcrossThreshold(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ev := workload.Generate(workload.Config{Family: workload.E2, Stages: tc.stages, Processors: tc.procs, Seed: tc.seed}).Evaluator()
 			bound := lowerbound.Period(ev) * 1.5
-			ser, sfound, _ := UnderPeriod(ctx, ev, bound, SolveOptions{Exact: tc.exact, Serial: true})
-			par, pfound, _ := UnderPeriod(ctx, ev, bound, SolveOptions{Exact: tc.exact})
-			if sfound != pfound {
-				t.Fatalf("found: serial %v, parallel %v", sfound, pfound)
+			opts := SolveOptions{Exact: tc.exact}
+			ref, rfound, _ := referenceUnderPeriod(ev, bound, opts)
+			got, found, _ := UnderPeriod(ctx, ev, bound, opts)
+			if rfound != found {
+				t.Fatalf("found: reference %v, race %v", rfound, found)
 			}
-			if sfound && (ser.Solver != par.Solver || ser.Result.Metrics != par.Result.Metrics) {
-				t.Fatalf("serial (%s %+v) != parallel (%s %+v)", ser.Solver, ser.Result.Metrics, par.Solver, par.Result.Metrics)
+			if rfound && (ref.Solver != got.Solver || ref.Result.Metrics != got.Result.Metrics) {
+				t.Fatalf("reference (%s %+v) != race (%s %+v)", ref.Solver, ref.Result.Metrics, got.Solver, got.Result.Metrics)
 			}
-			latBound := ser.Result.Metrics.Latency * 1.2
-			serL, sf, _ := UnderLatency(ctx, ev, latBound, SolveOptions{Exact: tc.exact, Serial: true})
-			parL, pf, _ := UnderLatency(ctx, ev, latBound, SolveOptions{Exact: tc.exact})
-			if sf != pf || (sf && (serL.Solver != parL.Solver || serL.Result.Metrics != parL.Result.Metrics)) {
-				t.Fatalf("UnderLatency diverged: serial (%v %s) parallel (%v %s)", sf, serL.Solver, pf, parL.Solver)
+			latBound := ref.Result.Metrics.Latency * 1.2
+			refL, rf, _ := referenceUnderLatency(ev, latBound, opts)
+			gotL, f, _ := UnderLatency(ctx, ev, latBound, opts)
+			if rf != f || (rf && (refL.Solver != gotL.Solver || refL.Result.Metrics != gotL.Result.Metrics)) {
+				t.Fatalf("UnderLatency diverged: reference (%v %s) race (%v %s)", rf, refL.Solver, f, gotL.Solver)
 			}
 		})
-	}
-}
-
-// TestParallelRaceNeverAllocatesMoreThanSerial is the regression the
-// BENCH_4 snapshot motivated: the parallel entry point on the flat
-// 140-cell instance used to cost 31 allocs against 20 serial. With the
-// fallback it takes the identical serial path, so its allocation count
-// can never exceed the serial one again.
-func TestParallelRaceNeverAllocatesMoreThanSerial(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race (sync.Pool drops entries)")
-	}
-	ev := workload.Generate(workload.Config{Family: workload.E2, Stages: 14, Processors: 10, Seed: 47}).Evaluator()
-	bound := lowerbound.Period(ev) * 1.5
-	ctx := context.Background()
-	measure := func(serial bool) float64 {
-		run := func() {
-			if _, found, _ := UnderPeriod(ctx, ev, bound, SolveOptions{Exact: true, Serial: serial}); !found {
-				t.Fatal("infeasible bound")
-			}
-		}
-		run() // warm the pools
-		return testing.AllocsPerRun(50, run)
-	}
-	ser, par := measure(true), measure(false)
-	if par > ser {
-		t.Errorf("parallel path allocates more than serial on a fallback-sized instance: %.1f vs %.1f", par, ser)
 	}
 }
 

@@ -48,10 +48,10 @@ func randFullHetEvaluator(r *rand.Rand, maxN, maxP int) *mapping.Evaluator {
 }
 
 // TestFullHetParallelMatchesSerial extends the portfolio determinism
-// property to the fully heterogeneous lane: the concurrent race over
-// F1 (period side) and F5/F6 (latency side) returns bit for bit what the
-// serial reference run returns, for a spread of bounds around each
-// instance's single-processor envelope.
+// property to the fully heterogeneous lane: the race over F1 (period
+// side) and F5/F6 (latency side) returns bit for bit what the reference
+// oracle returns, for a spread of bounds around each instance's
+// single-processor envelope.
 func TestFullHetParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(61))
@@ -62,25 +62,25 @@ func TestFullHetParallelMatchesSerial(t *testing.T) {
 		l0 := ev.Latency(single)
 		for _, factor := range []float64{0.3, 0.6, 1.0, 1.5} {
 			bound := p0 * factor
-			sOut, sFound, sErr := UnderPeriod(ctx, ev, bound, SolveOptions{Serial: true})
+			sOut, sFound, sErr := referenceUnderPeriod(ev, bound, SolveOptions{})
 			pOut, pFound, pErr := UnderPeriod(ctx, ev, bound, SolveOptions{})
 			if sFound != pFound || sOut.Solver != pOut.Solver || !sameResult(sOut.Result, pOut.Result) {
-				t.Fatalf("instance %d bound %g: serial (%v, %q, %+v) != parallel (%v, %q, %+v)",
+				t.Fatalf("instance %d bound %g: reference (%v, %q, %+v) != race (%v, %q, %+v)",
 					ii, bound, sFound, sOut.Solver, sOut.Result.Metrics, pFound, pOut.Solver, pOut.Result.Metrics)
 			}
 			if (sErr == nil) != (pErr == nil) || (sErr != nil && sErr.Error() != pErr.Error()) {
-				t.Fatalf("instance %d bound %g: serial err %v != parallel err %v", ii, bound, sErr, pErr)
+				t.Fatalf("instance %d bound %g: reference err %v != race err %v", ii, bound, sErr, pErr)
 			}
 		}
 		for _, factor := range []float64{0.9, 1.0, 1.4, 2.5} {
 			bound := l0 * factor
-			sOut, sFound, sErr := UnderLatency(ctx, ev, bound, SolveOptions{Serial: true})
+			sOut, sFound, sErr := referenceUnderLatency(ev, bound, SolveOptions{})
 			pOut, pFound, pErr := UnderLatency(ctx, ev, bound, SolveOptions{})
 			if sFound != pFound || sOut.Solver != pOut.Solver || !sameResult(sOut.Result, pOut.Result) {
-				t.Fatalf("instance %d latency bound %g: serial != parallel", ii, bound)
+				t.Fatalf("instance %d latency bound %g: reference != race", ii, bound)
 			}
 			if (sErr == nil) != (pErr == nil) || (sErr != nil && sErr.Error() != pErr.Error()) {
-				t.Fatalf("instance %d latency bound %g: serial err %v != parallel err %v", ii, bound, sErr, pErr)
+				t.Fatalf("instance %d latency bound %g: reference err %v != race err %v", ii, bound, sErr, pErr)
 			}
 		}
 	}

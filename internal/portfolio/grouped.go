@@ -9,38 +9,26 @@ import (
 	"pipesched/internal/workload"
 )
 
-// Grouped batch lane. Real batches are skewed: a sweep over one cluster
-// submits many pipelines against a handful of platforms, and the naive
-// lane rebuilds the platform-derived evaluator tables (reciprocal speed,
-// class and link matrices) once per instance. SolveBatchGrouped groups
-// the batch by platform identity first and constructs each group's
-// evaluators through mapping.NewEvaluators, which computes those tables
-// once per group and shares their backing arrays — structure-of-arrays
-// across the batch instead of per-instance copies. The solve schedule,
-// result order and every output bit are identical to SolveBatch; only
-// construction work is deduplicated. Tests pin the equivalence.
+// Batches are skewed: a sweep over one cluster submits many pipelines
+// against a handful of platforms. SolveBatch groups the batch by platform
+// identity and constructs each group's evaluators through
+// mapping.NewEvaluators, which computes the platform-derived tables
+// (reciprocal speed, class and link matrices) once per group and shares
+// their backing arrays. Grouping changes no output bit; tests pin it
+// against per-instance construction.
 
-// SolveBatchGrouped is SolveBatch with per-platform-group evaluator
-// construction. Instances sharing a *platform.Platform pointer form a
-// group; instances with equal-content but distinct platform objects fall
-// into singleton groups, which is always correct, merely unshared (the
-// service layer dedups platforms at decode time, so its batches arrive
-// pointer-shared).
+// SolveBatchGrouped is SolveBatch. It stays for the repository benchmark:
+// loopbench/trace.go times the batch lane under this name.
 func SolveBatchGrouped(ctx context.Context, instances []workload.Instance, opts BatchOptions) (BatchReport, error) {
-	evs := groupEvaluators(instances)
-	workers, seqRace := batchWorkers(opts)
-	rows, err := MapIndexed(ctx, workers, evs, func(ctx context.Context, i int, ev *mapping.Evaluator) *InstanceResult {
-		r := solveOne(ctx, ev, i, opts, seqRace)
-		return &r
-	})
-	return batchReport(ctx, rows, err)
+	return SolveBatch(ctx, instances, opts)
 }
 
 // groupEvaluators builds one evaluator per instance, sharing the
-// platform-derived tables within each pointer-identity group. Group
-// discovery preserves first-appearance order and the returned slice is
-// in input order, so downstream scheduling sees exactly what SolveBatch
-// would.
+// platform-derived tables within each pointer-identity group. Instances
+// with equal-content but distinct platform objects fall into singleton
+// groups, which is always correct, merely unshared (the service layer
+// dedups platforms at decode time, so its batches arrive pointer-shared).
+// The returned slice is in input order.
 func groupEvaluators(instances []workload.Instance) []*mapping.Evaluator {
 	evs := make([]*mapping.Evaluator, len(instances))
 	groups := make(map[*platform.Platform][]int, 4)

@@ -9,7 +9,7 @@ import (
 )
 
 // sharedPlatformBatch builds a skewed batch: many pipelines over a
-// handful of shared platform objects — the shape the grouped lane is for.
+// handful of shared platform objects — the shape grouping is for.
 func sharedPlatformBatch(n int) []workload.Instance {
 	instances := workload.GenerateSet(workload.E2, 10, 8, n, 515)
 	platforms := []int{0, 1, 2}
@@ -19,11 +19,22 @@ func sharedPlatformBatch(n int) []workload.Instance {
 	return instances
 }
 
-// TestSolveBatchGroupedBitIdentical pins the grouped lane to the naive
-// one: identical per-instance bounds, winners, metrics, errors and
-// frontier, for both objectives, with and without the exact DP, across
-// worker counts. Grouping may only deduplicate construction work, never
-// influence a single output bit.
+// solveBatchUngrouped is the reference SolveBatch is pinned against: the
+// same pool and races, with one evaluator built per instance instead of
+// per-platform shared tables.
+func solveBatchUngrouped(ctx context.Context, instances []workload.Instance, opts BatchOptions) (BatchReport, error) {
+	rows, err := MapIndexed(ctx, opts.Workers, instances, func(ctx context.Context, i int, in workload.Instance) *InstanceResult {
+		r := solveOne(ctx, in.Evaluator(), i, opts)
+		return &r
+	})
+	return batchReport(ctx, rows, err)
+}
+
+// TestSolveBatchGroupedBitIdentical pins SolveBatch's grouped evaluator
+// construction to the ungrouped reference: identical per-instance bounds,
+// winners, metrics, errors and frontier, for both objectives, with and
+// without the exact DP, across worker counts. Grouping may only
+// deduplicate construction work, never influence a single output bit.
 func TestSolveBatchGroupedBitIdentical(t *testing.T) {
 	instances := sharedPlatformBatch(48)
 	// A tail of singleton platforms exercises the ungrouped fallback in
@@ -39,16 +50,16 @@ func TestSolveBatchGroupedBitIdentical(t *testing.T) {
 					Exact:         exact,
 					Workers:       workers,
 				}
-				ref, err := SolveBatch(context.Background(), instances, opts)
+				ref, err := solveBatchUngrouped(context.Background(), instances, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := SolveBatchGrouped(context.Background(), instances, opts)
+				got, err := SolveBatch(context.Background(), instances, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got.Solved != ref.Solved || got.Failed != ref.Failed {
-					t.Fatalf("%v exact=%v w=%d: grouped solved/failed %d/%d, naive %d/%d",
+					t.Fatalf("%v exact=%v w=%d: grouped solved/failed %d/%d, ungrouped %d/%d",
 						objective, exact, workers, got.Solved, got.Failed, ref.Solved, ref.Failed)
 				}
 				for i := range ref.Results {

@@ -3,7 +3,6 @@ package portfolio
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 
 	"pipesched/internal/exact"
@@ -50,50 +49,6 @@ type SolveOptions struct {
 	// speeds races the DP, while 17 pairwise-distinct speeds do not. The
 	// DP dominates every heuristic when it applies, at exponential cost.
 	Exact bool
-	// Serial runs the portfolio members one after the other on the
-	// calling goroutine with mid-race cancellation disabled. This is the
-	// reference path: selection is shared and no member is ever
-	// abandoned, so it is the oracle the cancelling lanes are
-	// property-tested against — it exists for benchmarks and
-	// cross-checking tests.
-	Serial bool
-	// seqRace forces the sequential cancelling lane: members run one
-	// after the other, later ones polling the incumbent the earlier ones
-	// published. Batch workers set it — their pool already saturates the
-	// host, so fanning each portfolio out would oversubscribe, but the
-	// cancellation savings still apply.
-	seqRace bool
-}
-
-// raceMode is the execution schedule of one portfolio race.
-type raceMode int
-
-const (
-	// raceReference runs members sequentially without cancellation —
-	// the oracle.
-	raceReference raceMode = iota
-	// raceSequential runs members sequentially, strongest lanes first,
-	// with incumbent cancellation: later slow members abort once their
-	// bound proves they cannot be selected. This is the default on
-	// single-processor hosts and small instances, where fan-out buys
-	// nothing but cancellation still cuts real work.
-	raceSequential
-	// raceConcurrent fans members out across goroutines, all polling the
-	// shared incumbent.
-	raceConcurrent
-)
-
-// raceModeFor picks the schedule: the explicit reference path wins, then
-// the sequential fallbacks, then fan-out.
-func raceModeFor(ev *mapping.Evaluator, opts SolveOptions) raceMode {
-	switch {
-	case opts.Serial:
-		return raceReference
-	case opts.seqRace || serialFallback(ev):
-		return raceSequential
-	default:
-		return raceConcurrent
-	}
 }
 
 // Outcome is the winning entry of a portfolio race.
@@ -110,55 +65,33 @@ type attempt struct {
 }
 
 // solver is one portfolio member, closed over its instance and bound.
-// run with a nil incumbent is the reference run. Given the race
-// incumbent, a cancellation-aware member polls it and aborts with
-// heuristics.ErrRaceLost once its running bound proves defeat: H1–H6
-// and both exact DP members do. The fullhet lane ignores it, runs to
+// A cancellation-aware member polls the race incumbent and aborts with
+// heuristics.ErrRaceLost once its running bound proves defeat: H1–H6 and
+// both exact DP members do. The fullhet lane ignores it, runs to
 // completion and only feeds the incumbent.
 type solver struct {
 	id  string
 	run func(inc *heuristics.Incumbent) (heuristics.Result, error)
 }
 
-// incPool recycles race incumbents so the cancelling lanes stay
-// allocation-neutral against the reference path on pooled steady state.
+// incPool recycles race incumbents so a race allocates none on pooled
+// steady state.
 var incPool = sync.Pool{New: func() any { return heuristics.NewIncumbent() }}
 
-// race runs every solver and returns the attempts in solver order — each
-// attempt lands in its own slot, so the result is independent of
-// scheduling. The cancelling modes share an incumbent: every finished
-// member offers its selection metric, and raced members abort once they
-// provably cannot beat it. The sequential mode runs members in seqIndex
-// order (strong incumbents first); the reference mode runs them in slice
-// order with no incumbent, replaying the façade's historical sequence.
-func race(solvers []solver, mode raceMode, hasExact bool, metric func(mapping.Metrics) float64) []attempt {
+// race runs every solver on the calling goroutine, in seqIndex order,
+// against one incumbent: every finished member offers its selection
+// metric, and raced members abort once they provably cannot beat it. It
+// returns the attempts in solver order, so selection scans them in
+// portfolio order whatever order they ran in.
+func race(solvers []solver, hasExact bool, metric func(mapping.Metrics) float64) []attempt {
 	out := make([]attempt, len(solvers))
-	if mode == raceReference {
-		for i, s := range solvers {
-			res, err := s.run(nil)
-			out[i] = attempt{id: s.id, res: res, err: err}
-		}
-		return out
-	}
 	inc := incPool.Get().(*heuristics.Incumbent)
 	inc.Reset()
 	defer incPool.Put(inc)
-	if mode == raceSequential {
-		for k := range solvers {
-			i := seqIndex(k, len(solvers), hasExact)
-			out[i] = runRaced(&solvers[i], inc, metric)
-		}
-		return out
+	for k := range solvers {
+		i := seqIndex(k, len(solvers), hasExact)
+		out[i] = runRaced(&solvers[i], inc, metric)
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(solvers))
-	for i := range solvers {
-		go func(i int) {
-			defer wg.Done()
-			out[i] = runRaced(&solvers[i], inc, metric)
-		}(i)
-	}
-	wg.Wait()
 	return out
 }
 
@@ -172,13 +105,13 @@ func runRaced(s *solver, inc *heuristics.Incumbent, metric func(mapping.Metrics)
 	return attempt{id: s.id, res: res, err: err}
 }
 
-// seqIndex schedules the sequential cancelling lane: the first member
-// (the cheap splitter) seeds the incumbent, then the exact DP — when
-// present, always last in the solver slice — runs against that seed. It
-// publishes the optimal value when that value could still be selected
-// over the seed and abandons otherwise; either way every expensive
-// explorer that follows races against the best possible incumbent and
-// aborts at the first provably-losing split.
+// seqIndex schedules the race: the first member (the cheap splitter)
+// seeds the incumbent, then the exact DP — when present, always last in
+// the solver slice — runs against that seed. It publishes the optimal
+// value when that value could still be selected over the seed and
+// abandons otherwise; either way every expensive explorer that follows
+// races against the best possible incumbent and aborts at the first
+// provably-losing split.
 func seqIndex(k, n int, hasExact bool) int {
 	if !hasExact || n < 2 {
 		return k
@@ -197,23 +130,6 @@ func exactApplies(ev *mapping.Evaluator, opts SolveOptions) bool {
 	return opts.Exact && exact.Eligible(ev.Platform())
 }
 
-// serialFallbackCells is the instance size (stages × processors) at or
-// below which a concurrent race runs serially instead: the pooled
-// solvers finish such instances in tens of microseconds, so goroutine
-// fan-out and WaitGroup handoff cost as much as they save — the
-// BENCH_4 PortfolioRace rows (140 cells) showed the parallel lane flat
-// on time and heavier on allocations. Selection is shared between both
-// paths, so the fallback cannot change any result, only remove overhead.
-const serialFallbackCells = 256
-
-// serialFallback reports whether the concurrent path should degrade to
-// the serial one: small instances, or a single-processor host where
-// there is no parallelism to win and every spawned lane is pure loss.
-func serialFallback(ev *mapping.Evaluator) bool {
-	return runtime.GOMAXPROCS(0) == 1 ||
-		ev.Pipeline().Stages()*ev.Platform().Processors() <= serialFallbackCells
-}
-
 // UnderPeriod races the period-constrained solvers of the platform's
 // capability lane (H1–H4 on comm-homogeneous platforms, F1 on fully
 // heterogeneous ones, plus the exact DP when opts.Exact applies) and
@@ -222,11 +138,11 @@ func serialFallback(ev *mapping.Evaluator) bool {
 // found reports whether any member met the bound; when none did, closest is
 // the *heuristics.InfeasibleError whose achieved period came closest to the
 // bound (nil when no member produced one). closest is unspecified when
-// found: the cancelling lanes abandon provably-losing members before they
-// can report a near-miss, so only the found outcome is pinned across
-// schedules. An unmet bound disables cancellation entirely (aborts require
-// a feasible incumbent), so the infeasibility report is itself
-// schedule-independent.
+// found: the race abandons provably-losing members before they can report
+// a near-miss, so only the found outcome matches a run of every member to
+// completion. An unmet bound disables cancellation entirely (aborts
+// require a feasible incumbent), so the infeasibility report matches it
+// too.
 //
 // The selection replays the serial scan of the original façade loop member
 // by member, so the returned result is bit-identical to running the
@@ -236,7 +152,7 @@ func UnderPeriod(ctx context.Context, ev *mapping.Evaluator, maxPeriod float64, 
 		return Outcome{}, false, err
 	}
 	solvers, hasExact := periodMembers(ev, maxPeriod, opts)
-	return pickUnderPeriod(race(solvers, raceModeFor(ev, opts), hasExact, latencyMetric))
+	return pickUnderPeriod(race(solvers, hasExact, latencyMetric))
 }
 
 // latencyMetric is the incumbent metric of period-constrained races.
@@ -248,7 +164,7 @@ func periodMembers(ev *mapping.Evaluator, maxPeriod float64, opts SolveOptions) 
 	for _, h := range periodSolvers(ev.Platform()) {
 		h := h
 		solvers = append(solvers, solver{id: h.ID(), run: func(inc *heuristics.Incumbent) (heuristics.Result, error) {
-			if r, ok := h.(heuristics.PeriodRacer); ok && inc != nil {
+			if r, ok := h.(heuristics.PeriodRacer); ok {
 				return r.MinimizeLatencyRaced(ev, maxPeriod, inc)
 			}
 			return h.MinimizeLatency(ev, maxPeriod)
@@ -261,10 +177,6 @@ func periodMembers(ev *mapping.Evaluator, maxPeriod float64, opts SolveOptions) 
 		// selection anyway, so not finding one is a lost race; a tie is
 		// still returned, as it can win on its period.
 		solvers = append(solvers, solver{id: ExactID, run: func(inc *heuristics.Incumbent) (heuristics.Result, error) {
-			if inc == nil {
-				r, err := exact.MinLatencyUnderPeriod(ev, maxPeriod)
-				return heuristics.Result{Mapping: r.Mapping, Metrics: r.Metrics}, err
-			}
 			r, err := exact.MinLatencyUnderPeriodWithin(ev, maxPeriod, inc)
 			if errors.Is(err, exact.ErrNotBelow) {
 				err = heuristics.ErrRaceLost
@@ -314,7 +226,7 @@ func UnderLatency(ctx context.Context, ev *mapping.Evaluator, maxLatency float64
 		return Outcome{}, false, err
 	}
 	solvers, hasExact := latencyMembers(ev, maxLatency, opts)
-	return pickUnderLatency(race(solvers, raceModeFor(ev, opts), hasExact, periodMetric))
+	return pickUnderLatency(race(solvers, hasExact, periodMetric))
 }
 
 // periodMetric is the incumbent metric of latency-constrained races.
@@ -326,7 +238,7 @@ func latencyMembers(ev *mapping.Evaluator, maxLatency float64, opts SolveOptions
 	for _, h := range latencySolvers(ev.Platform()) {
 		h := h
 		solvers = append(solvers, solver{id: h.ID(), run: func(inc *heuristics.Incumbent) (heuristics.Result, error) {
-			if r, ok := h.(heuristics.LatencyRacer); ok && inc != nil {
+			if r, ok := h.(heuristics.LatencyRacer); ok {
 				return r.MinimizePeriodRaced(ev, maxLatency, inc)
 			}
 			return h.MinimizePeriod(ev, maxLatency)
@@ -339,10 +251,6 @@ func latencyMembers(ev *mapping.Evaluator, maxLatency float64, opts SolveOptions
 		// the selection anyway (strict improvement, DP scanned last), so
 		// not finding one is a lost race.
 		solvers = append(solvers, solver{id: ExactID, run: func(inc *heuristics.Incumbent) (heuristics.Result, error) {
-			if inc == nil {
-				r, err := exact.MinPeriodUnderLatency(ev, maxLatency)
-				return heuristics.Result{Mapping: r.Mapping, Metrics: r.Metrics}, err
-			}
 			r, err := exact.MinPeriodUnderLatencyBelow(ev, maxLatency, inc.Best)
 			if errors.Is(err, exact.ErrNotBelow) {
 				err = heuristics.ErrRaceLost

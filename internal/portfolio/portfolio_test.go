@@ -45,9 +45,9 @@ func sameResult(a, b heuristics.Result) bool {
 }
 
 // TestParallelMatchesSerial is the determinism property: for every small
-// instance and a spread of bounds, the concurrent portfolio race returns
-// exactly — bitwise — what the serial reference run returns: same winning
-// solver, same metrics, same mapping, same failure.
+// instance and a spread of bounds, the portfolio race returns exactly —
+// bitwise — what the reference oracle returns: same winning solver, same
+// metrics, same mapping, same failure.
 func TestParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	for _, withExact := range []bool{false, true} {
@@ -56,29 +56,29 @@ func TestParallelMatchesSerial(t *testing.T) {
 			lb := exactMinPeriod(t, ev)
 			for _, factor := range []float64{0.5, 1.0, 1.5, 3.0} {
 				bound := lb * factor
-				sOut, sFound, sErr := UnderPeriod(ctx, ev, bound, SolveOptions{Exact: withExact, Serial: true})
+				sOut, sFound, sErr := referenceUnderPeriod(ev, bound, SolveOptions{Exact: withExact})
 				pOut, pFound, pErr := UnderPeriod(ctx, ev, bound, SolveOptions{Exact: withExact})
 				if sFound != pFound || sOut.Solver != pOut.Solver || !sameResult(sOut.Result, pOut.Result) {
-					t.Fatalf("instance %d bound %g exact=%v: serial (%v, %q, %+v) != parallel (%v, %q, %+v)",
+					t.Fatalf("instance %d bound %g exact=%v: reference (%v, %q, %+v) != race (%v, %q, %+v)",
 						ii, bound, withExact, sFound, sOut.Solver, sOut.Result.Metrics, pFound, pOut.Solver, pOut.Result.Metrics)
 				}
 				// closest is only specified when no member met the bound
-				// (the cancelling lanes abandon losing members before they
-				// can report a near-miss).
+				// (the race abandons losing members before they can
+				// report a near-miss).
 				if !sFound && ((sErr == nil) != (pErr == nil) || (sErr != nil && sErr.Error() != pErr.Error())) {
-					t.Fatalf("instance %d bound %g: serial err %v != parallel err %v", ii, bound, sErr, pErr)
+					t.Fatalf("instance %d bound %g: reference err %v != race err %v", ii, bound, sErr, pErr)
 				}
 			}
 			_, optLat := ev.OptimalLatency()
 			for _, factor := range []float64{0.9, 1.0, 1.4, 2.5} {
 				bound := optLat * factor
-				sOut, sFound, sErr := UnderLatency(ctx, ev, bound, SolveOptions{Exact: withExact, Serial: true})
+				sOut, sFound, sErr := referenceUnderLatency(ev, bound, SolveOptions{Exact: withExact})
 				pOut, pFound, pErr := UnderLatency(ctx, ev, bound, SolveOptions{Exact: withExact})
 				if sFound != pFound || sOut.Solver != pOut.Solver || !sameResult(sOut.Result, pOut.Result) {
-					t.Fatalf("instance %d latency bound %g exact=%v: serial != parallel", ii, bound, withExact)
+					t.Fatalf("instance %d latency bound %g exact=%v: reference != race", ii, bound, withExact)
 				}
 				if !sFound && ((sErr == nil) != (pErr == nil) || (sErr != nil && sErr.Error() != pErr.Error())) {
-					t.Fatalf("instance %d latency bound %g: serial err %v != parallel err %v", ii, bound, sErr, pErr)
+					t.Fatalf("instance %d latency bound %g: reference err %v != race err %v", ii, bound, sErr, pErr)
 				}
 			}
 		}
@@ -388,8 +388,8 @@ func dupSpeedInstance(n, p, classes int, seed int64) workload.Instance {
 // TestRaisedExactGateKeepsDeterminism is the regression guard for the
 // class-keyed exact-eligibility rule: on platforms the old processor-count
 // gate rejected (p > 14, few classes), the DP now joins the race — and the
-// concurrent portfolio must still return bitwise what the serial reference
-// returns, with the DP's optimum winning whenever the bound admits it.
+// portfolio must still return bitwise what the reference oracle returns,
+// with the DP's optimum winning whenever the bound admits it.
 func TestRaisedExactGateKeepsDeterminism(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 6; seed++ {
@@ -401,14 +401,14 @@ func TestRaisedExactGateKeepsDeterminism(t *testing.T) {
 		opt := exactMinPeriod(t, ev)
 		for _, factor := range []float64{1.0, 1.3, 2.0} {
 			bound := opt * factor
-			sOut, sFound, sErr := UnderPeriod(ctx, ev, bound, SolveOptions{Exact: true, Serial: true})
+			sOut, sFound, sErr := referenceUnderPeriod(ev, bound, SolveOptions{Exact: true})
 			pOut, pFound, pErr := UnderPeriod(ctx, ev, bound, SolveOptions{Exact: true})
 			if sFound != pFound || sOut.Solver != pOut.Solver || !sameResult(sOut.Result, pOut.Result) {
-				t.Fatalf("seed %d bound %g: serial (%v, %q) != parallel (%v, %q)",
+				t.Fatalf("seed %d bound %g: reference (%v, %q) != race (%v, %q)",
 					seed, bound, sFound, sOut.Solver, pFound, pOut.Solver)
 			}
 			if (sErr == nil) != (pErr == nil) || (sErr != nil && sErr.Error() != pErr.Error()) {
-				t.Fatalf("seed %d bound %g: serial err %v != parallel err %v", seed, bound, sErr, pErr)
+				t.Fatalf("seed %d bound %g: reference err %v != race err %v", seed, bound, sErr, pErr)
 			}
 			if !sFound {
 				t.Fatalf("seed %d: bound %g ≥ the DP optimum must be feasible", seed, bound)
@@ -427,7 +427,7 @@ func TestRaisedExactGateKeepsDeterminism(t *testing.T) {
 		// At the exact optimum period the heuristics typically miss the
 		// bound; the race must then be won by the DP itself, proving it
 		// participates on these previously rejected platforms.
-		tight, found, _ := UnderPeriod(ctx, ev, opt, SolveOptions{Exact: true, Serial: true})
+		tight, found, _ := referenceUnderPeriod(ev, opt, SolveOptions{Exact: true})
 		if !found {
 			t.Fatalf("seed %d: DP-feasible bound reported infeasible", seed)
 		}
@@ -439,7 +439,7 @@ func TestRaisedExactGateKeepsDeterminism(t *testing.T) {
 
 // TestExactGateSitsOutIneligiblePlatforms pins the other side of the gate:
 // many distinct speeds keep the DP out of the race, and the portfolio
-// still behaves identically serial vs parallel.
+// still matches the reference oracle.
 func TestExactGateSitsOutIneligiblePlatforms(t *testing.T) {
 	speeds := make([]float64, 17)
 	for i := range speeds {
@@ -456,10 +456,10 @@ func TestExactGateSitsOutIneligiblePlatforms(t *testing.T) {
 	ctx := context.Background()
 	single := mapping.SingleProcessor(ev.Pipeline(), ev.Platform(), ev.Platform().Fastest())
 	bound := ev.Period(single)
-	sOut, sFound, _ := UnderPeriod(ctx, ev, bound, SolveOptions{Exact: true, Serial: true})
+	sOut, sFound, _ := referenceUnderPeriod(ev, bound, SolveOptions{Exact: true})
 	pOut, pFound, _ := UnderPeriod(ctx, ev, bound, SolveOptions{Exact: true})
 	if sFound != pFound || sOut.Solver != pOut.Solver || !sameResult(sOut.Result, pOut.Result) {
-		t.Fatal("serial != parallel on an ineligible platform")
+		t.Fatal("race != reference on an ineligible platform")
 	}
 	if sFound && sOut.Solver == ExactID {
 		t.Fatal("the DP must sit out races on ineligible platforms")

@@ -10,23 +10,20 @@ import (
 	"pipesched/internal/mapping"
 )
 
-// sweepSerialCells is the sweep lane's own serial-fallback size
-// (stages × processors). It sits well above the race fallback
-// (serialFallbackCells): a race fans out one goroutine per solver for
-// one bound, so fan-out pays for itself quickly, while a sweep spawns
-// one long-lived lane per heuristic that must amortise its goroutine,
-// channel handoff and per-lane sweeper allocation over the whole grid —
-// warm-started grid points are far cheaper than fresh solves, so the
-// break-even instance is much larger. BENCH_8 showed the parallel sweep
-// losing to serial on the 1200-cell bench instance (819µs vs 762µs);
-// under this threshold that instance takes the serial lane, and the
-// paper-scale 4000-cell sweep keeps its fan-out.
+// sweepSerialCells is the instance size (stages × processors) at or
+// below which a sweep runs its lanes on one goroutine. A sweep spawns one
+// long-lived lane per heuristic that must amortise its goroutine,
+// channel handoff and per-lane sweeper allocation over the whole grid,
+// and warm-started grid points are cheap, so the break-even instance is
+// large. BENCH_8 showed the parallel sweep losing to serial on the
+// 1200-cell bench instance (819µs vs 762µs); under this threshold that
+// instance takes the serial lane, and the paper-scale 4000-cell sweep
+// keeps its fan-out.
 const sweepSerialCells = 2048
 
 // sweepSerialFallback reports whether ParetoSweep should collapse to one
-// lane. Like serialFallback, it can only remove scheduling overhead:
-// candidates aggregate in grid order either way, so the frontier is
-// identical.
+// lane. It can only remove scheduling overhead: candidates aggregate in
+// grid order either way, so the frontier is identical.
 func sweepSerialFallback(ev *mapping.Evaluator) bool {
 	return runtime.GOMAXPROCS(0) == 1 ||
 		ev.Pipeline().Stages()*ev.Platform().Processors() <= sweepSerialCells

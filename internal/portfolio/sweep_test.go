@@ -176,18 +176,14 @@ func TestSweepersMatchFreshRuns(t *testing.T) {
 
 // TestSweepSerialFallbackThreshold is the BENCH_8 regression guard: the
 // 30×40 sweep bench instance (1200 cells) lost time when fanned out, so
-// the sweep lane carries its own serial-fallback threshold, well above
-// the race lane's. The bench shape must fall under it, the paper-scale
-// 40×100 sweep must not, and — threshold or no threshold — both modes
-// must return the identical frontier.
+// the sweep lane carries a serial-fallback threshold. The bench shape
+// must fall under it, the paper-scale 40×100 sweep must not, and —
+// threshold or no threshold — both modes must return the identical
+// frontier.
 func TestSweepSerialFallbackThreshold(t *testing.T) {
 	bench := workload.Generate(workload.Config{Family: workload.E2, Stages: 30, Processors: 40, Seed: 53})
 	if !sweepSerialFallback(bench.Evaluator()) {
 		t.Errorf("30×40 bench instance (%d cells) must take the serial sweep lane", 30*40)
-	}
-	if sweepSerialCells <= serialFallbackCells {
-		t.Errorf("sweep threshold %d must exceed the race threshold %d to be load-bearing",
-			sweepSerialCells, serialFallbackCells)
 	}
 	if runtime.GOMAXPROCS(0) > 1 {
 		paper := workload.Generate(workload.Config{Family: workload.E2, Stages: 40, Processors: 100, Seed: 53})

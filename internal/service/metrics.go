@@ -236,14 +236,12 @@ type CacheSnapshot struct {
 	HitRate   float64 `json:"hit_rate"`
 }
 
-// SolverSnapshot is the JSON form of the solver-side counters: how often
-// the exact DP ran serial, engaged the wave-parallel runner or answered
-// from the saturated-bound memo (process-wide, since the DP's scheduler
-// is package state), and how the evaluator intern table is doing. A
-// production scrape showing parallel_runs stuck at zero on a large-state
-// workload is the cue to lower exact.ParallelStateThreshold; intern
-// misses dominating hits means the platform working set exceeds the
-// intern capacity.
+// SolverSnapshot is the JSON form of the solver-side counters: how many
+// exact DP table fills ran, feasibility probes included (process-wide,
+// since the counter is package state; parallel_runs and memo_hits always
+// read 0), and how the evaluator intern table is doing. Intern misses
+// dominating hits means the platform working set exceeds the intern
+// capacity.
 type SolverSnapshot struct {
 	DP           exact.Stats `json:"dp"`
 	InternHits   uint64      `json:"intern_hits"`

@@ -850,8 +850,8 @@ func (s *Server) handleBatch(sc *scratch, w http.ResponseWriter, r *http.Request
 	}
 	// Miss: construct the domain objects, deduplicating platforms by
 	// content so instances naming the same platform share one object —
-	// the pointer identity the grouped batch lane groups its
-	// evaluator-table construction by.
+	// the pointer identity SolveBatch groups its evaluator-table
+	// construction by.
 	instances, err := buildBatchInstances(req.Instances)
 	if err != nil {
 		s.writeError(w, r, err)
@@ -865,7 +865,7 @@ func (s *Server) handleBatch(sc *scratch, w http.ResponseWriter, r *http.Request
 		if s.solveHook != nil {
 			s.solveHook()
 		}
-		report, err := portfolio.SolveBatchGrouped(solveCtx, instances, opts)
+		report, err := portfolio.SolveBatch(solveCtx, instances, opts)
 		if err != nil {
 			// Cancelled mid-batch: the report is partial, never cache it.
 			return nil, err

@@ -285,9 +285,9 @@ func TestFullyHeterogeneousLatencySideServed(t *testing.T) {
 	single := mapping.SingleProcessor(app, plat, plat.Fastest())
 	latBound := ev.Latency(single) * 2
 
-	out, found, _ := portfolio.UnderLatency(context.Background(), ev, latBound, portfolio.SolveOptions{Exact: true, Serial: true})
+	out, found, _ := portfolio.UnderLatency(context.Background(), ev, latBound, portfolio.SolveOptions{Exact: true})
 	if !found {
-		t.Fatal("serial fullhet portfolio found no solution under a loose latency bound")
+		t.Fatal("fullhet portfolio found no solution under a loose latency bound")
 	}
 	resp, data := post(t, ts, "/v1/solve", fullHetBody(t, app, plat,
 		map[string]any{"bound": latBound, "objective": "min-period"}))
@@ -757,5 +757,66 @@ func TestMetricsEndpointShape(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "hit_rate") {
 		t.Fatalf("no hit_rate in %s", body)
+	}
+}
+
+// TestMetricsDPCounters pins the solver.dp counters /metrics exports: a
+// "portfolio" solve on a DP-eligible p=10 instance advances serial_runs
+// by every table fill it runs, feasibility probes included, while
+// parallel_runs and memo_hits are present and read 0.
+func TestMetricsDPCounters(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	in := workload.Generate(workload.Config{Family: workload.E3, Stages: 20, Processors: 10, Seed: 1})
+	if !exact.Eligible(in.Plat) {
+		t.Fatal("the instance must be DP-eligible")
+	}
+	ev := in.Evaluator()
+	dp := func() map[string]float64 {
+		_, body := get(t, ts, "/metrics")
+		var snap struct {
+			Solver struct {
+				DP map[string]float64 `json:"dp"`
+			} `json:"solver"`
+		}
+		if err := json.Unmarshal(body, &snap); err != nil {
+			t.Fatalf("bad metrics body: %v\n%s", err, body)
+		}
+		for _, k := range []string{"serial_runs", "parallel_runs", "memo_hits"} {
+			if _, ok := snap.Solver.DP[k]; !ok {
+				t.Fatalf("solver.dp has no %s: %s", k, body)
+			}
+		}
+		if snap.Solver.DP["parallel_runs"] != 0 || snap.Solver.DP["memo_hits"] != 0 {
+			t.Fatalf("parallel_runs and memo_hits must read 0: %s", body)
+		}
+		return snap.Solver.DP
+	}
+	single, _ := ev.OptimalLatency()
+	for _, tc := range []struct {
+		name    string
+		extra   map[string]any
+		minRuns float64
+	}{
+		// The raced min-latency DP member is one cut fill.
+		{"min-latency", map[string]any{"bound": ev.Period(single) / 2, "mode": "portfolio"}, 1},
+		// A min-period win by the DP takes at least one bisection probe
+		// and the chosen candidate's fill.
+		{"min-period", map[string]any{"bound": ev.OptimalLatencyValue() * 1.5, "objective": "min-period", "mode": "portfolio"}, 2},
+	} {
+		before := dp()["serial_runs"]
+		resp, body := post(t, ts, "/v1/solve", solveBody(t, in, tc.extra))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, resp.StatusCode, body)
+		}
+		var sr SolveResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.Solver != portfolio.ExactID {
+			t.Fatalf("%s: solver %q, want the DP to win", tc.name, sr.Solver)
+		}
+		if runs := dp()["serial_runs"] - before; runs < tc.minRuns {
+			t.Fatalf("%s: serial_runs advanced by %g, want at least %g", tc.name, runs, tc.minRuns)
+		}
 	}
 }

@@ -113,9 +113,9 @@ func PeriodHeuristics() []PeriodConstrained { return heuristics.PeriodHeuristics
 // heuristics: H5 "Sp mono, L fix" and H6 "Sp bi, L fix".
 func LatencyHeuristics() []LatencyConstrained { return heuristics.LatencyHeuristics() }
 
-// BestUnderPeriod runs all four period-constrained heuristics — racing
-// them on separate goroutines — and returns the feasible result with the
-// smallest latency (ties: smallest period). The selection is deterministic
+// BestUnderPeriod races all four period-constrained heuristics and
+// returns the feasible result with the smallest latency (ties: smallest
+// period). The selection is deterministic
 // and identical to running the heuristics sequentially. It returns an
 // error only when every heuristic fails, wrapping the failure that came
 // closest to the bound.
@@ -127,9 +127,8 @@ func BestUnderPeriod(ev *Evaluator, maxPeriod float64) (Result, error) {
 	return out.Result, nil
 }
 
-// BestUnderLatency runs both latency-constrained heuristics — racing them
-// on separate goroutines — and returns the feasible result with the
-// smallest period. The selection is deterministic and identical to running
+// BestUnderLatency races both latency-constrained heuristics and returns
+// the feasible result with the smallest period. The selection is deterministic and identical to running
 // the heuristics sequentially.
 func BestUnderLatency(ev *Evaluator, maxLatency float64) (Result, error) {
 	out, found, closest := portfolio.UnderLatency(context.Background(), ev, maxLatency, portfolio.SolveOptions{})

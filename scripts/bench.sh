@@ -39,7 +39,7 @@ BENCH_DEFAULT="BENCH_$((${latest:-0} + 1)).json"
 # A directory argument gets the derived name inside it.
 [ -d "$OUT" ] && OUT="$OUT/$BENCH_DEFAULT"
 BENCHTIME="${BENCHTIME:-1s}"
-PATTERN="${BENCH_PATTERN:-^(BenchmarkExactMinPeriod|BenchmarkExactMinPeriodParallel|BenchmarkExactParetoFront|BenchmarkExactLargeFewClass|BenchmarkBatchGrouped|BenchmarkPortfolioRace|BenchmarkFullHetPortfolioRace|BenchmarkSplitFullyHet|BenchmarkHeuristicSolve|BenchmarkParetoSweep|BenchmarkServeSolve|BenchmarkServeBatch|BenchmarkServeSweep|BenchmarkCacheGetHitParallel|BenchmarkCacheDoHitParallel|BenchmarkCacheChurnParallel|BenchmarkFleetServe|BenchmarkFleetForward|BenchmarkFleetHedgedForward|BenchmarkFleetReplicatedMiss|BenchmarkFleetAntiEntropy|BenchmarkFleetJoinWarmup)$}"
+PATTERN="${BENCH_PATTERN:-^(BenchmarkExactMinPeriod|BenchmarkExactParetoFront|BenchmarkExactLargeFewClass|BenchmarkBatchGrouped|BenchmarkPortfolioRace|BenchmarkFullHetPortfolioRace|BenchmarkSplitFullyHet|BenchmarkHeuristicSolve|BenchmarkParetoSweep|BenchmarkServeSolve|BenchmarkServeBatch|BenchmarkServeSweep|BenchmarkCacheGetHitParallel|BenchmarkCacheDoHitParallel|BenchmarkCacheChurnParallel|BenchmarkFleetServe|BenchmarkFleetForward|BenchmarkFleetHedgedForward|BenchmarkFleetReplicatedMiss|BenchmarkFleetAntiEntropy|BenchmarkFleetJoinWarmup)$}"
 PACKAGES="${BENCH_PACKAGES:-. ./internal/service ./internal/service/cache ./internal/cluster}"
 
 raw="$(mktemp)"

@@ -30,8 +30,27 @@ SEED="${SEED:-7}"
 workdir="$(mktemp -d)"
 pids=()
 cleanup() {
+    local pid alive
+    # Phase 5b stops node 4; a stopped pipeschedd leaves SIGTERM pending
+    # until it is continued, and the wait below would block forever.
     for pid in "${pids[@]:-}"; do
+        kill -CONT "$pid" 2>/dev/null || true
         kill "$pid" 2>/dev/null || true
+    done
+    # Daemons drain for up to their 15 s -drain-timeout; anything still
+    # alive after 20 s is killed.
+    for _ in $(seq 1 200); do
+        alive=0
+        for pid in "${pids[@]:-}"; do
+            if [ -n "$pid" ] && kill -0 "$pid" 2>/dev/null; then
+                alive=1
+            fi
+        done
+        [ "$alive" -eq 1 ] || break
+        sleep 0.1
+    done
+    for pid in "${pids[@]:-}"; do
+        kill -KILL "$pid" 2>/dev/null || true
     done
     wait 2>/dev/null || true
     rm -rf "$workdir"
