@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -234,6 +235,41 @@ func BenchmarkExactMinPeriodUnderLatencyFewClass(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkExactMinPeriodUnderLatencyPaper times the min-period
+// bisection as the portfolio race runs it on p=10 paper instances (E1–E4,
+// one each): at a latency bound of 1.5× the Lemma-1 latency, capped below
+// H5's period there. Every iteration solves the four instances in turn,
+// so the pooled arena rebinds between solves as it does in the daemon.
+func BenchmarkExactMinPeriodUnderLatencyPaper(b *testing.B) {
+	type instance struct {
+		ev      *mapping.Evaluator
+		lat     float64
+		ceiling func() float64
+	}
+	for _, n := range []int{20, 40} {
+		var insts []instance
+		for fi, fam := range workload.Families() {
+			ev := workload.Generate(workload.Config{Family: fam, Stages: n, Processors: 10, Seed: int64(300 + fi)}).Evaluator()
+			lat := ev.OptimalLatencyValue() * 1.5
+			ceil := math.Inf(1)
+			if res, err := (heuristics.SpMonoL{}).MinimizePeriod(ev, lat); err == nil {
+				ceil = res.Metrics.Period
+			}
+			insts = append(insts, instance{ev, lat, func() float64 { return ceil }})
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, x := range insts {
+					if _, err := exact.MinPeriodUnderLatencyBelow(x.ev, x.lat, x.ceiling); err != nil && !errors.Is(err, exact.ErrNotBelow) {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -90,17 +90,24 @@ type arena struct {
 	f    []float64 // DP values, states×(n+1) state-major: f[S*(n+1)+i]
 	back []int32   // packed backpointers, same shape
 
-	// Bound tables of the pruned latency kernel (cutRow), set at bind.
-	// spare[S] is the total speed of the processors S leaves unused and
-	// fastInv[S] the reciprocal speed of the fastest of them (0 when S
-	// uses every processor). rem[i] is the work of stages i+1..n and
-	// nextIn[i] the input term δ_i/b of an interval starting at stage
-	// i+1; both are 0 at i = n.
-	spare, fastInv []float64
-	rem, nextIn    []float64
-	// first[S] and last[S] delimit the finite cells of row S after a
-	// pruned fill (first > last when the row has none).
-	first, last []int32
+	// Bound tables of the latency kernel (cutRow), set at bind. spare[S]
+	// is the total speed of the processors S leaves unused, fastClass[S]
+	// the fastest class among them (classes when S uses every
+	// processor), and rem[i] the work of stages i+1..n (0 at i = n).
+	spare     []float64
+	fastClass []int8
+	rem       []float64
+	// togo (classes+1 rows of n+1, row-major) is the completion bound of
+	// a latency run: togo[k][i] is the least latency of stages i+1..n
+	// split into intervals whose cycle on class k meets the run's period
+	// bound, given unlimited class-k processors; +Inf when no split fits.
+	// Rows 0..classes-1 are built per run, once its cutoff is finite
+	// (togoBuilt); row classes, for states with no spare processor, is
+	// set at bind: 0 at i = n, +Inf below.
+	togo      []float64
+	togoBuilt bool
+	// spans[S] delimits the finite cells of row S after a latency fill.
+	spans []span
 
 	cands  []float64          // sorted unique candidate cycle-times (lazy)
 	ivbuf  []mapping.Interval // reconstruction scratch
@@ -114,9 +121,17 @@ type arena struct {
 	// run's period bound: because interval work shrinks as the start
 	// advances, infeasible starts cluster at the front, and the DP's
 	// inner loops skip straight past them. nil disables the prune.
+	// reach (per class k, predecessor cell kk, armed with feasStart) is
+	// the last interval end whose feasStart is at most kk: no cell past
+	// it can close an interval from a predecessor whose last finite cell
+	// is kk, or -1 when none can.
 	maxCycle  float64
 	feasStart []int32
+	reach     []int32
 }
+
+// span delimits the finite cells of one row: first > last when it has none.
+type span struct{ first, last int32 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
@@ -184,14 +199,18 @@ func (a *arena) bind(ev *mapping.Evaluator) {
 	}
 
 	a.rem = resize(a.rem, n+1)
-	a.nextIn = resize(a.nextIn, n+1)
-	a.rem[n], a.nextIn[n] = 0, 0
+	a.rem[n] = 0
 	for i := 0; i < n; i++ {
 		// The same prefix difference the cost tables use, so the bound
 		// and the work of any completion share their rounding.
 		a.rem[i] = ev.Pipeline().IntervalWork(i+1, n)
-		a.nextIn[i], _, _ = ev.ClassCycleParts(i+1, i+1, 0)
 	}
+	a.togo = resize(a.togo, (a.classes+1)*(n+1))
+	noSpare := a.togo[a.classes*(n+1):]
+	for i := range noSpare {
+		noSpare[i] = math.Inf(1)
+	}
+	noSpare[n] = 0
 
 	a.transOff = resize(a.transOff, states+1)
 	a.transClass = a.transClass[:0]
@@ -199,10 +218,10 @@ func (a *arena) bind(ev *mapping.Evaluator) {
 	a.usage = resize(a.usage, states)
 	a.usage[0] = 0
 	a.spare = resize(a.spare, states)
-	a.fastInv = resize(a.fastInv, states)
+	a.fastClass = resize(a.fastClass, states)
 	for S := 0; S < states; S++ {
 		a.transOff[S] = int32(len(a.transClass))
-		spare, fastInv := 0.0, 0.0
+		spare, fast := 0.0, a.classes
 		for k := 0; k < a.classes; k++ {
 			used := (S / a.radix[k]) % (a.csize[k] + 1)
 			if used > 0 {
@@ -210,14 +229,11 @@ func (a *arena) bind(ev *mapping.Evaluator) {
 				a.transPrev = append(a.transPrev, int32(S-a.radix[k]))
 			}
 			if free := a.csize[k] - used; free > 0 {
-				speed := plat.ClassSpeed(k)
-				spare += float64(free) * speed
-				if fastInv == 0 { // classes are numbered fastest-first
-					fastInv = 1 / speed
-				}
+				spare += float64(free) * plat.ClassSpeed(k)
+				fast = min(fast, k) // classes are numbered fastest-first
 			}
 		}
-		a.spare[S], a.fastInv[S] = spare, fastInv
+		a.spare[S], a.fastClass[S] = spare, int8(fast)
 		if S > 0 {
 			// Every transition consumes one processor: derive the usage
 			// count from any predecessor (the last recorded one).
@@ -228,8 +244,7 @@ func (a *arena) bind(ev *mapping.Evaluator) {
 
 	a.f = resize(a.f, (n+1)*states)
 	a.back = resize(a.back, (n+1)*states)
-	a.first = resize(a.first, states)
-	a.last = resize(a.last, states)
+	a.spans = resize(a.spans, states)
 	a.cursor = resize(a.cursor, a.classes)
 	a.cands = a.cands[:0]
 	a.boundTo = ev
@@ -291,38 +306,65 @@ func ReadStats() Stats {
 // the caller). ok is false when no complete assignment is feasible, and
 // with cut set also when the optimum misses the cut.
 //
-// The recurrence itself lives in computeRow (cutRow for a latency run
-// with a cut). States are visited in ascending id order: every
-// predecessor S-radix[k] is smaller than S, so its row is complete when
-// read. With a cut whose exit is armed, the fill returns at the first
-// final cell that meets the cut; only when no cell does it reach the
-// merge.
+// The recurrence itself lives in computeRow for the period and in cutRow
+// for the latency; a latency run without a cut runs cutRow under a +Inf
+// cutoff. States are visited in ascending id order: every predecessor
+// S-radix[k] is smaller than S, so its row is complete when read. With a
+// cut whose exit is armed, the fill returns at the first final cell that
+// meets the cut; otherwise it fills every row and returns the winner,
+// lowering the cut to each better final it finds on the way.
 func (a *arena) run(obj objective, periodBound float64, cut *latencyCut) (best float64, bestState int, ok bool) {
 	dpRuns.Add(1)
-	a.prepareFeasStart(obj, periodBound)
 	n, states := a.n, a.states
 	f := a.f
 	f[0] = 0 // f[S=0][i=0]; the rest of row 0 is unreachable
 	for i := 1; i <= n; i++ {
 		f[i] = inf
 	}
-	if cut == nil {
+	if obj == objMinPeriod {
 		for S := 1; S < states; S++ {
-			a.computeRow(obj, periodBound, S)
+			a.computeRow(S)
 		}
-		return a.merge(nil)
+		return a.merge()
 	}
-	a.first[0], a.last[0] = 0, 0
+	if cut == nil {
+		cut = &latencyCut{bound: math.Inf(1)}
+	}
+	a.prepareFeasStart(periodBound)
+	a.togoBuilt = false
+	a.spans[0] = span{0, 0}
+	// Row 0 holds one cell, (0, 0), under the bound every cell meets:
+	// S = 0 spares class 0, the fastest. When that cell is pruned, so is
+	// every other, and the run has no answer.
+	if lim := cut.bound * (1 + cutMargin); lim < math.Inf(1) {
+		a.buildTogo(periodBound, lim)
+		if a.togo[0]+cut.tail > lim {
+			return inf, 0, false
+		}
+	}
+	// The winning final state, tracked as the rows complete: ascending
+	// state order with strict improvement, as merge scans.
+	best = inf
 	for S := 1; S < states; S++ {
 		cut.poll()
 		a.cutRow(periodBound, cut.bound*(1+cutMargin), cut.tail, S)
-		if cut.exit {
-			if v := f[S*(n+1)+n]; v < inf && v+cut.tail <= cut.bound {
-				return v, S, true
-			}
+		if int(a.spans[S].last) < n {
+			continue // f[S][n] is unreachable, and may be stale
+		}
+		v := f[S*(n+1)+n]
+		if cut.exit && v+cut.tail <= cut.bound {
+			return v, S, true
+		}
+		if v < best {
+			best, bestState = v, S
+			// Only a later state of strictly smaller value can still
+			// win, so the winner so far caps the cut for the rows left.
+			cut.bound = min(cut.bound, v+cut.tail)
 		}
 	}
-	return a.merge(cut)
+	// A winner that misses the cut is no answer: its cells may have been
+	// pruned.
+	return best, bestState, best < inf && best+cut.tail <= cut.bound
 }
 
 // prepareFeasStart arms (or disarms) the feasibility-prefix prune for
@@ -334,32 +376,74 @@ func (a *arena) run(obj objective, periodBound float64, cut *latencyCut) (best f
 // every state's inner loop then begins there instead of re-rejecting the
 // same prefix — the skipped candidates are exactly those the unpruned
 // scan discards, so values, backpointers and tie-breaking are untouched.
-// Bounds that cannot prune (period runs, or a bound at or above every
-// cycle entry) disable the prune outright so the common loose-bound
+// The same scan builds reach, a prefix max over feasStart, which bounds
+// the cells each transition visits. A bound that cannot prune (at or
+// above every cycle entry) disables both outright so the loose-bound
 // solve pays a single comparison. Disarming truncates rather than nils
 // the slice: probing runs alternate armed and disarmed bounds, and the
 // backing array must survive the disarmed runs for the armed ones to
 // stay allocation-free.
-func (a *arena) prepareFeasStart(obj objective, periodBound float64) {
-	if obj != objMinLatency || periodBound >= a.maxCycle {
+func (a *arena) prepareFeasStart(periodBound float64) {
+	if periodBound >= a.maxCycle {
 		a.feasStart = a.feasStart[:0]
 		return
 	}
 	n, nn := a.n, a.n*a.n
 	a.feasStart = resize(a.feasStart, a.classes*n)
+	a.reach = resize(a.reach, a.classes*(n+1))
 	for k := 0; k < a.classes; k++ {
+		reach := a.reach[k*(n+1) : (k+1)*(n+1)]
+		for kk := range reach {
+			reach[kk] = -1
+		}
 		for i := 1; i <= n; i++ {
 			base := k*nn + (i-1)*n
 			fs := i // empty admissible window unless a start qualifies
 			for kk := 0; kk < i; kk++ {
 				if a.cycle[base+kk] <= periodBound {
 					fs = kk
+					reach[kk] = int32(i) // ends ascend: the last write is the max
 					break
 				}
 			}
 			a.feasStart[k*n+i-1] = int32(fs)
 		}
+		for kk := 1; kk <= n; kk++ {
+			reach[kk] = max(reach[kk], reach[kk-1])
+		}
 	}
+}
+
+// buildTogo fills togo's class rows for one latency run, backwards from
+// the last stage: togo[k][i] is the least lat[k][i+1..e] + togo[k][e]
+// over the ends e whose interval's cycle meets periodBound. lat only
+// grows with the end, so the scan stops once lat alone reaches the best
+// found (nothing later improves it) or exceeds lim. The second stop
+// leaves an entry above its true value only when that value exceeds
+// lim, and every cell reading such an entry is pruned either way: the
+// kernel's decisions are those of the exact table, under lim and any
+// smaller cutoff the run polls later.
+func (a *arena) buildTogo(periodBound, lim float64) {
+	n, nn := a.n, a.n*a.n
+	for k := 0; k < a.classes; k++ {
+		togo := a.togo[k*(n+1) : (k+1)*(n+1)]
+		togo[n] = 0
+		for i := n - 1; i >= 0; i-- {
+			best := math.Inf(1)
+			// [i+1..e] on class k is at k*nn + (e-1)*n + i.
+			for e, idx := i+1, k*nn+i*n+i; e <= n; e, idx = e+1, idx+n {
+				l := a.lat[idx]
+				if l >= best || l > lim {
+					break
+				}
+				if a.cycle[idx] <= periodBound {
+					best = min(best, l+togo[e])
+				}
+			}
+			togo[i] = best
+		}
+	}
+	a.togoBuilt = true
 }
 
 // cutMargin is the relative margin of cutRow's bounds: a cell is pruned
@@ -376,7 +460,8 @@ type latencyCut struct {
 	tail  float64 // the trailing δ_n/b term (latencyTail)
 	bound float64 // the final-latency cutoff, non-strict
 	// inc, when non-nil, is polled before every row; bound keeps the
-	// smallest value seen.
+	// smallest value seen, and a fill without exit also lowers it to the
+	// latency of each better final cell it finds.
 	inc Incumbent
 	// exit stops the fill at the first final cell within bound (a
 	// feasibility probe), leaving the later rows stale.
@@ -395,7 +480,7 @@ func (c *latencyCut) poll() {
 // mapping whose cycle-times all stay within periodBound have latency
 // (tail included) within latBound? It is a cut fill with the exit armed.
 // Float addition is monotone, so some final cell passes exactly when the
-// merged optimum of a full fill would. Speed classes are numbered
+// winner of a full fill would. Speed classes are numbered
 // fastest-first, so the states that hold a feasible mapping's fast
 // processors are among the first rows filled.
 func (a *arena) probe(periodBound, tail, latBound float64) bool {
@@ -403,11 +488,10 @@ func (a *arena) probe(periodBound, tail, latBound float64) bool {
 	return ok
 }
 
-// merge scans the complete table for the winning final state. The scan
-// runs in ascending state order with strict improvement, so ties resolve
-// to the smallest state id. A winner that misses the cut is no answer:
-// its cells may have been pruned.
-func (a *arena) merge(cut *latencyCut) (best float64, bestState int, ok bool) {
+// merge scans a complete period table for the winning final state. The
+// scan runs in ascending state order with strict improvement, so ties
+// resolve to the smallest state id.
+func (a *arena) merge() (best float64, bestState int, ok bool) {
 	n := a.n
 	best = inf
 	for S := 1; S < a.states; S++ {
@@ -415,13 +499,14 @@ func (a *arena) merge(cut *latencyCut) (best float64, bestState int, ok bool) {
 			best, bestState = v, S
 		}
 	}
-	return best, bestState, best < inf && (cut == nil || best+cut.tail <= cut.bound)
+	return best, bestState, best < inf
 }
 
-// computeRow fills every cell of state S's row — values and backpointers —
-// reading only predecessor rows (usage level one below S's).
+// computeRow fills every cell of state S's row of the period recurrence —
+// values and backpointers — reading only predecessor rows (usage level one
+// below S's).
 //
-// f[S][i] is the best value over all assignments of stages 1..i to
+// f[S][i] is the least period over all assignments of stages 1..i to
 // intervals consuming exactly the class-usage vector S; the recurrence
 // closes the last interval [kk+1..i] on one processor of any class with a
 // spare member. Both f and the cost tables are laid out so the inner loop
@@ -430,7 +515,7 @@ func (a *arena) merge(cut *latencyCut) (best float64, bestState int, ok bool) {
 // the solve. Candidate enumeration order per cell (transition, then
 // start) is unchanged from the row-major formulation, so ties break
 // identically and results stay bit-identical.
-func (a *arena) computeRow(obj objective, periodBound float64, S int) {
+func (a *arena) computeRow(S int) {
 	n, nn := a.n, a.n*a.n
 	f, back := a.f, a.back
 	rowS := S * (n + 1)
@@ -459,50 +544,22 @@ func (a *arena) computeRow(obj objective, periodBound float64, S int) {
 			prevRow := int(a.transPrev[t]) * (n + 1)
 			base := k*nn + (i-1)*n // cycle[k][kk+1..i] is at base + kk
 			lo := cS - 1
-			if obj == objMinPeriod {
-				// Sliced windows over the candidate range let the
-				// compiler drop the per-element bounds checks of the
-				// three parallel tables — on portfolio-sized instances
-				// this loop is the whole solve.
-				fprev := f[prevRow+lo : prevRow+i]
-				cyc := a.cycle[base+lo : base+i]
-				for j, fv := range fprev {
-					if fv == inf {
-						continue
-					}
-					cand := fv
-					if cy := cyc[j]; cy > cand {
-						cand = cy
-					}
-					if cand < bestV {
-						bestV = cand
-						bestB = int32(lo+j)<<classShift | int32(k)
-					}
+			// Sliced windows over the candidate range let the compiler
+			// drop the per-element bounds checks of the parallel tables —
+			// on portfolio-sized instances this loop is the whole solve.
+			fprev := f[prevRow+lo : prevRow+i]
+			cyc := a.cycle[base+lo : base+i]
+			for j, fv := range fprev {
+				if fv == inf {
+					continue
 				}
-			} else {
-				if len(a.feasStart) > 0 {
-					// Skip the scanned-infeasible prefix: every entry
-					// before feasStart was rejected against this run's
-					// period bound by prepareFeasStart, exactly as the
-					// in-loop check below would reject it.
-					if fs := int(a.feasStart[k*n+i-1]); fs > lo {
-						lo = fs
-					}
+				cand := fv
+				if cy := cyc[j]; cy > cand {
+					cand = cy
 				}
-				fprev := f[prevRow+lo : prevRow+i]
-				cyc := a.cycle[base+lo : base+i]
-				lats := a.lat[base+lo : base+i]
-				for j, fv := range fprev {
-					if fv == inf {
-						continue
-					}
-					if cyc[j] > periodBound {
-						continue
-					}
-					if cand := fv + lats[j]; cand < bestV {
-						bestV = cand
-						bestB = int32(lo+j)<<classShift | int32(k)
-					}
+				if cand < bestV {
+					bestV = cand
+					bestB = int32(lo+j)<<classShift | int32(k)
 				}
 			}
 		}
@@ -513,90 +570,134 @@ func (a *arena) computeRow(obj objective, periodBound float64, S int) {
 	}
 }
 
-// cutRow is computeRow's latency recurrence under a cut: it leaves cell
-// (S, i) unreachable when no completion of it can meet both bounds.
+// cutRow fills state S's row of the latency recurrence: f[S][i] is the
+// least latency (tail excluded) of stages 1..i in intervals consuming
+// exactly S, every cycle-time within periodBound. It leaves cell (S, i)
+// unreachable when no completion of it can meet both bounds.
 //
 //   - Capacity: every remaining interval's work is at most periodBound ×
 //     its processor's speed, so the remaining work rem[i] cannot exceed
 //     periodBound × the spare speed of S.
-//   - Latency: the next interval pays δ_i/b, and the remaining work runs
-//     no faster than on the fastest spare class, so the final latency is
-//     at least f + nextIn[i] + rem[i]×fastInv[S] + tail; it must not
-//     exceed lim, the latency cutoff with cutMargin applied.
+//   - Latency: moving each remaining interval onto the fastest spare
+//     class lowers both its cycle and its latency term, so the final
+//     latency is at least f + togo[fastClass[S]][i] + tail; it must not
+//     exceed lim, the latency cutoff with cutMargin applied. Under a
+//     +Inf cutoff this bound never prunes, and togo is not built.
 //
 // Both bounds are admissible, and consistent: a predecessor's bound never
-// exceeds its edge cost plus the cell's bound (spare capacity only grows
-// going back). So every cell that can still finish within the cutoff
-// keeps the dense value and backpointer, and candidates tied with the
-// one it selects are never pruned. The row records its first and last
-// finite cell, and only those windows of its predecessor rows are read:
-// the pruned cells are what a bound saves, the windows are what turns
-// them into saved time.
+// exceeds its edge cost plus the cell's bound (its spare processors
+// include the edge's and S's own). So every cell that can still finish
+// within the cutoff keeps the dense value and backpointer, and candidates
+// tied with the one it selects are never pruned. The row records its
+// first and last finite cell, and only those windows of its predecessor
+// rows are read: the pruned cells are what a bound saves, the windows are
+// what turns them into saved time.
+//
+// The fill is transition-major: each transition (class k, predecessor p)
+// visits only the cells its window can reach — past p's first finite
+// cell, and up to reach[k][last[p]] — so the per-transition bookkeeping
+// is paid once per row, not once per cell. Each cell still sees its
+// candidates in (transition, start) order with strict improvement, so
+// values, backpointers and ties are those of the cell-major order. Cells
+// outside the row's span are never read — later rows read only the span,
+// and run reads f[S][n] only when the span ends there — so a row with no
+// live predecessor costs one pass over its transitions and writes
+// nothing but its empty span.
 func (a *arena) cutRow(periodBound, lim, tail float64, S int) {
 	n, nn := a.n, a.n*a.n
 	f, back := a.f, a.back
 	rowS := S * (n + 1)
-	cS := int(a.usage[S])
 	t0, t1 := a.transOff[S], a.transOff[S+1]
-	// The first cell that can be finite: past the usage floor and some
-	// predecessor's first finite cell, and where the spare speed can
-	// carry the remaining work (rem only falls as i grows).
-	start := n + 1
-	if cS <= n {
-		for t := t0; t < t1; t++ {
-			start = min(start, int(a.first[a.transPrev[t]])+1)
+	armed := len(a.feasStart) > 0
+	// [start, stop] spans the cells some live predecessor's window can
+	// reach; start then skips the cells whose remaining work the spare
+	// speed cannot carry (rem only falls as i grows).
+	start, stop := n+1, -1
+	for t := t0; t < t1; t++ {
+		sp := a.spans[a.transPrev[t]]
+		if sp.first > sp.last {
+			continue
 		}
-		start = max(start, cS)
-		capacity := periodBound * a.spare[S] * (1 + cutMargin)
-		for start < n && a.rem[start] > capacity {
-			start++
+		start = min(start, int(sp.first)+1)
+		if armed {
+			stop = max(stop, int(a.reach[int(a.transClass[t])*(n+1)+int(sp.last)]))
+		} else {
+			stop = n
 		}
 	}
-	for i := 0; i < start && i <= n; i++ {
-		f[rowS+i] = inf
+	capacity := periodBound * a.spare[S] * (1 + cutMargin)
+	for start < n && a.rem[start] > capacity {
+		start++
 	}
-	first, last := n+1, -1
-	fastInv := a.fastInv[S]
-	for i := start; i <= n; i++ {
-		bestV := inf
-		var bestB int32
-		for t := t0; t < t1; t++ {
-			k := int(a.transClass[t])
-			p := int(a.transPrev[t])
-			prevRow := p * (n + 1)
-			base := k*nn + (i-1)*n // cycle[k][kk+1..i] is at base + kk
-			lo := max(cS-1, int(a.first[p]))
-			if len(a.feasStart) > 0 {
-				lo = max(lo, int(a.feasStart[k*n+i-1]))
+	row := f[rowS : rowS+n+1]
+	for i := start; i <= stop; i++ {
+		row[i] = inf
+	}
+	for t := t0; t < t1; t++ {
+		k := int(a.transClass[t])
+		p := int(a.transPrev[t])
+		fp, lp := int(a.spans[p].first), int(a.spans[p].last)
+		if fp > lp {
+			continue
+		}
+		hi := stop
+		var fs []int32
+		if armed {
+			hi = min(hi, int(a.reach[k*(n+1)+lp]))
+			fs = a.feasStart[k*n : (k+1)*n]
+		}
+		prev := f[p*(n+1) : p*(n+1)+lp+1]
+		cycK, latK := a.cycle[k*nn:(k+1)*nn], a.lat[k*nn:(k+1)*nn]
+		for i := max(start, fp+1); i <= hi; i++ {
+			lo := fp
+			if armed {
+				lo = max(lo, int(fs[i-1]))
 			}
-			hi := min(i, int(a.last[p])+1)
-			if lo >= hi {
+			end := min(i, lp+1)
+			if lo >= end {
 				continue
 			}
-			fprev := f[prevRow+lo : prevRow+hi]
-			cyc := a.cycle[base+lo : base+hi]
-			lats := a.lat[base+lo : base+hi]
+			base := (i - 1) * n // cycle[k][kk+1..i] is at base + kk
+			fprev := prev[lo:end]
+			cyc := cycK[base+lo : base+end]
+			lats := latK[base+lo : base+end]
+			bestV, bestJ := row[i], -1
 			for j, fv := range fprev {
 				if fv == inf || cyc[j] > periodBound {
 					continue
 				}
 				if cand := fv + lats[j]; cand < bestV {
-					bestV = cand
-					bestB = int32(lo+j)<<classShift | int32(k)
+					bestV, bestJ = cand, j
 				}
 			}
-		}
-		if bestV < inf && bestV+a.nextIn[i]+a.rem[i]*fastInv+tail > lim {
-			bestV = inf
-		}
-		f[rowS+i] = bestV
-		if bestV < inf {
-			back[rowS+i] = bestB
-			first = min(first, i)
-			last = i
+			if bestJ >= 0 {
+				row[i] = bestV
+				back[rowS+i] = int32(lo+bestJ)<<classShift | int32(k)
+			}
 		}
 	}
-	a.first[S], a.last[S] = int32(first), int32(last)
+	first, last := n+1, -1
+	var togo []float64
+	if lim < math.Inf(1) {
+		if !a.togoBuilt {
+			a.buildTogo(periodBound, lim)
+		}
+		fc := int(a.fastClass[S])
+		togo = a.togo[fc*(n+1) : (fc+1)*(n+1)]
+	}
+	for i := start; i <= stop; i++ {
+		v := row[i]
+		if v == inf {
+			continue
+		}
+		if togo != nil && v+togo[i]+tail > lim {
+			row[i] = inf
+			continue
+		}
+		first = min(first, i)
+		last = i
+	}
+	a.spans[S] = span{int32(first), int32(last)}
 }
 
 // latencyTail is the constant trailing δ_n/b term of the latency: adding

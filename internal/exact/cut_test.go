@@ -9,8 +9,62 @@ import (
 	"testing"
 
 	"pipesched/internal/heuristics"
+	"pipesched/internal/lowerbound"
 	"pipesched/internal/mapping"
+	"pipesched/internal/workload"
 )
+
+// denseLatencyFill is the latency recurrence the kernel is pinned
+// against: every cell of every row, with no bound, window or prefix
+// prune. The only skip is the usage floor: a predecessor consuming c
+// processors has no finite cell below c. It fills the arena's tables, so
+// reconstruct walks its winning path, and it returns what
+// run(objMinLatency, periodBound, nil) must return bit for bit. Keeping
+// it out of the package means the kernel is never its own reference.
+func (a *arena) denseLatencyFill(periodBound float64) (best float64, bestState int, ok bool) {
+	n, nn := a.n, a.n*a.n
+	f, back := a.f, a.back
+	f[0] = 0
+	for i := 1; i <= n; i++ {
+		f[i] = inf
+	}
+	for S := 1; S < a.states; S++ {
+		row := S * (n + 1)
+		for i := 0; i <= n; i++ {
+			bestV := inf
+			var bestB int32
+			for t := a.transOff[S]; t < a.transOff[S+1]; t++ {
+				k := int(a.transClass[t])
+				prevRow := int(a.transPrev[t]) * (n + 1)
+				for kk := int(a.usage[S]) - 1; kk < i; kk++ {
+					idx := k*nn + (i-1)*n + kk
+					if f[prevRow+kk] == inf || a.cycle[idx] > periodBound {
+						continue
+					}
+					if cand := f[prevRow+kk] + a.lat[idx]; cand < bestV {
+						bestV, bestB = cand, int32(kk)<<classShift|int32(k)
+					}
+				}
+			}
+			f[row+i] = bestV
+			if bestV < inf {
+				back[row+i] = bestB
+			}
+		}
+	}
+	return a.merge()
+}
+
+// denseMinLatencyUnderPeriod is MinLatencyUnderPeriod through the dense
+// oracle.
+func denseMinLatencyUnderPeriod(ev *mapping.Evaluator, maxPeriod float64) (Result, error) {
+	a := acquireArena(ev)
+	defer a.release()
+	if _, state, ok := a.denseLatencyFill(maxPeriod * slack); ok {
+		return a.result(state)
+	}
+	return Result{}, ErrInfeasible
+}
 
 // fixedCeiling is an Incumbent that never moves.
 type fixedCeiling float64
@@ -52,7 +106,7 @@ func TestCutFillMatchesDense(t *testing.T) {
 		tail := a.latencyTail()
 		for ci, c := range append([]float64(nil), a.candidates()...) {
 			bound := c * slack
-			v, state, ok := a.run(objMinLatency, bound, nil)
+			v, state, ok := a.denseLatencyFill(bound)
 			var want []mapping.Interval
 			cuts := []float64{0, ev.OptimalLatencyValue() * 1.5, math.Inf(1)}
 			if ok {
@@ -80,6 +134,9 @@ func TestCutFillMatchesDense(t *testing.T) {
 				cv, cstate, cok := a.run(objMinLatency, bound, &latencyCut{tail: tail, bound: L})
 				verify(fmt.Sprintf("cut %v", L), L, cv, cstate, cok)
 			}
+			// The uncut fill runs the kernel under an internal +Inf cut.
+			cv, cstate, cok := a.run(objMinLatency, bound, nil)
+			verify("uncut", math.Inf(1), cv, cstate, cok)
 			// An incumbent reading +Inf for k polls and L after them: once
 			// L has been read the fill answers as a cut at L.
 			for _, k := range []int{0, 2, 40} {
@@ -99,7 +156,7 @@ func TestCutFillMatchesDense(t *testing.T) {
 }
 
 // TestMinLatencyUnderPeriodWithin pins the raced entry point against
-// MinLatencyUnderPeriod under fixed incumbents — the optimum's latency,
+// the dense oracle under fixed incumbents — the optimum's latency,
 // one ulp either side, H1's latency and +Inf: the same mapping bit for
 // bit when the optimum is within the incumbent, ErrNotBelow when it is
 // not, and ErrInfeasible only when the incumbent read +Inf throughout
@@ -111,7 +168,7 @@ func TestMinLatencyUnderPeriodWithin(t *testing.T) {
 		a.release()
 		periods := []float64{cands[0] * 0.5, cands[len(cands)/3], cands[len(cands)/2], cands[len(cands)-1]}
 		for _, period := range periods {
-			ref, refErr := MinLatencyUnderPeriod(ev, period)
+			ref, refErr := denseMinLatencyUnderPeriod(ev, period)
 			if refErr != nil && !errors.Is(refErr, ErrInfeasible) {
 				t.Fatalf("instance %d period %g: %v", ii, period, refErr)
 			}
@@ -136,6 +193,75 @@ func TestMinLatencyUnderPeriodWithin(t *testing.T) {
 					}
 				case !sameOutcome(got, err, ref, nil):
 					t.Fatalf("instance %d period %g ceiling %v: (%+v, %v) != dense %+v", ii, period, ceil, got.Metrics, err, ref.Metrics)
+				}
+			}
+		}
+	}
+}
+
+// TestCutKernelPaperShapes pins both race entry points bit for bit on
+// the shapes the portfolio race hands them: E1–E4 at n = 20 and 40 on
+// p = 10 processors, whose near-distinct speeds give the kernel's reach
+// and completion tables their largest prunes. For f = 0.2, 0.5 and 0.8:
+//   - at the latency bound (1+f)× the Lemma-1 latency, the min-period
+//     bisection under H5's period as ceiling returns the full-fill
+//     oracle's mapping, or ErrNotBelow exactly when the oracle's
+//     candidate reaches that ceiling;
+//   - at the period bound f of the way from the period lower bound to
+//     the single-processor period, the min-latency fill returns the
+//     dense oracle's answer, and under H1's latency its mapping, or
+//     ErrNotBelow exactly when the oracle's latency exceeds H1's (or
+//     nothing is feasible).
+func TestCutKernelPaperShapes(t *testing.T) {
+	for _, n := range []int{20, 40} {
+		for fi, fam := range workload.Families() {
+			ev := workload.Generate(workload.Config{Family: fam, Stages: n, Processors: 10, Seed: int64(2300 + fi)}).Evaluator()
+			optLat := ev.OptimalLatencyValue()
+			lb := lowerbound.Period(ev)
+			single, _ := ev.OptimalLatency()
+			for _, f := range []float64{0.2, 0.5, 0.8} {
+				lat := optLat * (1 + f)
+				ref, opt, err := fullFillMinPeriodUnderLatency(ev, lat)
+				if err != nil {
+					t.Fatalf("%v n=%d latency %g: oracle: %v", fam, n, lat, err)
+				}
+				ceil := math.Inf(1)
+				if h5, err := (heuristics.SpMonoL{}).MinimizePeriod(ev, lat); err == nil {
+					ceil = h5.Metrics.Period
+				}
+				got, err := MinPeriodUnderLatencyBelow(ev, lat, func() float64 { return ceil })
+				if opt >= ceil {
+					if !errors.Is(err, ErrNotBelow) {
+						t.Fatalf("%v n=%d latency %g ceiling %g: got (%+v, %v), want ErrNotBelow", fam, n, lat, ceil, got.Metrics, err)
+					}
+				} else if !sameOutcome(got, err, ref, nil) {
+					t.Fatalf("%v n=%d latency %g ceiling %g: (%+v, %v) != oracle %+v", fam, n, lat, ceil, got.Metrics, err, ref.Metrics)
+				}
+
+				period := lb + f*(ev.Period(single)-lb)
+				dense, denseErr := denseMinLatencyUnderPeriod(ev, period)
+				if denseErr != nil && !errors.Is(denseErr, ErrInfeasible) {
+					t.Fatalf("%v n=%d period %g: oracle: %v", fam, n, period, denseErr)
+				}
+				if got, err := MinLatencyUnderPeriod(ev, period); !sameOutcome(got, err, dense, denseErr) {
+					t.Fatalf("%v n=%d period %g: uncut (%+v, %v) != oracle (%+v, %v)", fam, n, period, got.Metrics, err, dense.Metrics, denseErr)
+				}
+				h1, h1ok := h1Latency(ev, period)
+				if !h1ok {
+					h1 = math.Inf(1)
+				}
+				got, err = MinLatencyUnderPeriodWithin(ev, period, fixedCeiling(h1))
+				switch {
+				case denseErr != nil && !h1ok:
+					if !errors.Is(err, ErrInfeasible) {
+						t.Fatalf("%v n=%d period %g: got %v, want ErrInfeasible", fam, n, period, err)
+					}
+				case denseErr != nil || dense.Metrics.Latency > h1:
+					if !errors.Is(err, ErrNotBelow) {
+						t.Fatalf("%v n=%d period %g incumbent %g: got (%+v, %v), want ErrNotBelow", fam, n, period, h1, got.Metrics, err)
+					}
+				case !sameOutcome(got, err, dense, nil):
+					t.Fatalf("%v n=%d period %g incumbent %g: (%+v, %v) != oracle %+v", fam, n, period, h1, got.Metrics, err, dense.Metrics)
 				}
 			}
 		}

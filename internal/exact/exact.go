@@ -218,9 +218,10 @@ type ParetoPoint struct {
 // The sweep is incremental: the sorted candidate cycle-time set and the
 // solver arena are built once and shared by every probe. Candidates below
 // the exact minimum period (one min-period DP) are skipped outright, each
-// surviving candidate costs one min-latency DP whose value is compared
-// before any mapping is reconstructed, and the sweep stops as soon as the
-// latency reaches the Lemma-1 optimum — no later bound can improve it.
+// surviving candidate costs one min-latency DP, cut at the last point's
+// latency, whose value is compared before any mapping is reconstructed,
+// and the sweep stops as soon as the latency reaches the Lemma-1 optimum
+// — no later bound can improve it.
 func ParetoFront(ev *mapping.Evaluator) ([]ParetoPoint, error) {
 	if err := guard(ev); err != nil {
 		return nil, err
@@ -242,9 +243,13 @@ func ParetoFront(ev *mapping.Evaluator) ([]ParetoPoint, error) {
 	var points []ParetoPoint
 	prevLatency := math.Inf(1)
 	for _, c := range cands[first:] {
-		v, state, ok := a.run(objMinLatency, c*slack, nil)
+		// A candidate only adds a point when its optimum beats the last
+		// point's latency, so its fill is cut there: a cut fill returns
+		// the uncut optimum bit for bit whenever that optimum is within
+		// the cut, and nothing otherwise.
+		v, state, ok := a.run(objMinLatency, c*slack, &latencyCut{tail: tail, bound: prevLatency})
 		if !ok {
-			continue // numeric edge: bound still below every mapping
+			continue // no better point here (or, numeric edge, no mapping at all)
 		}
 		if lat := v + tail; lat < prevLatency-1e-12 {
 			res, err := a.result(state)

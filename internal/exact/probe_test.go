@@ -14,10 +14,11 @@ import (
 
 // fullFillMinPeriodUnderLatency is the bisection as it stood before
 // early-exit probes and ceilings: every probe fills the whole table
-// through run and tests the merged optimum. It is the oracle the probing
-// solver is pinned against, and it also reports the candidate period the
-// bisection settled on. The mapping's own period can exceed that
-// candidate by the bound slack, when two cycle-times lie an ulp apart.
+// through the dense oracle and tests the merged optimum. It is the
+// oracle the probing solver is pinned against, and it also reports the
+// candidate period the bisection settled on. The mapping's own period
+// can exceed that candidate by the bound slack, when two cycle-times lie
+// an ulp apart.
 func fullFillMinPeriodUnderLatency(ev *mapping.Evaluator, maxLatency float64) (Result, float64, error) {
 	a := acquireArena(ev)
 	defer a.release()
@@ -25,7 +26,7 @@ func fullFillMinPeriodUnderLatency(ev *mapping.Evaluator, maxLatency float64) (R
 	tail := a.latencyTail()
 	latBound := maxLatency * slack
 	feasibleAt := func(period float64) (int, bool) {
-		v, state, ok := a.run(objMinLatency, period*slack, nil)
+		v, state, ok := a.denseLatencyFill(period * slack)
 		return state, ok && v+tail <= latBound
 	}
 	lo, hi := 0, len(cands)-1
@@ -104,7 +105,7 @@ func TestProbeMatchesFullFill(t *testing.T) {
 		optLat := ev.OptimalLatencyValue()
 		for ci, c := range append([]float64(nil), a.candidates()...) {
 			bound := c * slack
-			v, _, ok := a.run(objMinLatency, bound, nil)
+			v, _, ok := a.denseLatencyFill(bound)
 			lats := []float64{0, optLat, optLat * 1.25, optLat * 2, math.Inf(1)}
 			if ok {
 				lats = append(lats, v+tail, math.Nextafter(v+tail, math.Inf(-1)))
