@@ -476,6 +476,31 @@ func BenchmarkHeuristicSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkPeriodLowerBound times the period lower bound that anchors
+// every relative batch bound and sweep grid of the service's bulk traffic,
+// on its shapes: E1–E4 (one instance each, solved in turn every
+// iteration) at n ∈ {20, 40} and p ∈ {10, 100}.
+func BenchmarkPeriodLowerBound(b *testing.B) {
+	for _, n := range []int{20, 40} {
+		for _, p := range []int{10, 100} {
+			var evs []*mapping.Evaluator
+			for fi, fam := range workload.Families() {
+				evs = append(evs, workload.Generate(workload.Config{Family: fam, Stages: n, Processors: p, Seed: int64(400 + fi)}).Evaluator())
+			}
+			b.Run(fmt.Sprintf("n=%d/p=%d", n, p), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, ev := range evs {
+						if pipesched.PeriodLowerBound(ev) <= 0 {
+							b.Fatal("non-positive bound")
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkParetoSweep is the snapshot benchmark of the sweep core
 // (internal/portfolio.ParetoSweep), serial versus pooled workers.
 func BenchmarkParetoSweep(b *testing.B) {

@@ -92,7 +92,12 @@
 // prices only its middle part. H4's capped bisection trials, and its
 // final rewind, replay the uncapped trial's logged splits while they meet
 // the trial's latency cap and scan only from the first one that does
-// not. Every result is bit-identical to the engine before. On the
+// not. Most of those trials repeat an earlier one: a cap reaches a trial
+// only through comparisons against its limit, so every trial that runs
+// records the largest latency total it admitted and the smallest it
+// rejected, and a later cap whose limit lies between the two reads that
+// trial's outcome from a per-solve memo instead of running it. Every
+// result is bit-identical to the engine before. On the
 // repository benchmark's bulk workload (ten alternating 20 s pairs,
 // 2-vCPU Xeon) throughput went from 298 to 787 req/s and CPU per request
 // from 6.20 to 2.14 ms, with identical answer digests.

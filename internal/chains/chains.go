@@ -8,8 +8,9 @@
 // (a processor speed) for some permutation σ and minimises
 // max_k Σ_{i∈I_k} a_i / s_σ(k); Theorem 1 proves it NP-complete.
 //
-// The package provides exact solvers (dynamic programming for the
-// homogeneous case; bitmask dynamic programming, exponential in p, for the
+// The package provides exact solvers (dynamic programming and Nicol's
+// parametric search for the homogeneous case, the latter also as a
+// value-only bound; bitmask dynamic programming, exponential in p, for the
 // heterogeneous case), probe-based bisection methods and polynomial
 // heuristics, all of which the scheduling layers and the test-suite use as
 // baselines and cross-checks.

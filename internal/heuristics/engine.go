@@ -74,7 +74,12 @@ func (commHomogeneousOnly) Supports(plat *platform.Platform) bool {
 const relEps = 1e-9
 
 // leq reports x ≤ y up to relative tolerance.
-func leq(x, y float64) bool { return x <= y+relEps*(1+math.Abs(y)) }
+func leq(x, y float64) bool { return x <= leqLimit(y) }
+
+// leqLimit is the acceptance limit of leq: leq(x, y) ⇔ x <= leqLimit(y).
+// A latency cap decides every candidate and replayed step by one such
+// comparison against leqLimit(cap), which H4's trial memo keys on.
+func leqLimit(y float64) float64 { return y + relEps*(1+math.Abs(y)) }
 
 // lt reports x < y by a margin exceeding the tolerance (used for the
 // strict-improvement acceptance rule).
@@ -118,16 +123,22 @@ type state struct {
 	free    []int
 	freeOff int
 
-	// minRejectedLat is the smallest total latency (current + Δ) of a
-	// candidate rejected only by the latency cap since the last reset.
-	// A rerun under a cap below it replays every decision identically —
-	// the invariant LatencySweeper's warm starts rest on.
+	// minRejectedLat and maxAdmittedLat are the smallest total latency
+	// (current + Δ) the latency cap rejected and the largest it admitted
+	// since the last reset, over scanned candidates and replayed steps.
+	// A rerun whose cap limit (leqLimit) lies in [maxAdmittedLat,
+	// minRejectedLat) takes every decision identically. LatencySweeper's
+	// warm starts rest on the upper side (budgets only grow), H4's trial
+	// memo on both.
 	minRejectedLat float64
+	maxAdmittedLat float64
 
 	// log is the trajectory of H4's uncapped trial: every applied step in
-	// order (see replay). It is cleared at acquire, because the state
-	// pool is shared across evaluators.
-	log []step
+	// order (see replay). trials memoises H4's bisection trials (see
+	// SpBiP.MinimizeLatencyRaced). Both are cleared at acquire, because
+	// the state pool is shared across evaluators.
+	log    []step
+	trials []capTrial
 
 	// race holds the mid-race cancellation hooks (race.go); the zero
 	// value — every solo run — disables them.
@@ -151,6 +162,7 @@ func acquireState(ev *mapping.Evaluator) (*state, error) {
 	st.ev = ev
 	st.race = raceWatch{}
 	st.log = st.log[:0]
+	st.trials = st.trials[:0]
 	st.sc = ev.LeaseScratch()
 	st.ivs = st.sc.Ivs[:0]
 	st.cycles = st.sc.Cycles[:0]
@@ -210,6 +222,7 @@ func (st *state) reset() {
 	st.freeOff = 0
 	st.lat = st.latencyContribution(1, n, first) + st.deltaB[n]
 	st.minRejectedLat = math.Inf(1)
+	st.maxAdmittedLat = math.Inf(-1)
 }
 
 // cycle is Evaluator.Cycle(d, e, u) on the flat tables:
@@ -366,20 +379,24 @@ type scan struct {
 // n parts' cycle-times (worst maxCycle) and latency contributions. It
 // reports whether the candidate respects the latency cap and beats the
 // best so far; if so its score is now the best's and the caller records
-// the parts. Candidates failing only the cap feed minRejectedLat (the
-// sweep warm-start invariant). Sums run in part order, matching the
-// legacy engine bit for bit.
+// the parts. Every cap decision feeds minRejectedLat or maxAdmittedLat
+// (the sweep warm-start and H4 memo invariants). Sums run in part order,
+// matching the legacy engine bit for bit.
 func (s *scan) admit(maxCycle float64, n int, cyc, lat *[3]float64) bool {
 	newLat := 0.0
 	for i := 0; i < n; i++ {
 		newLat += lat[i]
 	}
 	dLat := newLat - s.oldLat
-	if total := s.st.lat + dLat; !(total <= s.capLim) {
+	total := s.st.lat + dLat
+	if !(total <= s.capLim) {
 		if total < s.st.minRejectedLat {
 			s.st.minRejectedLat = total
 		}
 		return false
+	}
+	if total > s.st.maxAdmittedLat {
+		s.st.maxAdmittedLat = total
 	}
 	ratio := 0.0
 	if s.rule == selectBi {
@@ -417,7 +434,7 @@ func (st *state) bestSplit(idx int, opt splitOptions) (candidate, bool) {
 		oldCycle: oldCycle,
 		oldLat:   st.latencyContribution(iv.Start, iv.End, iv.Proc),
 		improve:  oldCycle - relEps*(1+math.Abs(oldCycle)),
-		capLim:   opt.maxLatency + relEps*(1+math.Abs(opt.maxLatency)),
+		capLim:   leqLimit(opt.maxLatency),
 		lazy:     opt.rule == selectMono && math.IsInf(opt.maxLatency, 1),
 	}
 	stages := iv.End - iv.Start + 1
@@ -585,12 +602,21 @@ func (st *state) splitUntil(target float64, opt splitOptions) bool {
 // uncapped one minus the candidates over latCap, so the uncapped pick is
 // also its pick whenever it meets latCap (a scan keeps the first
 // candidate of best score, and no earlier candidate can tie it). The
-// caller resumes splitUntil under latCap from where replay stops.
+// caller resumes splitUntil under latCap from where replay stops. Each
+// step's cap decision feeds maxAdmittedLat or minRejectedLat, as in admit.
 func (st *state) replay(latCap float64) {
+	lim := leqLimit(latCap)
 	for i := range st.log {
 		s := &st.log[i]
-		if !leq(st.lat+s.c.dLat, latCap) {
+		total := st.lat + s.c.dLat
+		if !(total <= lim) {
+			if total < st.minRejectedLat {
+				st.minRejectedLat = total
+			}
 			return
+		}
+		if total > st.maxAdmittedLat {
+			st.maxAdmittedLat = total
 		}
 		st.apply(s.idx, &s.c)
 	}

@@ -162,6 +162,15 @@ func (h SpBiP) MinimizeLatency(ev *mapping.Evaluator, maxPeriod float64) (Result
 // uncapped choice exceeds it. Latency never falls along a trajectory, so
 // the shared steps are a prefix.
 //
+// Most trials of a bisection repeat an earlier one, so each trial that
+// runs is memoised (capTrial): a cap touches a trial only through the
+// comparisons total <= leqLimit(cap), in replay and scan.admit, and a
+// trial records the largest total it admitted and the smallest it
+// rejected. A later cap whose limit lies between the two takes every
+// decision identically, so its outcome is read from the memo instead of
+// run. The final rewind runs only when the engine does not already hold
+// the winning trial's state.
+//
 // The bisection cannot use the latency watch — its final latency comes
 // from a later, cheaper-capped trial, so the running latency of one
 // trial bounds nothing about the whole solve. Instead the uncapped trial
@@ -171,53 +180,103 @@ func (h SpBiP) MinimizeLatency(ev *mapping.Evaluator, maxPeriod float64) (Result
 // bound condemns would have ended infeasible anyway, so failing it early
 // steers the bisection identically while skipping its tail. No poll can
 // fire inside a replayed prefix: the uncapped trial continued from every
-// state of it to the target.
+// state of it to the target. For the same reason the uncapped trial's
+// memo entry also stands for a predictFail trial: the polls read only
+// the engine state, and none fires along a path that reached the target.
 func (h SpBiP) MinimizeLatencyRaced(ev *mapping.Evaluator, maxPeriod float64, inc *Incumbent) (Result, error) {
+	res, _, err := h.bisect(ev, maxPeriod, inc)
+	return res, err
+}
+
+// bisect is MinimizeLatencyRaced that also reports how many trials ran
+// on the engine rather than from the memo, final rewind included.
+func (h SpBiP) bisect(ev *mapping.Evaluator, maxPeriod float64, inc *Incumbent) (Result, int, error) {
 	iters := h.Iterations
 	if iters <= 0 {
 		iters = DefaultBinaryIters
 	}
 	st, err := acquireState(ev)
 	if err != nil {
-		return Result{}, err
+		return Result{}, 0, err
 	}
 	defer st.release()
-	trial := func(latCap float64, record bool) (mapping.Metrics, bool) {
-		st.reset()
-		st.replay(latCap)
-		ok := st.splitUntil(maxPeriod, splitOptions{rule: selectBi, maxLatency: latCap, record: record})
-		return mapping.Metrics{Period: st.period(), Latency: st.latency()}, ok
-	}
 	// Unlimited cap first: if even that fails, the heuristic fails. The
 	// log is empty here, so this trial replays nothing and logs all.
 	st.race = raceWatch{inc: inc, predict: predictLost}
-	best, ok := trial(math.Inf(1), true)
+	best := st.runTrial(math.Inf(1), maxPeriod, true)
 	if st.race.lost {
-		return Result{}, ErrRaceLost
+		return Result{}, len(st.trials), ErrRaceLost
 	}
-	if !ok {
+	if !best.ok {
 		res := st.result()
-		return res, &InfeasibleError{Heuristic: h.Name(), Constraint: "period", Target: maxPeriod, Achieved: res.Metrics.Period, Best: res}
+		return res, len(st.trials), &InfeasibleError{Heuristic: h.Name(), Constraint: "period", Target: maxPeriod, Achieved: res.Metrics.Period, Best: res}
 	}
 	st.race = raceWatch{predict: predictFail}
 	bestCap := math.Inf(1)
 	lo := ev.OptimalLatencyValue() // latency lower bound (Lemma 1)
-	hi := best.Latency
+	hi := best.met.Latency
 	for i := 0; i < iters && hi-lo > relEps*(1+hi); i++ {
 		mid := (lo + hi) / 2
-		if met, ok := trial(mid, false); ok {
-			if met.Latency < best.Latency {
-				best, bestCap = met, mid
+		t, ok := st.memoTrial(mid)
+		if !ok {
+			t = st.runTrial(mid, maxPeriod, false)
+		}
+		if t.ok {
+			if t.met.Latency < best.met.Latency {
+				best, bestCap = t, mid
 			}
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	// Rewind to the winning cap (trials are deterministic) and
-	// materialise that state once.
-	trial(bestCap, false)
-	return st.result(), nil
+	// Rewind to the winning cap (trials are deterministic) unless the
+	// engine holds its state already — the last trial run, which differs
+	// from every other in its window — and materialise that state once.
+	if best != st.trials[len(st.trials)-1] {
+		st.runTrial(bestCap, maxPeriod, false)
+	}
+	return st.result(), len(st.trials), nil
+}
+
+// capTrial is one of H4's bisection trials run on the engine: its
+// outcome, and the cap limits under which every one of its cap decisions
+// repeats — any limit in [admitted, rejected).
+type capTrial struct {
+	admitted float64 // largest total latency the cap admitted
+	rejected float64 // smallest total latency the cap rejected
+	met      mapping.Metrics
+	ok       bool // the trial reached the period target
+}
+
+// runTrial runs H4's trial under latCap towards maxPeriod on the engine
+// (replayed prefix, then capped splitting; with record the trajectory is
+// logged), memoises it and returns it.
+func (st *state) runTrial(latCap, maxPeriod float64, record bool) capTrial {
+	st.reset()
+	st.replay(latCap)
+	ok := st.splitUntil(maxPeriod, splitOptions{rule: selectBi, maxLatency: latCap, record: record})
+	t := capTrial{
+		admitted: st.maxAdmittedLat,
+		rejected: st.minRejectedLat,
+		met:      mapping.Metrics{Period: st.period(), Latency: st.latency()},
+		ok:       ok,
+	}
+	st.trials = append(st.trials, t)
+	return t
+}
+
+// memoTrial returns the memoised trial whose decisions latCap repeats,
+// if one exists. The windows of distinct trials are disjoint: a limit in
+// two of them would make both trials identical.
+func (st *state) memoTrial(latCap float64) (capTrial, bool) {
+	lim := leqLimit(latCap)
+	for _, t := range st.trials {
+		if t.admitted <= lim && lim < t.rejected {
+			return t, true
+		}
+	}
+	return capTrial{}, false
 }
 
 // ---------------------------------------------------------------- H5 --

@@ -3,7 +3,6 @@ package heuristics
 import (
 	"errors"
 	"math"
-	"sync/atomic"
 
 	"pipesched/internal/mapping"
 )
@@ -46,13 +45,15 @@ import (
 // selection and from infeasibility reporting.
 var ErrRaceLost = errors.New("heuristics: solver abandoned mid-race (bound proves it cannot win)")
 
-// Incumbent publishes the best finished metric of a portfolio race —
+// Incumbent carries the best finished metric of a portfolio race —
 // smallest latency for period-constrained races, smallest period for
-// latency-constrained ones. Concurrent solvers lower it with a CAS loop
-// and read it with a single atomic load, so polling costs nanoseconds
-// and allocates nothing.
+// latency-constrained ones. A race runs its members one after another on
+// one goroutine, offering each finished result before the next member
+// starts, so the running member polls a plain value: reading it costs
+// nanoseconds and allocates nothing. An Incumbent is not safe for
+// concurrent use.
 type Incumbent struct {
-	bits atomic.Uint64 // float64 bits of the best offered value
+	best float64 // the best offered value
 }
 
 // NewIncumbent returns an empty incumbent (best = +Inf).
@@ -63,27 +64,17 @@ func NewIncumbent() *Incumbent {
 }
 
 // Reset empties the incumbent (best = +Inf) so races can pool them.
-func (in *Incumbent) Reset() {
-	in.bits.Store(math.Float64bits(math.Inf(1)))
-}
+func (in *Incumbent) Reset() { in.best = math.Inf(1) }
 
-// Offer lowers the incumbent to v if v is smaller.
+// Offer lowers the incumbent to v unless it is already at most v.
 func (in *Incumbent) Offer(v float64) {
-	for {
-		old := in.bits.Load()
-		if math.Float64frombits(old) <= v {
-			return
-		}
-		if in.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
+	if !(in.best <= v) {
+		in.best = v
 	}
 }
 
 // Best returns the current incumbent value (+Inf when nothing finished).
-func (in *Incumbent) Best() float64 {
-	return math.Float64frombits(in.bits.Load())
-}
+func (in *Incumbent) Best() float64 { return in.best }
 
 // PeriodRacer is implemented by period-constrained heuristics that can
 // poll a race incumbent (carrying the best finished latency) and abort

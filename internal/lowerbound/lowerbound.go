@@ -7,6 +7,7 @@ package lowerbound
 import (
 	"pipesched/internal/chains"
 	"pipesched/internal/mapping"
+	"pipesched/internal/pipeline"
 	"pipesched/internal/platform"
 )
 
@@ -22,7 +23,9 @@ import (
 //     (interval structure must be respected even ignoring communication).
 //
 // Bound 4 dominates 1 and 2 on most instances but all are kept: they are
-// cheap, and each is individually exercised by the tests.
+// cheap, and each is individually exercised by the tests. Bound 4 is
+// chains.HomogeneousDP's optimum bit for bit, found by a value-only search
+// that allocates nothing (chainsBottleneck).
 func Period(ev *mapping.Evaluator) float64 {
 	app, plat := ev.Pipeline(), ev.Platform()
 	if plat.Kind() != platform.CommHomogeneous {
@@ -62,11 +65,8 @@ func Period(ev *mapping.Evaluator) float64 {
 
 	// Chains relaxation: any interval mapping induces a partition into
 	// at most p intervals; the heaviest one runs at speed ≤ s_max.
-	part, err := chains.HomogeneousDP(app.Works(), plat.Processors())
-	if err == nil {
-		if v := part.Bottleneck / sMax; v > lb {
-			lb = v
-		}
+	if v := chainsBottleneck(app, plat.Processors()) / sMax; v > lb {
+		lb = v
 	}
 	return lb
 }
@@ -77,13 +77,25 @@ func computeOnlyBound(ev *mapping.Evaluator) float64 {
 	if v := app.MaxWork() / plat.MaxSpeed(); v > lb {
 		lb = v
 	}
-	part, err := chains.HomogeneousDP(app.Works(), plat.Processors())
-	if err == nil {
-		if v := part.Bottleneck / plat.MaxSpeed(); v > lb {
-			lb = v
-		}
+	if v := chainsBottleneck(app, plat.Processors()) / plat.MaxSpeed(); v > lb {
+		lb = v
 	}
 	return lb
+}
+
+// chainsBottleneck returns the optimal bottleneck of the stage works cut
+// into at most p intervals. The prefix sums are the pipeline's own:
+// IntervalWork(1, k) is its prefix[k] − 0, and the pipeline builds prefix
+// with the same additions as chains' prefixSums(Works()), so the value
+// is chains.HomogeneousDP's bit for bit. Up to 64 stages the sums stay on
+// the stack.
+func chainsBottleneck(app *pipeline.Pipeline, p int) float64 {
+	var buf [65]float64
+	pre := append(buf[:0], 0)
+	for k := 1; k <= app.Stages(); k++ {
+		pre = append(pre, app.IntervalWork(1, k))
+	}
+	return chains.HomogeneousBottleneck(pre, p)
 }
 
 // Latency returns the exact minimum latency (Lemma 1: the whole pipeline

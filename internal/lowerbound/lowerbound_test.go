@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pipesched/internal/chains"
 	"pipesched/internal/exact"
 	"pipesched/internal/mapping"
 	"pipesched/internal/pipeline"
@@ -144,5 +145,53 @@ func TestPeriodBoundHeterogeneousFallback(t *testing.T) {
 	// Compute-only: max(12/6, 6/4, chains{6,6}/4 = 6/4) = 2.
 	if math.Abs(lb-2) > 1e-9 {
 		t.Errorf("heterogeneous fallback bound = %g, want 2", lb)
+	}
+}
+
+// The chains term must be chains.HomogeneousDP's optimum bit for bit:
+// Period anchors relative batch bounds and sweep grids, so a one-ulp
+// drift would change answers. Paper shapes, plus rough random works.
+func TestChainsBottleneckMatchesDP(t *testing.T) {
+	check := func(app *pipeline.Pipeline, p int) {
+		t.Helper()
+		dp, err := chains.HomogeneousDP(app.Works(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := chainsBottleneck(app, p); math.Float64bits(got) != math.Float64bits(dp.Bottleneck) {
+			t.Fatalf("works %v, p %d: chains bound %v, HomogeneousDP %v", app.Works(), p, got, dp.Bottleneck)
+		}
+	}
+	for _, fam := range workload.Families() {
+		for _, n := range workload.PaperStages() {
+			for _, p := range workload.PaperProcessors() {
+				for seed := int64(0); seed < 10; seed++ {
+					check(workload.Generate(workload.Config{Family: fam, Stages: n, Processors: p, Seed: 7300 + seed}).App, p)
+				}
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(7373))
+	for trial := 0; trial < 80; trial++ {
+		n := 1 + r.Intn(70) // past the 64-stage stack buffer too
+		works := make([]float64, n)
+		for i := range works {
+			works[i] = r.Float64() * math.Pow(10, float64(r.Intn(13)-6))
+		}
+		app := pipeline.MustNew(works, make([]float64, n+1))
+		for _, p := range []int{1, 2, 1 + n/2, n, n + 1} {
+			check(app, p)
+		}
+	}
+}
+
+// Period allocates nothing on the paper's shapes: the batch and sweep
+// paths call it once per instance.
+func TestPeriodAllocs(t *testing.T) {
+	for _, p := range workload.PaperProcessors() {
+		ev := workload.Generate(workload.Config{Family: workload.E3, Stages: 40, Processors: p, Seed: 1}).Evaluator()
+		if allocs := testing.AllocsPerRun(100, func() { Period(ev) }); allocs != 0 {
+			t.Errorf("p=%d: Period allocates %v times per call, want 0", p, allocs)
+		}
 	}
 }

@@ -25,8 +25,19 @@ type pipelineWire struct {
 }
 
 func (pw *pipelineWire) reset() {
-	pw.Works = pw.Works[:0]
-	pw.Deltas = pw.Deltas[:0]
+	pw.Works = clearFloats(pw.Works)
+	pw.Deltas = clearFloats(pw.Deltas)
+}
+
+// clearFloats zeroes s up to its capacity and truncates it. encoding/json
+// regrows a reused slice over its old backing array and leaves an element
+// decoded from null untouched, so without this a null inside an array
+// would read the number an earlier request left there — in the cache key
+// and in the solve alike — instead of 0, as it does on a fresh slice.
+func clearFloats(s []float64) []float64 {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
 }
 
 // platformWire is the raw JSON form of a platform.
@@ -39,9 +50,14 @@ type platformWire struct {
 
 func (pw *platformWire) reset() {
 	pw.Kind = ""
-	pw.Speeds = pw.Speeds[:0]
+	pw.Speeds = clearFloats(pw.Speeds)
 	pw.Bandwidth = 0
-	pw.Links = pw.Links[:0]
+	// Rows past len are reused too when a later body has more of them.
+	links := pw.Links[:cap(pw.Links)]
+	for i := range links {
+		links[i] = clearFloats(links[i])
+	}
+	pw.Links = links[:0]
 }
 
 // solveWire is the top-level body of POST /v1/solve, decoded in one
@@ -76,9 +92,10 @@ type instanceWire struct {
 // and every nested number slice when capacity allows, so a warm decode
 // of a batch allocates for none of the instance payloads — on the primed
 // hot path the handler goes body → key → cached bytes without
-// materialising a single pipeline or platform object. reset truncates
-// every nested slice so a field absent from this request can never leak
-// a previous request's numbers into the key.
+// materialising a single pipeline or platform object. reset clears every
+// instance up to the slice's capacity, so neither a field absent from
+// this request nor a null element can leak a previous request's numbers
+// into the key.
 type batchWire struct {
 	Instances     []instanceWire `json:"instances"`
 	Objective     string         `json:"objective"`
@@ -90,11 +107,12 @@ type batchWire struct {
 }
 
 func (bw *batchWire) reset() {
-	for i := range bw.Instances {
-		bw.Instances[i].Pipeline.reset()
-		bw.Instances[i].Platform.reset()
+	insts := bw.Instances[:cap(bw.Instances)]
+	for i := range insts {
+		insts[i].Pipeline.reset()
+		insts[i].Platform.reset()
 	}
-	bw.Instances = bw.Instances[:0]
+	bw.Instances = insts[:0]
 	bw.Objective = ""
 	bw.Bound = 0
 	bw.RelativeBound, bw.Exact = false, false

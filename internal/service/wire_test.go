@@ -354,3 +354,45 @@ func TestBatchWireKeyMatchesObjectKey(t *testing.T) {
 		t.Error("reordering instances kept the batch key")
 	}
 }
+
+// TestNullElementDecodesAsOnFreshScratch pins the pooled request scratch
+// to fresh-slice semantics: encoding/json leaves an array element decoded
+// from null untouched, so it must read 0 whatever an earlier request left
+// in the reused backing array. Each body is sent, then the same body with
+// the null replaced by a number is sent 50 times, then the null body
+// again: status and bytes must repeat, and the null must have been read
+// as 0 (an invalid work, link or instance here, so 400).
+func TestNullElementDecodesAsOnFreshScratch(t *testing.T) {
+	app, plat := fullHetTestInstance(t)
+	fullHet := string(fullHetBody(t, app, plat, map[string]any{"objective": "min-latency", "bound": 1000}))
+	linksNull := strings.Replace(fullHet, "[0,2,9]", "[0,null,9]", 1)
+	if linksNull == fullHet {
+		t.Fatalf("links row not found in %s", fullHet)
+	}
+	const solveNull = `{"pipeline":{"works":[null,5,5],"deltas":[1,1,1,1]},"platform":{"kind":"comm-homogeneous","speeds":[2,1],"bandwidth":10},"objective":"min-latency","bound":100}`
+	const batchNull = `{"instances":[{"pipeline":{"works":[null,5,5],"deltas":[1,1,1,1]},"platform":{"kind":"comm-homogeneous","speeds":[2,1],"bandwidth":10}}],"objective":"min-latency","bound":100}`
+	for _, tc := range []struct {
+		name, path, body, primed string
+	}{
+		{"solve-works", "/v1/solve", solveNull, strings.Replace(solveNull, "null", "7", 1)},
+		{"solve-links", "/v1/solve", linksNull, fullHet},
+		{"batch-works", "/v1/batch", batchNull, strings.Replace(batchNull, "null", "7", 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, Options{})
+			first, firstBody := post(t, ts, tc.path, []byte(tc.body))
+			if first.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400 (null read as 0): %s", first.StatusCode, firstBody)
+			}
+			for i := 0; i < 50; i++ {
+				if resp, body := post(t, ts, tc.path, []byte(tc.primed)); resp.StatusCode != http.StatusOK {
+					t.Fatalf("priming body: status %d: %s", resp.StatusCode, body)
+				}
+			}
+			again, againBody := post(t, ts, tc.path, []byte(tc.body))
+			if again.StatusCode != first.StatusCode || !bytes.Equal(againBody, firstBody) {
+				t.Fatalf("after priming: status %d %s, first %d %s", again.StatusCode, againBody, first.StatusCode, firstBody)
+			}
+		})
+	}
+}
