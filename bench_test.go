@@ -445,6 +445,86 @@ func BenchmarkBatchGrouped(b *testing.B) {
 	}
 }
 
+// BenchmarkBulkMix reproduces the solver work of the benchmark's bulk
+// workload (loopbench) on one worker, 64 requests per op. Even requests
+// are 15-point ParetoSweeps of a fresh instance, odd ones SolveBatches of
+// 16 fresh pipelines sharing one platform, on the paper's shapes with
+// n ∈ {20, 40} and p ∈ {10, 100}. Batches alternate min-latency, at 1.05×
+// the batch's largest ratio of H1's failure threshold to the period lower
+// bound, with min-period at 1.25, 1.5 or 2× each pipeline's optimal
+// latency, so every element is feasible without the exact DP.
+func BenchmarkBulkMix(b *testing.B) {
+	type request struct {
+		ev    *mapping.Evaluator // a sweep's instance; nil for a batch
+		batch []workload.Instance
+		opts  pipesched.BatchOptions
+	}
+	type shape struct {
+		fam  workload.Family
+		n, p int
+	}
+	var shapes []shape
+	for _, fam := range workload.Families() {
+		for _, n := range []int{20, 40} {
+			for _, p := range workload.PaperProcessors() {
+				shapes = append(shapes, shape{fam, n, p})
+			}
+		}
+	}
+	rels := []float64{1.25, 1.5, 2}
+	r := rand.New(rand.NewSource(2727))
+	reqs := make([]request, 64)
+	for i := range reqs {
+		s := shapes[r.Intn(len(shapes))]
+		cfg := workload.Config{Family: s.fam, Stages: s.n, Processors: s.p, Seed: r.Int63()}
+		if i%2 == 0 {
+			reqs[i].ev = workload.Generate(cfg).Evaluator()
+			continue
+		}
+		plat := workload.Generate(cfg).Plat
+		batch := make([]workload.Instance, 16)
+		for j := range batch {
+			cfg.Seed = r.Int63()
+			batch[j] = workload.Generate(cfg)
+			batch[j].Plat = plat
+		}
+		opts := pipesched.BatchOptions{Objective: portfolio.MinimizePeriod, Bound: rels[(i/4)%len(rels)], RelativeBound: true, Workers: 1}
+		if (i/2)%2 == 0 {
+			rel := 0.0
+			for _, in := range batch {
+				ev := in.Evaluator()
+				thr, err := heuristics.MinAchievablePeriod(ev, heuristics.SpMonoP{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rel = max(rel, thr/pipesched.PeriodLowerBound(ev))
+			}
+			opts.Objective, opts.Bound = portfolio.MinimizeLatency, rel*1.05
+		}
+		reqs[i].batch, reqs[i].opts = batch, opts
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range reqs {
+			if q.ev != nil {
+				if front := portfolio.ParetoSweep(ctx, q.ev, 15, 1); len(front) == 0 {
+					b.Fatal("empty frontier")
+				}
+				continue
+			}
+			report, err := pipesched.SolveBatch(ctx, q.batch, q.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if report.Failed != 0 {
+				b.Fatalf("%d of %d batch elements failed", report.Failed, len(q.batch))
+			}
+		}
+	}
+}
+
 // BenchmarkPortfolioRace times one instance's portfolio race (heuristics
 // + exact DP).
 func BenchmarkPortfolioRace(b *testing.B) {

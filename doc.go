@@ -89,18 +89,23 @@
 // Platform accessors, with the accessors' float operations in their
 // order. 3-Explo (H2, H3, X7, X8) tabulates a split's last parts once
 // and prices a cut pair's first part once per first cut, so a pair
-// prices only its middle part. H4's capped bisection trials, and its
-// final rewind, replay the uncapped trial's logged splits while they meet
-// the trial's latency cap and scan only from the first one that does
-// not. Most of those trials repeat an earlier one: a cap reaches a trial
-// only through comparisons against its limit, so every trial that runs
-// records the largest latency total it admitted and the smallest it
-// rejected, and a later cap whose limit lies between the two reads that
-// trial's outcome from a per-solve memo instead of running it. Every
-// result is bit-identical to the engine before. On the
-// repository benchmark's bulk workload (ten alternating 20 s pairs,
-// 2-vCPU Xeon) throughput went from 298 to 787 req/s and CPU per request
-// from 6.20 to 2.14 ms, with identical answer digests.
+// prices only its middle part. A split's own processor is the fastest of
+// its three, so the pair's parts priced on it bound all six assignments
+// from below (worst cycle-time, and for H3 the Δlatency/Δperiod ratio);
+// once the scan holds a best candidate, a pair whose bound already loses
+// is skipped without building its candidates. The ratio skip runs only
+// with no latency cap (H2, H3), where no cap bookkeeping is read. H4's
+// capped bisection trials, and its final rewind, replay the uncapped
+// trial's logged splits while they meet the trial's latency cap and scan
+// only from the first one that does not. Most of those trials repeat an
+// earlier one: a cap reaches a trial only through comparisons against
+// its limit, so every trial that runs records the largest latency total
+// it admitted and the smallest it rejected, and a later cap whose limit
+// lies between the two reads that trial's outcome from a per-solve memo
+// instead of running it. Every result is bit-identical to the engine
+// before. On the repository benchmark's bulk workload (ten alternating
+// 20 s pairs, 2-vCPU Xeon) throughput went from 298 to 787 req/s and CPU
+// per request from 6.20 to 2.14 ms, with identical answer digests.
 //
 // Pareto sweeps are warm-started: each heuristic owns a lane that walks
 // the sorted bound grid on one pooled engine. Period-constrained

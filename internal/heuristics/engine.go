@@ -129,9 +129,14 @@ type state struct {
 	// A rerun whose cap limit (leqLimit) lies in [maxAdmittedLat,
 	// minRejectedLat) takes every decision identically. LatencySweeper's
 	// warm starts rest on the upper side (budgets only grow), H4's trial
-	// memo on both.
+	// memo on both. An uncapped 3-way scan (H2, H3), whose bookkeeping
+	// nothing reads, records only the cut pairs it prices.
 	minRejectedLat float64
 	maxAdmittedLat float64
+
+	// pairsPriced counts the 3-way cut pairs whose candidates were built since
+	// the last reset (scanThreeWay skips the others whole).
+	pairsPriced int
 
 	// log is the trajectory of H4's uncapped trial: every applied step in
 	// order (see replay). trials memoises H4's bisection trials (see
@@ -223,6 +228,7 @@ func (st *state) reset() {
 	st.lat = st.latencyContribution(1, n, first) + st.deltaB[n]
 	st.minRejectedLat = math.Inf(1)
 	st.maxAdmittedLat = math.Inf(-1)
+	st.pairsPriced = 0
 }
 
 // cycle is Evaluator.Cycle(d, e, u) on the flat tables:
@@ -367,12 +373,14 @@ type scan struct {
 	oldLat   float64 // its latency contribution
 	improve  float64 // lt(x, oldCycle) ⇔ x < improve
 	capLim   float64 // leq(x, maxLatency) ⇔ x <= capLim
-	// lazy is set under the mono rule with no latency cap: a candidate
-	// whose worst cycle exceeds the best one's can then neither win nor
-	// feed minRejectedLat, so its latency is never summed.
-	lazy  bool
-	best  candidate
-	found bool
+	// uncapped is set with no latency cap. lazy is set under the mono
+	// rule with no latency cap: a candidate whose worst cycle exceeds the
+	// best one's can then neither win nor feed minRejectedLat, so its
+	// latency is never summed.
+	uncapped bool
+	lazy     bool
+	best     candidate
+	found    bool
 }
 
 // admit takes a candidate that strictly reduces the bottleneck, given its
@@ -428,6 +436,7 @@ func (st *state) bestSplit(idx int, opt splitOptions) (candidate, bool) {
 	}
 	iv := st.ivs[idx]
 	oldCycle := st.cycles[idx]
+	uncapped := math.IsInf(opt.maxLatency, 1)
 	s := scan{
 		st:       st,
 		rule:     opt.rule,
@@ -435,7 +444,8 @@ func (st *state) bestSplit(idx int, opt splitOptions) (candidate, bool) {
 		oldLat:   st.latencyContribution(iv.Start, iv.End, iv.Proc),
 		improve:  oldCycle - relEps*(1+math.Abs(oldCycle)),
 		capLim:   leqLimit(opt.maxLatency),
-		lazy:     opt.rule == selectMono && math.IsInf(opt.maxLatency, 1),
+		uncapped: uncapped,
+		lazy:     opt.rule == selectMono && uncapped,
 	}
 	stages := iv.End - iv.Start + 1
 	if opt.threeWay && nFree >= 2 && stages >= 3 {
@@ -497,6 +507,26 @@ var perms = [6][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2,
 // the last part [k2+1..e] only on k2: the last parts are tabulated once
 // per scan and the first part priced once per k1, so a cut pair prices
 // only its middle part. Values and generation order are unchanged.
+//
+// A cut pair whose six candidates provably cannot become the pick is
+// skipped whole, having priced its middle part on procs[0] only.
+// procs[0] is enrolled and the other two are the fastest free
+// processors, so procs[0] is the fastest of the three, and each part's
+// cycle-time and latency term are smallest on it (rounding is monotone,
+// as are the sums and the division of admit and splitRatio). So every
+// assignment has maxCycle ≥ mc, the largest of the parts' procs[0]
+// cycle-times, and newLat ≥ nl, their procs[0] latency terms summed in
+// admit's order:
+//   - skip(mc) implies skip for all six candidates;
+//   - under the bi rule, with dp = oldCycle − mc > 0, every ratio is at
+//     least (nl − oldLat)/dp: splitRatio divides a dLat ≥ 0 by at most
+//     dp (maxCycle ≥ mc) and a dLat < 0 by at least dp (the part on
+//     procs[0] has cycle ≤ mc), or returns +Inf. A pair whose bound
+//     exceeds the best ratio loses on the rule's first key. Equal ratios
+//     fall to the second key, so the test is strict.
+//
+// The bi skip leaves the pair's candidates out of maxAdmittedLat, so it
+// runs only in uncapped scans (H2, H3), where no cap bookkeeping is read.
 func (st *state) scanThreeWay(s *scan, iv mapping.Interval) {
 	d, e := iv.Start, iv.End
 	procs := [3]int{iv.Proc, st.free[st.freeOff], st.free[st.freeOff+1]}
@@ -521,11 +551,24 @@ func (st *state) scanThreeWay(s *scan, iv mapping.Interval) {
 		}
 		for k2 := k1 + 1; k2 < e; k2++ {
 			wm := st.work[k2] - st.work[k1]
-			for pi, u := range procs {
-				mid.cyc[pi] = st.commB[k1] + wm*st.invSpeed[u] + st.commB[k2]
+			mid.cyc[0] = st.commB[k1] + wm*st.invSpeed[procs[0]] + st.commB[k2]
+			last := &st.ends[k2-d-1]
+			floor := [3]float64{first.cyc[0], mid.cyc[0], last.cyc[0]}
+			mc := maxOf(3, &floor)
+			if s.skip(mc) {
+				continue
+			}
+			if s.uncapped && s.found && s.rule == selectBi {
+				mid.lat[0] = st.deltaB[k1] + wm/st.speed[procs[0]]
+				if dp := s.oldCycle - mc; dp > 0 && (first.lat[0]+mid.lat[0]+last.lat[0]-s.oldLat)/dp > s.best.ratio {
+					continue
+				}
+			}
+			st.pairsPriced++
+			for pi := 1; pi < 3; pi++ {
+				mid.cyc[pi] = st.commB[k1] + wm*st.invSpeed[procs[pi]] + st.commB[k2]
 			}
 			priced := false // mid.lat is filled on first need
-			last := &st.ends[k2-d-1]
 			for _, pm := range perms {
 				cyc = [3]float64{first.cyc[pm[0]], mid.cyc[pm[1]], last.cyc[pm[2]]}
 				maxCycle := maxOf(3, &cyc)

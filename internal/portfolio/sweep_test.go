@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -122,6 +123,24 @@ func TestParetoSweepCancelled(t *testing.T) {
 	}
 }
 
+// requireSweepMatchesFresh fails unless a sweeper's answer at one bound
+// is bit-identical to a fresh solve's: error or not, metrics and mapping
+// (of the InfeasibleError payload on failure).
+func requireSweepMatchesFresh(t *testing.T, label string, got heuristics.Result, gotErr error, want heuristics.Result, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: err %v != fresh %v", label, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		got, want = gotErr.(*heuristics.InfeasibleError).Best, wantErr.(*heuristics.InfeasibleError).Best
+	}
+	if math.Float64bits(got.Metrics.Period) != math.Float64bits(want.Metrics.Period) ||
+		math.Float64bits(got.Metrics.Latency) != math.Float64bits(want.Metrics.Latency) ||
+		got.Mapping.String() != want.Mapping.String() {
+		t.Fatalf("%s: sweeper %+v %v != fresh %+v %v", label, got.Metrics, got.Mapping, want.Metrics, want.Mapping)
+	}
+}
+
 // TestSweepersMatchFreshRuns drives the sweepers directly over monotone
 // grids (including out-of-order probes, which must fall back to fresh
 // solves) and demands bit-identical results and errors per bound.
@@ -136,39 +155,69 @@ func TestSweepersMatchFreshRuns(t *testing.T) {
 			bound := p0 * f
 			got, gotErr := sw.Solve(bound)
 			want, wantErr := h.MinimizeLatency(ev, bound)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("%s bound %g: err %v != fresh %v", h.ID(), bound, gotErr, wantErr)
-			}
-			if gotErr != nil {
-				got, want = gotErr.(*heuristics.InfeasibleError).Best, wantErr.(*heuristics.InfeasibleError).Best
-			}
-			if math.Float64bits(got.Metrics.Period) != math.Float64bits(want.Metrics.Period) ||
-				math.Float64bits(got.Metrics.Latency) != math.Float64bits(want.Metrics.Latency) ||
-				got.Mapping.String() != want.Mapping.String() {
-				t.Fatalf("%s bound %g: sweeper %+v %v != fresh %+v %v", h.ID(), bound, got.Metrics, got.Mapping, want.Metrics, want.Mapping)
-			}
+			requireSweepMatchesFresh(t, fmt.Sprintf("%s bound %g", h.ID(), bound), got, gotErr, want, wantErr)
 		}
 		sw.Close()
 	}
 	optLat := ev.OptimalLatencyValue()
 	budgets := []float64{0.9, 1.0, 1.05, 1.3, 1.8, 2.6, 1.2} // last one out of order
-	for _, h := range heuristics.LatencyHeuristics() {
+	for _, h := range append(heuristics.LatencyHeuristics(), heuristics.ExtensionLatencyHeuristics()...) {
 		sw := heuristics.NewLatencySweeper(ev, h)
 		for _, f := range budgets {
 			budget := optLat * f
 			got, gotErr := sw.Solve(budget)
 			want, wantErr := h.MinimizePeriod(ev, budget)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("%s budget %g: err %v != fresh %v", h.ID(), budget, gotErr, wantErr)
+			requireSweepMatchesFresh(t, fmt.Sprintf("%s budget %g", h.ID(), budget), got, gotErr, want, wantErr)
+		}
+		sw.Close()
+	}
+}
+
+// TestThreeExploSweepGridsMatchFreshRuns drives the 3-Explo sweeper lanes
+// over 15-point grids on the paper's shapes up to n = 40: H2 and H3
+// through PeriodSweeper down ParetoSweep's period grid, and the X7/X8
+// extensions through LatencySweeper up a budget grid from just below the
+// optimal latency. X7 and X8 skip reruns on the cap bookkeeping of capped
+// 3-way scans, H2 and H3 resume uncapped 3-way trajectories; every answer
+// must be a fresh solve's, bit for bit.
+func TestThreeExploSweepGridsMatchFreshRuns(t *testing.T) {
+	for _, fam := range workload.Families() {
+		for _, n := range []int{10, 20, 40} {
+			for _, p := range workload.PaperProcessors() {
+				for seed := int64(2750); seed < 2753; seed++ {
+					sweepGridsMatchFresh(t, fmt.Sprintf("%v/n=%d/p=%d/seed=%d", fam, n, p, seed),
+						workload.Generate(workload.Config{Family: fam, Stages: n, Processors: p, Seed: seed}).Evaluator())
+				}
 			}
-			if gotErr != nil {
-				got, want = gotErr.(*heuristics.InfeasibleError).Best, wantErr.(*heuristics.InfeasibleError).Best
-			}
-			if math.Float64bits(got.Metrics.Period) != math.Float64bits(want.Metrics.Period) ||
-				math.Float64bits(got.Metrics.Latency) != math.Float64bits(want.Metrics.Latency) ||
-				got.Mapping.String() != want.Mapping.String() {
-				t.Fatalf("%s budget %g: sweeper %+v != fresh %+v", h.ID(), budget, got.Metrics, want.Metrics)
-			}
+		}
+	}
+}
+
+// sweepGridsMatchFresh runs TestThreeExploSweepGridsMatchFreshRuns's
+// grids on one instance.
+func sweepGridsMatchFresh(t *testing.T, label string, ev *mapping.Evaluator) {
+	t.Helper()
+	const points = 15
+	single := mapping.SingleProcessor(ev.Pipeline(), ev.Platform(), ev.Platform().Fastest())
+	lo, hi := lowerbound.Period(ev), ev.Period(single)
+	for _, h := range []heuristics.PeriodConstrained{heuristics.ThreeExploMono{}, heuristics.ThreeExploBi{}} {
+		sw := heuristics.NewPeriodSweeper(ev, h)
+		for i := points - 1; i >= 0; i-- {
+			bound := lo + (hi-lo)*float64(i)/float64(points-1)
+			got, gotErr := sw.Solve(bound)
+			want, wantErr := h.MinimizeLatency(ev, bound)
+			requireSweepMatchesFresh(t, fmt.Sprintf("%s/%s bound %g", label, h.ID(), bound), got, gotErr, want, wantErr)
+		}
+		sw.Close()
+	}
+	optLat := ev.OptimalLatencyValue()
+	for _, h := range heuristics.ExtensionLatencyHeuristics() {
+		sw := heuristics.NewLatencySweeper(ev, h)
+		for i := 0; i < points; i++ {
+			budget := optLat * (0.95 + 1.5*float64(i)/float64(points-1))
+			got, gotErr := sw.Solve(budget)
+			want, wantErr := h.MinimizePeriod(ev, budget)
+			requireSweepMatchesFresh(t, fmt.Sprintf("%s/%s budget %g", label, h.ID(), budget), got, gotErr, want, wantErr)
 		}
 		sw.Close()
 	}
