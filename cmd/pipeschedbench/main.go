@@ -8,31 +8,13 @@
 // (seeded Zipf skew, round-robin target choice) are fully reproducible
 // from -seed, so two runs against different fleets replay byte-identical
 // request streams — which is exactly what -verify exploits: every
-// response is replayed against a reference daemon and byte-compared, the
-// cluster CI lane's fleet-vs-single-node bit-identity check.
+// response is replayed against a reference daemon and byte-compared,
+// the fleet-vs-single-node bit-identity check that
+// scripts/cluster_e2e.sh runs in every phase.
 //
-// Arrival shaping follows an atomic rate-setter: -rate fixes the
-// open-loop arrival rate, -rate-final ramps it linearly over -duration
-// (the pacer is retuned mid-run, no generator restart), and -rate 0
-// runs closed-loop as fast as the -workers complete.
-//
-// -batch N switches the stream to /v1/batch: the key universe is
-// grouped N instances per request, each group sharing one platform, so
-// the daemon's decode-time platform dedup and the grouped SoA batch
-// lane are exercised end to end (-verify byte-compares batch responses
-// exactly like solve responses).
-//
-// -scenario FILE replays a multi-phase traffic shape instead of a
-// single run: each phase overlays duration/rate/ramp/skew onto the base
-// flags, phases run in order with optional pauses between (an operator
-// window for restarts), and the per-phase reports are printed in
-// sequence — scripts/scenarios/ ships diurnal, flash-crowd and
-// rolling-restart shapes. -chaos FILE routes the load stream through a
-// fault-injecting transport under a seeded internal/faultinject
-// schedule: injected drops, latency and synthesized statuses are
-// counted separately in the report (never as errors — they are the
-// harness's own doing), and -verify always uses a clean client so
-// bit-identity is asserted on real responses only.
+// The stream is closed-loop: each of the -workers sends its next
+// request as soon as the last one completes, for -requests requests or
+// for -duration.
 //
 // Examples:
 //
@@ -43,13 +25,6 @@
 //	# fixed 10k-request smoke, bit-identity against a reference node
 //	pipeschedbench -targets http://:8080,http://:8081 -requests 10000 \
 //	    -seed 7 -verify http://:9090
-//
-//	# open loop ramping 500 -> 5000 req/s
-//	pipeschedbench -targets http://:8080 -rate 500 -rate-final 5000 -duration 60s
-//
-//	# the flash-crowd scenario with client-side chaos on top
-//	pipeschedbench -targets http://:8080,http://:8081 \
-//	    -scenario scripts/scenarios/flash-crowd.json -chaos chaos.json
 //
 // Exit codes follow the shared contract: 0 on a clean run, 1 when the
 // run saw client-visible errors or verify mismatches (the counts are in
@@ -70,7 +45,6 @@ import (
 	"time"
 
 	"pipesched/internal/cli"
-	"pipesched/internal/faultinject"
 	"pipesched/internal/loadgen"
 	"pipesched/internal/workload"
 )
@@ -102,8 +76,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		verify    = fs.String("verify", "", "reference base URL; byte-compare every response against it")
 		duration  = fs.Duration("duration", 10*time.Second, "run length when -requests is 0")
 		requests  = fs.Int("requests", 0, "exact request count (0 = run for -duration); fixes the key sequence")
-		rate      = fs.Float64("rate", 0, "arrival rate in requests/second (0 = closed loop)")
-		rateFinal = fs.Float64("rate-final", 0, "ramp the rate linearly to this value over -duration (0 = constant)")
 		workers   = fs.Int("workers", 16, "concurrent request loops")
 		keys      = fs.Int("keys", 256, "distinct instances in the key universe")
 		zipfS     = fs.Float64("zipf-s", 1.1, "Zipf skew exponent (> 1; larger = hotter head)")
@@ -113,12 +85,9 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		stages    = fs.Int("stages", 8, "stages per generated instance")
 		procs     = fs.Int("procs", 8, "processors per generated instance")
 		objective = fs.String("objective", "", "solve objective (default min-latency)")
-		batch     = fs.Int("batch", 0, "instances per request: > 1 drives /v1/batch with groups sharing a platform (0 or 1 = per-instance /v1/solve)")
 		bound     = fs.Float64("bound", 1e6, "solve bound sent with every request")
 		timeout   = fs.Duration("timeout", 30*time.Second, "per-request timeout")
 		jsonOut   = fs.Bool("json", false, "emit the report as JSON instead of text")
-		scenario  = fs.String("scenario", "", "scenario file (scripts/scenarios/*.json): run its phases in order, one report each")
-		chaos     = fs.String("chaos", "", "fault schedule file: inject client-side latency/drops/statuses under a seeded script (injected faults are reported, never counted as errors)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return cli.WrapParse(err)
@@ -139,9 +108,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	if *requests < 0 || *keys <= 0 || *workers <= 0 {
 		return cli.Usagef("-requests, -keys and -workers must be positive")
 	}
-	if *batch < 0 {
-		return cli.Usagef("-batch must be non-negative")
-	}
 
 	cfg := loadgen.Config{
 		Targets:      splitTargets(*targets),
@@ -149,8 +115,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		Workers:      *workers,
 		Requests:     *requests,
 		Duration:     *duration,
-		Rate:         *rate,
-		FinalRate:    *rateFinal,
 		Keys:         *keys,
 		ZipfS:        *zipfS,
 		ZipfV:        *zipfV,
@@ -159,49 +123,8 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		Stages:       *stages,
 		Processors:   *procs,
 		Objective:    *objective,
-		Batch:        *batch,
 		Bound:        *bound,
 		Timeout:      *timeout,
-	}
-	if *chaos != "" {
-		sched, err := faultinject.LoadSchedule(*chaos)
-		if err != nil {
-			return cli.Usagef("%v", err)
-		}
-		cfg.Chaos = sched
-	}
-
-	if *scenario != "" {
-		sc, err := loadgen.LoadScenario(*scenario)
-		if err != nil {
-			return cli.Usagef("%v", err)
-		}
-		reports, err := loadgen.RunScenario(ctx, cfg, sc)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(reports); err != nil {
-				return err
-			}
-		} else {
-			fmt.Fprintf(out, "scenario  %s (%d phases)\n", sc.Name, len(sc.Phases))
-			for _, pr := range reports {
-				fmt.Fprintf(out, "\n-- phase %s\n", pr.Phase)
-				printReport(out, pr.Report)
-			}
-		}
-		dirty := errRunDirty{}
-		for _, pr := range reports {
-			dirty.errors += pr.Report.Errors
-			dirty.mismatches += pr.Report.Mismatches
-		}
-		if dirty.errors > 0 || dirty.mismatches > 0 {
-			return &dirty
-		}
-		return nil
 	}
 
 	rep, err := loadgen.Run(ctx, cfg)
@@ -245,7 +168,7 @@ func parseFamily(s string) (workload.Family, error) {
 func printReport(out io.Writer, rep *loadgen.Report) {
 	fmt.Fprintf(out, "targets   %d\n", rep.Targets)
 	fmt.Fprintf(out, "sent      %d in %.2fs (%.0f req/s)\n", rep.Sent, rep.ElapsedSeconds, rep.QPS)
-	fmt.Fprintf(out, "errors    %d    mismatches %d    injected %d\n", rep.Errors, rep.Mismatches, rep.Injected)
+	fmt.Fprintf(out, "errors    %d    mismatches %d\n", rep.Errors, rep.Mismatches)
 	fmt.Fprintf(out, "tiers     %s\n", countMap(rep.Tiers))
 	fmt.Fprintf(out, "statuses  %s\n", countMap(rep.Statuses))
 	l := rep.Latency

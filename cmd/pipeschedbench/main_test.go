@@ -148,41 +148,3 @@ func TestBenchMismatchExitsOne(t *testing.T) {
 		t.Fatalf("dirty exit did not mention mismatches:\n%s", errOut.String())
 	}
 }
-
-// TestBenchBatchAgainstService: -batch drives /v1/batch end to end —
-// grouped solves on the daemon, repeat batches as cache hits, and
-// bit-identity against a reference daemon through -verify.
-func TestBenchBatchAgainstService(t *testing.T) {
-	ts := httptest.NewServer(service.New(service.Options{}))
-	defer ts.Close()
-	ref := httptest.NewServer(service.New(service.Options{}))
-	defer ref.Close()
-
-	var out, errOut bytes.Buffer
-	code := realMain([]string{
-		"-targets", ts.URL,
-		"-verify", ref.URL,
-		"-requests", "24",
-		"-keys", "12",
-		"-batch", "4",
-		"-seed", "3",
-		"-stages", "4", "-procs", "3",
-		"-workers", "4",
-		"-json",
-	}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit code %d\nstderr: %s", code, errOut.String())
-	}
-	var rep loadgen.Report
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("report is not JSON: %v\n%s", err, out.String())
-	}
-	if rep.Sent != 24 || rep.Errors != 0 || rep.Mismatches != 0 {
-		t.Fatalf("report: %+v", rep)
-	}
-	// 24 Zipf-skewed requests over 3 batch bodies must repeat: hits
-	// present alongside the first-touch misses.
-	if rep.Tiers["hit"] == 0 || rep.Tiers["miss"] == 0 {
-		t.Fatalf("tiers = %v, want both hits and misses", rep.Tiers)
-	}
-}

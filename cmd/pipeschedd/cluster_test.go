@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -27,7 +28,6 @@ func TestDaemonPeerFlagValidation(t *testing.T) {
 		{"zero-peer-timeout", []string{"-peer-timeout", "0s"}},
 		{"negative-peer-backoff", []string{"-peer-backoff", "-1s"}},
 		{"peers-and-peers-file", []string{"-peers", "http://a:1", "-peers-file", "x", "-advertise", "http://a:1"}},
-		{"watch-without-file", []string{"-peers", "http://a:1,http://b:2", "-advertise", "http://a:1", "-peers-watch", "1s"}},
 		{"negative-replicas", []string{"-peers", "http://a:1,http://b:2", "-advertise", "http://a:1", "-replicas", "-1"}},
 		{"missing-peers-file", []string{"-peers-file", "/nonexistent/peers.txt", "-advertise", "http://a:1"}},
 	} {
@@ -78,7 +78,9 @@ func TestDaemonFleetForwards(t *testing.T) {
 			"-replicas", "1",
 			"-peer-timeout", "500ms",
 			"-peer-backoff", "200ms",
-			"-no-warmup",
+			// No start-up sync round: it could find B not yet listening
+			// and mark it down through the seed walk below.
+			"-sync-interval", "0",
 		)
 		shutdowns = append(shutdowns, shutdown)
 	}
@@ -166,12 +168,14 @@ func TestDaemonFleetForwards(t *testing.T) {
 }
 
 // TestDaemonPeersFileReload drives dynamic membership through the full
-// daemon surface: two daemons share a -peers-file and watch it at a
-// short poll interval; appending a third member must swap both onto the
-// 3-peer topology without a restart, and the reload must be visible in
-// /metrics. The new member never comes up — its snapshot pull failing is
-// exactly the degraded-handoff path a real join races against, and it
-// must not block the swap.
+// daemon surface: two daemons share a -peers-file; appending a third
+// member and sending one SIGHUP must swap both from 2 peers onto the
+// 3-peer topology in exactly one reload, without a restart, visible in
+// /metrics. The signal goes out as soon as both daemons have reported
+// their address, so it also checks that the handler is registered by
+// then (Go's default action for SIGHUP is to exit). The new member
+// never comes up — its digest pull failing is exactly the degraded sync
+// path a real join races against, and it must not block the swap.
 func TestDaemonPeersFileReload(t *testing.T) {
 	addrA, addrB, addrC := reservePort(t), reservePort(t), reservePort(t)
 	peersPath := t.TempDir() + "/peers.txt"
@@ -192,11 +196,10 @@ func TestDaemonPeersFileReload(t *testing.T) {
 		_, shutdown := startDaemon(t,
 			"-addr", addr,
 			"-peers-file", peersPath,
-			"-peers-watch", "50ms",
 			"-advertise", "http://"+addr,
 			"-peer-timeout", "500ms",
 			"-peer-backoff", "200ms",
-			"-no-warmup",
+			"-sync-interval", "0",
 		)
 		shutdowns = append(shutdowns, shutdown)
 	}
@@ -207,6 +210,14 @@ func TestDaemonPeersFileReload(t *testing.T) {
 			}
 		}
 	}()
+
+	// Signal as soon as both daemons have reported their address. Both
+	// registered for SIGHUP before they listened, so one signal to this
+	// process reloads both and kills neither.
+	writePeers(addrA, addrB, addrC)
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
 
 	clusterSnap := func(base string) (peers int, reloads uint64) {
 		resp, err := http.Get(base + "/metrics")
@@ -230,15 +241,6 @@ func TestDaemonPeersFileReload(t *testing.T) {
 		return snap.Cluster.Peers, snap.Cluster.Reloads
 	}
 	baseA, baseB := "http://"+addrA, "http://"+addrB
-	if peers, reloads := clusterSnap(baseA); peers != 2 || reloads != 0 {
-		t.Fatalf("before reload: peers=%d reloads=%d, want 2/0", peers, reloads)
-	}
-
-	// mtime granularity can swallow a rewrite that lands in the same
-	// instant the file was created; a short sleep keeps the stamp distinct.
-	time.Sleep(20 * time.Millisecond)
-	writePeers(addrA, addrB, addrC)
-
 	deadline := time.Now().Add(5 * time.Second)
 	for _, base := range []string{baseA, baseB} {
 		for {

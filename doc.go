@@ -298,7 +298,7 @@
 // # Cluster serving: the peer-aware fleet
 //
 // internal/cluster scales the daemon horizontally. Started with
-// -peers/-advertise (or a watched -peers-file), every canonical cache
+// -peers/-advertise (or a -peers-file), every canonical cache
 // key gets an ordered replica set of -replicas owners (default 2),
 // assigned by rendezvous hashing over the normalized peer list — no
 // coordinator, no external store, and a membership change reassigns
@@ -320,13 +320,16 @@
 // just like transport failures. Only when every replica is down does
 // the node fall back to a local solve: a dead or misbehaving peer is
 // never a client-visible error, and with R>=2 a single death costs no
-// cache coverage. Membership is dynamic: SIGHUP (or a -peers-watch
-// poll) atomically swaps a new topology, and the node installs peer
-// snapshot entries for keys it just became a replica for, so ownership
-// changes hand off warm state. Joining nodes warm their cache the same
-// way (GET /v1/peer/snapshot, a bounded length-prefixed format fuzzed
-// nightly, as are the peers-file parser and reload ownership agreement)
-// — a cold node is already correct, warm-up only makes it fast sooner.
+// cache coverage. Membership is dynamic: SIGHUP atomically swaps in the
+// topology of the re-read -peers-file, and the node then runs one
+// anti-entropy round (below) under it, pulling the keys it just became
+// a replica for, so ownership changes keep warm state. Booting and
+// joining nodes warm their cache the same way: the sync loop runs its
+// first round at start — a cold node is already correct, warm-up only
+// makes it fast sooner. Cache entries move between nodes through no
+// other path (the entry codec is a bounded length-prefixed format
+// fuzzed nightly, as are the peers-file parser and reload ownership
+// agreement).
 // Solvers are deterministic and responses are canonical rendered bytes,
 // so a fleet answers byte-identically to a single node whichever member
 // serves and whatever faults its peers suffer — pinned by an in-process
@@ -356,14 +359,15 @@
 //
 // Replica anti-entropy heals drift that no membership change announces:
 // a node restarted empty, a healed partition, an eviction racing a
-// forward. Every -sync-interval (default 30s) each node pulls a bounded
-// key digest from each live peer (GET /v1/peer/digest — the digest and
-// membership codecs share the snapshot codec's bounded, fuzzed wire
-// discipline) and fetches only the entries it replicates but does not
-// hold (POST /v1/peer/fetch). A replica set with zero client traffic
-// converges digest-equal within one round per direction; a missed round
-// costs freshness, never correctness, because an unsynced key simply
-// misses and forwards or solves.
+// forward. At start and every -sync-interval (default 30s; 0 disables
+// both) each node pulls a bounded key digest from each live peer
+// (GET /v1/peer/digest — the digest and membership codecs share the
+// entry codec's bounded, fuzzed wire discipline) and fetches only the
+// entries it replicates but does not hold (POST /v1/peer/fetch), at
+// most -snapshot-entries per digest and per fetch. A replica set with
+// zero client traffic converges digest-equal within one round per
+// direction; a missed round costs freshness, never correctness,
+// because an unsynced key simply misses and forwards or solves.
 //
 // Disagreement is detected, not inferred: every peer exchange carries
 // the sender's membership stamp (X-Pipesched-Membership, epoch plus a
@@ -387,16 +391,11 @@
 // traffic can cross a schedule while clients reach daemons directly.
 // Injected failures always carry the X-Fault-Injected marker.
 //
-// cmd/pipeschedbench is the matching load generator: deterministic
-// Zipf-skewed solve streams with atomic rate-setter arrival shaping
-// (fixed or linearly ramped open-loop rates, or closed-loop), QPS /
-// cache-tier / latency-percentile reporting, a -verify mode that
-// byte-compares every fleet response against a reference daemon, a
-// -chaos mode that injects scheduled faults into the load stream itself
-// (counted separately, verified on a clean client), and -scenario
-// scripts replaying multi-phase traffic shapes (scripts/scenarios/:
-// diurnal cycle, flash crowd, rolling restart, membership churn). The
-// façade mirrors the
+// cmd/pipeschedbench is the matching load generator: a deterministic,
+// Zipf-skewed, closed-loop solve stream with QPS / cache-tier /
+// latency-percentile reporting and a -verify mode that byte-compares
+// every fleet response against a reference daemon — the stream
+// scripts/cluster_e2e.sh runs in every phase. The façade mirrors the
 // surface for embedding: NewClusterTopology builds the validated fleet
 // view and ServerOptions.Cluster (a ServerClusterConfig) opts an
 // embedded Server into peer-aware serving.

@@ -335,8 +335,10 @@ func BenchmarkFleetAntiEntropy(b *testing.B) {
 // BenchmarkFleetJoinWarmup prices the -join boot sequence a new node
 // runs before taking traffic: resolve the fleet from a seed
 // (GET /v1/peer/members), build the grown topology at the fleet's
-// epoch, and warm the cache from peer snapshots. The row bounds how
-// long a scale-out event keeps a fresh node cold.
+// epoch, and warm the cache with the sync round a booting daemon runs
+// at start (a digest from each peer, then one fetch of the entries it
+// replicates). The row bounds how long a scale-out event keeps a fresh
+// node cold.
 func BenchmarkFleetJoinWarmup(b *testing.B) {
 	const keys = 32
 	ctx := context.Background()
@@ -368,7 +370,7 @@ func BenchmarkFleetJoinWarmup(b *testing.B) {
 			b.Fatal(err)
 		}
 		joiner := service.New(service.Options{Cluster: &service.ClusterConfig{Topology: topo, Epoch: m.Epoch}})
-		n, err := joiner.WarmFromPeers(ctx)
+		n, err := joiner.SyncOnce(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}

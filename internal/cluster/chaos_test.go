@@ -25,7 +25,7 @@ import (
 
 // startChaosFleet brings up a 3-node fleet in which node 2 is advertised
 // through a fault-injecting reverse proxy: every forward, hedge and
-// snapshot pull that targets node 2 crosses the schedule, while nodes 0
+// sync pull that targets node 2 crosses the schedule, while nodes 0
 // and 1 (and node 2's own listener) stay clean. hedgeAfter is kept well
 // under the injected latency so delayed forwards actually hedge.
 func startChaosFleet(t testing.TB, sched *faultinject.Schedule) (*fleet, *faultinject.Proxy) {
@@ -228,11 +228,12 @@ func TestFleetChaosRollingRestart(t *testing.T) {
 	}
 
 	// Restart: a fresh cold instance on the same address warms back from
-	// its peers before rejoining the pool.
+	// its peers, through the sync round a booting daemon runs, before
+	// rejoining the pool.
 	fresh := newNode(2)
 	nodes[2].srv.Store(fresh)
 	f.srvs[2] = fresh
-	n, err := fresh.WarmFromPeers(context.Background())
+	n, err := fresh.SyncOnce(context.Background())
 	if err != nil {
 		t.Fatalf("post-restart warm-up: %v", err)
 	}
@@ -260,10 +261,10 @@ func TestFleetChaosRollingRestart(t *testing.T) {
 
 // TestFleetChaosMembershipReload shrinks a 3-node fleet to 2 via
 // ReloadTopology — the dynamic-membership path the daemon drives from a
-// peers-file change — and checks the snapshot-driven handoff: keys whose
-// replica set newly includes a survivor are installed there before the
-// departed node stops answering, so the shrink costs no correctness and
-// shows up as handed-off entries in the metrics.
+// peers-file change — and checks the sync round the reload runs: keys
+// whose replica set newly includes a survivor are pulled there before
+// the departed node stops answering, so the shrink costs no
+// correctness.
 func TestFleetChaosMembershipReload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test in -short mode")
@@ -310,7 +311,7 @@ func TestFleetChaosMembershipReload(t *testing.T) {
 		}
 	}
 	if handed == 0 {
-		t.Fatal("shrinking 3->2 handed off no entries although both survivors gained ownership")
+		t.Fatal("shrinking 3->2 pulled no entries although both survivors gained ownership")
 	}
 
 	// The departed node can now actually die; the shrunken fleet must

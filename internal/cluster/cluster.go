@@ -12,7 +12,7 @@
 // digest computed by the service layer — has exactly one owner, chosen
 // by rendezvous (highest-random-weight) hashing over the key bytes:
 // every peer is scored against the key and the maximum wins. Rendezvous
-// hashing gives the property that matters for cache warm-up and
+// hashing gives the property that matters for anti-entropy and
 // failover: removing one peer reassigns only the keys that peer owned,
 // never shuffling ownership among the survivors.
 //
@@ -50,13 +50,16 @@
 // freshly constructed one can never disagree (FuzzMembershipReload pins
 // this).
 //
-// # Snapshot warm-up
+// # Anti-entropy
 //
-// A joining node streams the hot entries of its peers' caches
-// (GET /v1/peer/snapshot, encoded by this package's wire codec) and
-// imports them before taking traffic warm. The codec is
-// length-prefixed and versioned; decoding bounds both entry count and
-// body size so a misbehaving peer cannot balloon a joiner's memory.
+// Cache entries move between nodes one way: a node pulls a peer's
+// bounded key digest (GET /v1/peer/digest), posts the keys it
+// replicates but lacks as a want-list (POST /v1/peer/fetch), and
+// imports the entries the peer answers with in this package's entry
+// codec. A booting node runs one such round at once, a reloading node
+// one under its new view. The codecs are length-prefixed and
+// versioned; decoding bounds both entry count and body size so a
+// misbehaving peer cannot balloon a node's memory.
 package cluster
 
 import (

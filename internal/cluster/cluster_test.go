@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -222,33 +223,73 @@ func TestForwardTimeout(t *testing.T) {
 	}
 }
 
-func TestFetchSnapshot(t *testing.T) {
-	want := []Entry{
-		{Key: keyOf(1), Body: []byte("alpha")},
-		{Key: keyOf(2), Body: []byte{}},
+// TestFetchEntries drives the anti-entropy pull against a stub peer:
+// the posted want-list must decode as a digest, keys the peer lacks are
+// absent from the answer, and the entry-count and body bounds hold.
+func TestFetchEntries(t *testing.T) {
+	held := map[Key][]byte{
+		keyOf(1): []byte("alpha"),
+		keyOf(2): {},
 	}
+	wants := make(chan []Key, 3) // one per FetchEntries call below
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != SnapshotPath {
+		if r.Method != http.MethodPost || r.URL.Path != FetchPath {
 			http.NotFound(w, r)
 			return
 		}
-		if err := EncodeSnapshot(w, want); err != nil {
+		keys, err := DecodeDigest(r.Body, 16)
+		if err != nil {
+			t.Errorf("want-list does not decode: %v", err)
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		wants <- keys
+		var entries []Entry
+		for _, k := range keys {
+			if body, ok := held[k]; ok {
+				entries = append(entries, Entry{Key: k, Body: body})
+			}
+		}
+		if err := EncodeSnapshot(w, entries); err != nil {
 			t.Errorf("encode: %v", err)
 		}
 	}))
 	defer ts.Close()
 
 	c := NewClient(ClientConfig{Peers: 1, Timeout: time.Second, Backoff: time.Minute})
-	got, err := c.FetchSnapshot(context.Background(), 0, ts.URL, 10, 1<<20)
+	want := []Key{keyOf(1), keyOf(3), keyOf(2)}
+	got, err := c.FetchEntries(context.Background(), 0, ts.URL, want, 10, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d entries, want %d", len(got), len(want))
+	gotWant := <-wants
+	if len(gotWant) != len(want) {
+		t.Fatalf("peer decoded a want-list of %d keys, want %d", len(gotWant), len(want))
 	}
 	for i := range want {
-		if got[i].Key != want[i].Key || string(got[i].Body) != string(want[i].Body) {
-			t.Fatalf("entry %d: got %v, want %v", i, got[i], want[i])
+		if gotWant[i] != want[i] {
+			t.Fatalf("want-list key %d changed on the wire", i)
 		}
+	}
+	if len(got) != 2 {
+		t.Fatalf("got %d entries, want the 2 the peer holds", len(got))
+	}
+	for _, e := range got {
+		if e.Key == keyOf(3) {
+			t.Fatal("answer carries a key the peer lacks")
+		}
+		if string(e.Body) != string(held[e.Key]) {
+			t.Fatalf("entry body %q, want %q", e.Body, held[e.Key])
+		}
+	}
+	if !c.Available(0) {
+		t.Fatal("successful fetch left the peer marked down")
+	}
+
+	if _, err := c.FetchEntries(context.Background(), 0, ts.URL, want, 1, 1<<20); !errors.Is(err, ErrTooMany) {
+		t.Fatalf("entry bound 1 over 2 held entries: err %v, want ErrTooMany", err)
+	}
+	if _, err := c.FetchEntries(context.Background(), 0, ts.URL, want, 10, 4); !errors.Is(err, ErrBodyTooLong) {
+		t.Fatalf("body bound 4 over a 5-byte body: err %v, want ErrBodyTooLong", err)
 	}
 }

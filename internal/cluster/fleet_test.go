@@ -2,8 +2,8 @@
 // instances behind loopback HTTP listeners sharing one topology, driven
 // by the same loadgen engine cmd/pipeschedbench uses. It runs under
 // go test -race, so the CI cluster lane exercises the full peer path —
-// ownership, forwarding, fallback, warm-up — with the race detector on,
-// which the subprocess-based e2e script cannot.
+// ownership, forwarding, fallback, anti-entropy — with the race detector
+// on, which the subprocess-based e2e script cannot.
 package cluster_test
 
 import (
@@ -262,8 +262,9 @@ func postLocal(t testing.TB, url string, body []byte) (int, string, []byte) {
 
 // TestFleetJoinWarmup covers the joining-node lifecycle: a node started
 // after the fleet has traffic must serve correct results immediately
-// (cold = miss/forward/fallback, never wrong), and after WarmFromPeers
-// must hit locally on keys it never solved itself.
+// (cold = miss/forward/fallback, never wrong), and after one sync round
+// (the round a booting daemon runs at start) must hit locally on keys it
+// never solved itself.
 func TestFleetJoinWarmup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet test in -short mode")
@@ -302,14 +303,14 @@ func TestFleetJoinWarmup(t *testing.T) {
 		t.Fatalf("unknown X-Cache tier %q", tier)
 	}
 
-	n, err := f.srvs[1].WarmFromPeers(context.Background())
+	n, err := f.srvs[1].SyncOnce(context.Background())
 	if err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 	if n == 0 {
 		t.Fatal("warm-up imported nothing although the peer has entries")
 	}
-	if c := f.srvs[1].Metrics().Cluster; c == nil || c.WarmedEntries == 0 {
+	if c := f.srvs[1].Metrics().Cluster; c == nil || c.SyncPulled == 0 {
 		t.Fatal("warm-up not reflected in cluster metrics")
 	}
 

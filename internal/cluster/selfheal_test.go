@@ -186,6 +186,59 @@ func TestFleetAntiEntropy(t *testing.T) {
 	}
 }
 
+// TestFleetSelfHealingBootSync pins the boot warm-up: RunSelfHealing
+// runs its first sync round as soon as it starts, so a cold node pulls
+// the entries it replicates within seconds, not one sync interval (here
+// an hour) later.
+func TestFleetSelfHealingBootSync(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet test in -short mode")
+	}
+	f := startFleet(t, 2)
+	f.startAll()
+
+	// Node 0 holds the entries; node 1 is cold. With 2 nodes and R=2
+	// node 1 replicates every key.
+	const keys = 4
+	for seed := int64(0); seed < keys; seed++ {
+		status, _, b := postLocal(t, f.urls[0], solveBody(t, 4000+seed))
+		if status != http.StatusOK {
+			t.Fatalf("populate: status %d: %s", status, b)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.srvs[1].RunSelfHealing(ctx, 0, time.Hour)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c := f.srvs[1].Metrics().Cluster
+		if c.SyncPulled == keys {
+			if c.SyncRounds != 1 {
+				t.Fatalf("sync_rounds = %d after the boot round, want 1", c.SyncRounds)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no boot sync round within 5s of starting: %+v", c)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for seed := int64(0); seed < keys; seed++ {
+		if status, tier, _ := postLocal(t, f.urls[1], solveBody(t, 4000+seed)); status != http.StatusOK || tier != "hit" {
+			t.Fatalf("seed %d after the boot round: status %d tier %q, want 200 \"hit\"", seed, status, tier)
+		}
+	}
+}
+
 // TestFleetMembershipDisagreement drives the one split the merge rules
 // refuse to heal silently — an operator view that excludes a live node —
 // and checks it surfaces as counters on both sides instead of a wrong

@@ -8,8 +8,9 @@ import (
 	"io"
 )
 
-// The peer wire codec: the byte stream of GET /v1/peer/snapshot. A
-// snapshot is a magic+version header followed by zero or more records,
+// The peer entry codec: the byte stream of a POST /v1/peer/fetch
+// answer. A snapshot is a magic+version header followed by zero or more
+// records,
 //
 //	[32-byte key][uvarint body length][body bytes]
 //
@@ -17,13 +18,13 @@ import (
 // the body length-prefixed, so no record can bleed into its neighbour's
 // key — cross-peer key aliasing is structurally impossible, and
 // FuzzPeerWire pins it. Decoding is bounded (entry count, per-body
-// size), so a misbehaving peer cannot balloon a joining node's memory;
-// any malformed stream is an error, never a panic.
+// size), so a misbehaving peer cannot balloon the puller's memory; any
+// malformed stream is an error, never a panic.
 
 // snapshotMagic opens every snapshot stream. The trailing byte is the
 // codec version: bump it whenever a field is added or reordered, so a
-// mixed-version fleet fails loudly at warm-up instead of importing
-// garbage.
+// mixed-version fleet fails loudly at the first sync round instead of
+// importing garbage.
 var snapshotMagic = []byte{'P', 'S', 'N', 'P', 1}
 
 // membersMagic opens a membership message (GET /v1/peer/members and the

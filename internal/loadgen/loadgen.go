@@ -1,11 +1,12 @@
 // Package loadgen is the engine of cmd/pipeschedbench: a deterministic,
 // Zipf-skewed load generator for a pipeschedd fleet. It generates a
-// fixed universe of solve instances from a seed, drives them at a
-// configurable (and mid-run retunable, see Pacer) arrival rate across
-// one or more targets, and reports achieved QPS, the X-Cache hit-tier
-// breakdown and latency percentiles. An optional verify target replays
-// every response against a reference daemon and counts byte mismatches —
-// the fleet-vs-single-node bit-identity check the cluster CI lane runs.
+// fixed universe of solve instances from a seed, drives them closed-loop
+// (each worker sends its next request when the last one completes)
+// across one or more targets, and reports achieved QPS, the X-Cache
+// hit-tier breakdown and latency percentiles. An optional verify target
+// replays every response against a reference daemon and counts byte
+// mismatches — the fleet-vs-single-node bit-identity check the cluster
+// drill runs.
 package loadgen
 
 import (
@@ -22,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"pipesched/internal/faultinject"
 	"pipesched/internal/workload"
 )
 
@@ -44,12 +44,6 @@ type Config struct {
 	Requests int
 	// Duration bounds the run when Requests is 0 (default 10s).
 	Duration time.Duration
-	// Rate is the arrival rate in requests/second; 0 = closed loop (as
-	// fast as the workers complete).
-	Rate float64
-	// FinalRate, when positive and the run is duration-bounded, ramps
-	// the rate linearly from Rate to FinalRate over the run.
-	FinalRate float64
 	// Keys is the number of distinct instances in the universe (default
 	// 256); requests draw from it with Zipf skew, so a handful of hot
 	// keys dominate like real repeat traffic does.
@@ -66,29 +60,12 @@ type Config struct {
 	Stages, Processors int
 	// Objective is the solve objective ("" = min-latency).
 	Objective string
-	// Batch, when > 1, switches the stream to POST /v1/batch: the key
-	// universe is grouped into batch bodies of this many consecutive
-	// instances, all sharing their group's first platform — the skewed
-	// many-pipelines-few-platforms shape the grouped batch lane (and the
-	// daemon's decode-time platform dedup) is built for. Keys then counts
-	// instances, not requests: the Zipf draw runs over the batch bodies.
-	// 0 or 1 keeps the per-instance /v1/solve stream.
-	Batch int
 	// Bound is the solve bound (default 1e6: loose enough that every
 	// instance is feasible, so the stream measures serving, not
 	// infeasibility handling).
 	Bound float64
 	// Timeout bounds each request (default 30s).
 	Timeout time.Duration
-	// Chaos, when set, routes the load stream's requests through a
-	// fault-injecting transport under this seeded schedule: injected
-	// drops, latency and synthesized statuses exercise the client-facing
-	// path of a fleet under partition. Injected faults are counted
-	// separately (Report.Injected) and never as Errors — they are the
-	// harness's own doing, not the fleet's. The verify stream always
-	// uses a clean client, so bit-identity is asserted on real
-	// responses only.
-	Chaos *faultinject.Schedule
 }
 
 func (c *Config) setDefaults() error {
@@ -131,9 +108,6 @@ func (c *Config) setDefaults() error {
 	if c.Bound == 0 {
 		c.Bound = 1e6
 	}
-	if c.Batch < 0 {
-		return fmt.Errorf("loadgen: negative batch size")
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
 	}
@@ -155,7 +129,6 @@ type Report struct {
 	Targets        int            `json:"targets"`
 	Sent           int            `json:"sent"`
 	Errors         int            `json:"errors"`     // transport failures + non-200 statuses
-	Injected       int            `json:"injected"`   // client-side chaos faults (never errors)
 	Mismatches     int            `json:"mismatches"` // verify-target body divergences
 	ElapsedSeconds float64        `json:"elapsed_seconds"`
 	QPS            float64        `json:"qps"`
@@ -167,10 +140,10 @@ type Report struct {
 // workerState accumulates one worker's tallies, merged after the run so
 // the hot loop never shares a counter.
 type workerState struct {
-	sent, errors, injected, mismatches int
-	tiers                              map[string]int
-	statuses                           map[string]int
-	latencies                          []time.Duration
+	sent, errors, mismatches int
+	tiers                    map[string]int
+	statuses                 map[string]int
+	latencies                []time.Duration
 }
 
 // Run executes one load-generation run and returns its report. The
@@ -185,24 +158,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	newTransport := func() http.RoundTripper {
-		return &http.Transport{
-			MaxIdleConnsPerHost: cfg.Workers + 1,
-			IdleConnTimeout:     90 * time.Second,
-		}
-	}
-	rt := newTransport()
-	if cfg.Chaos != nil {
-		rt = faultinject.NewTransport(rt, cfg.Chaos)
-	}
-	client := &http.Client{Timeout: cfg.Timeout, Transport: rt}
-	// The verify stream never crosses the chaos transport: mismatch
-	// accounting must compare real fleet responses against the
-	// reference, not the harness's own injected failures.
-	verifyClient := client
-	if cfg.Chaos != nil {
-		verifyClient = &http.Client{Timeout: cfg.Timeout, Transport: newTransport()}
-	}
+	client := &http.Client{Timeout: cfg.Timeout, Transport: &http.Transport{
+		MaxIdleConnsPerHost: cfg.Workers + 1,
+		IdleConnTimeout:     90 * time.Second,
+	}}
 
 	runCtx := ctx
 	var cancel context.CancelFunc
@@ -211,37 +170,15 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		defer cancel()
 	}
 
-	pacer := NewPacer(cfg.Rate)
-	if cfg.FinalRate > 0 && cfg.Rate > 0 && cfg.Requests == 0 {
-		go ramp(runCtx, pacer, cfg.Rate, cfg.FinalRate, cfg.Duration)
-	}
-
 	// The generator owns all randomness: one seeded Zipf draw and one
 	// round-robin counter per admission, so the multiset of keys (and,
 	// with Requests set, the exact sequence) is reproducible.
-	path := "/v1/solve"
-	if cfg.Batch > 1 {
-		path = "/v1/batch"
-	}
 	type job struct{ key, target int }
 	jobs := make(chan job, cfg.Workers)
 	go func() {
 		defer close(jobs)
-		// The Zipf draw runs over the rendered bodies — per-instance solve
-		// bodies, or batch-mode groups of Batch instances each.
 		zipf := rand.NewZipf(rand.New(rand.NewSource(cfg.Seed)), cfg.ZipfS, cfg.ZipfV, uint64(len(bodies)-1))
-		next := time.Now()
 		for i := 0; cfg.Requests == 0 || i < cfg.Requests; i++ {
-			if cfg.Rate > 0 {
-				if d := time.Until(next); d > 0 {
-					select {
-					case <-time.After(d):
-					case <-runCtx.Done():
-						return
-					}
-				}
-				next = pacer.Next(next)
-			}
 			j := job{key: int(zipf.Uint64()), target: i % len(cfg.Targets)}
 			select {
 			case jobs <- j:
@@ -263,25 +200,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			for j := range jobs {
 				body := bodies[j.key]
 				t0 := time.Now()
-				status, tier, injected, respBody, err := post(runCtx, client, cfg.Targets[j.target], path, body)
+				status, tier, respBody, err := post(runCtx, client, cfg.Targets[j.target], body)
 				st.latencies = append(st.latencies, time.Since(t0))
 				st.sent++
 				if err != nil {
-					if faultinject.Injected(err) {
-						// The harness dropped its own request; the fleet
-						// never saw it, so it cannot count against it.
-						st.injected++
-						st.statuses["injected"]++
-					} else {
-						st.errors++
-						st.statuses["transport-error"]++
-					}
-					continue
-				}
-				if injected {
-					// A synthesized client-side status, same reasoning.
-					st.injected++
-					st.statuses["injected"]++
+					st.errors++
+					st.statuses["transport-error"]++
 					continue
 				}
 				st.statuses[strconv.Itoa(status)]++
@@ -293,7 +217,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 					st.tiers[tier]++
 				}
 				if cfg.VerifyTarget != "" {
-					_, _, _, refBody, err := post(runCtx, verifyClient, cfg.VerifyTarget, path, body)
+					_, _, refBody, err := post(runCtx, client, cfg.VerifyTarget, body)
 					if err != nil || !bytes.Equal(respBody, refBody) {
 						st.mismatches++
 					}
@@ -314,7 +238,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	for _, st := range states {
 		rep.Sent += st.sent
 		rep.Errors += st.errors
-		rep.Injected += st.injected
 		rep.Mismatches += st.mismatches
 		for k, v := range st.tiers {
 			rep.Tiers[k] += v
@@ -331,35 +254,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// ramp retunes the pacer every 100ms along the linear path from r0 to r1
-// over the run duration — the generator picks the new rate up on its
-// next admission.
-func ramp(ctx context.Context, p *Pacer, r0, r1 float64, d time.Duration) {
-	start := time.Now()
-	tick := time.NewTicker(100 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			frac := float64(time.Since(start)) / float64(d)
-			if frac > 1 {
-				frac = 1
-			}
-			p.SetRate(r0 + (r1-r0)*frac)
-		}
-	}
-}
-
 // buildBodies renders the instance universe once: request i is the
-// marshalled solve body of the seeded instance i (or, in batch mode, the
-// marshalled batch of instances i·Batch..), so every run with the same
-// config replays byte-identical requests.
+// marshalled solve body of the seeded instance i, so every run with the
+// same config replays byte-identical requests.
 func buildBodies(cfg Config) ([][]byte, error) {
-	if cfg.Batch > 1 {
-		return buildBatchBodies(cfg)
-	}
 	bodies := make([][]byte, cfg.Keys)
 	for i := range bodies {
 		in := workload.Generate(workload.Config{
@@ -385,72 +283,24 @@ func buildBodies(cfg Config) ([][]byte, error) {
 	return bodies, nil
 }
 
-// buildBatchBodies renders the universe as /v1/batch requests of Batch
-// consecutive seeded pipelines. Every instance in a group reuses the
-// group's first platform: real batches are a sweep of many pipelines
-// over one cluster, and the shared platform is what lets the daemon
-// dedup platforms at decode time and the grouped batch lane build the
-// evaluator tables once per group.
-func buildBatchBodies(cfg Config) ([][]byte, error) {
-	n := (cfg.Keys + cfg.Batch - 1) / cfg.Batch
-	bodies := make([][]byte, n)
-	for g := range bodies {
-		lo := g * cfg.Batch
-		hi := lo + cfg.Batch
-		if hi > cfg.Keys {
-			hi = cfg.Keys
-		}
-		var plat any
-		instances := make([]map[string]any, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			in := workload.Generate(workload.Config{
-				Family:     cfg.Family,
-				Stages:     cfg.Stages,
-				Processors: cfg.Processors,
-				Seed:       cfg.Seed + int64(i),
-			})
-			if plat == nil {
-				plat = in.Plat
-			}
-			instances = append(instances, map[string]any{
-				"pipeline": in.App,
-				"platform": plat,
-			})
-		}
-		req := map[string]any{
-			"instances": instances,
-			"bound":     cfg.Bound,
-		}
-		if cfg.Objective != "" {
-			req["objective"] = cfg.Objective
-		}
-		b, err := json.Marshal(req)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: marshal batch %d: %w", g, err)
-		}
-		bodies[g] = b
-	}
-	return bodies, nil
-}
-
-// post issues one request and returns status, X-Cache tier, whether the
-// response was synthesized by a chaos transport, and the body.
-func post(ctx context.Context, client *http.Client, target, path string, body []byte) (int, string, bool, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+path, bytes.NewReader(body))
+// post issues one solve request to target and returns status, X-Cache
+// tier and the body.
+func post(ctx context.Context, client *http.Client, target string, body []byte) (int, string, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/v1/solve", bytes.NewReader(body))
 	if err != nil {
-		return 0, "", false, nil, err
+		return 0, "", nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, "", false, nil, err
+		return 0, "", nil, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return 0, "", false, nil, err
+		return 0, "", nil, err
 	}
-	return resp.StatusCode, resp.Header.Get("X-Cache"), resp.Header.Get(faultinject.Header) != "", b, nil
+	return resp.StatusCode, resp.Header.Get("X-Cache"), b, nil
 }
 
 // summarize computes the latency tail of one run.

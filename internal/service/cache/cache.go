@@ -210,7 +210,7 @@ type Item[V any] struct {
 }
 
 // Snapshot returns up to max stored entries, most recently used first —
-// the hot set a joining peer should warm up with. max <= 0 returns every
+// the hot set a peer's anti-entropy digest lists. max <= 0 returns every
 // entry. The values are returned as stored; callers sharing them across
 // goroutines rely on the service's convention of never mutating cached
 // values.

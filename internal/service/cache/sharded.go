@@ -104,9 +104,9 @@ func (s *Sharded[V]) Put(k Key, v V) { s.shard(k).Put(k, v) }
 // contribution most recently used first. The per-shard quota is
 // max/shards rounded up, so the result is the union of every shard's hot
 // prefix rather than a globally ordered hot set — an approximation that
-// costs nothing and is exactly what cache warm-up wants (keys are
-// SHA-256-uniform, so shard hot sets are statistically interchangeable).
-// max <= 0 returns every entry.
+// costs nothing and is exactly what an anti-entropy digest wants (keys
+// are SHA-256-uniform, so shard hot sets are statistically
+// interchangeable). max <= 0 returns every entry.
 func (s *Sharded[V]) Snapshot(max int) []Item[V] {
 	per := 0 // 0 = unbounded, per Cache.Snapshot
 	if max > 0 {

@@ -7,11 +7,9 @@ import (
 	"math"
 	"sync"
 
-	"pipesched/internal/pipeline"
 	"pipesched/internal/platform"
 	"pipesched/internal/portfolio"
 	"pipesched/internal/service/cache"
-	"pipesched/internal/workload"
 )
 
 // Canonical instance hashing. Every cacheable request is reduced to a
@@ -88,39 +86,10 @@ func (c *canon) floats(xs []float64) {
 	}
 }
 
-// pipeline appends the full applicative description: stage works and
-// communication sizes.
-func (c *canon) pipeline(app *pipeline.Pipeline) {
-	c.floats(app.Works())
-	c.floats(app.Deltas())
-}
-
-// platform appends the full platform description, discriminated by kind.
-func (c *canon) platform(plat *platform.Platform) {
-	c.u64(uint64(plat.Kind()))
-	c.floats(plat.Speeds())
-	switch plat.Kind() {
-	case platform.CommHomogeneous:
-		c.f64(plat.Bandwidth())
-	case platform.FullyHeterogeneous:
-		p := plat.Processors()
-		c.u64(uint64(p))
-		for u := 1; u <= p; u++ {
-			c.u64(uint64(p))
-			for v := 1; v <= p; v++ {
-				if u == v {
-					c.f64(0)
-				} else {
-					c.f64(plat.LinkBandwidth(u, v))
-				}
-			}
-		}
-	}
-}
-
 // commHomogeneous appends a Communication Homogeneous platform from its
-// raw wire slices — the byte stream is identical to platform() on the
-// constructed object, so wire-computed and object-computed keys agree.
+// raw wire slices — the byte stream is identical to the test oracle
+// canon.platform on the constructed object, so wire-computed and
+// object-computed keys agree.
 func (c *canon) commHomogeneous(speeds []float64, bandwidth float64) {
 	c.u64(uint64(platform.CommHomogeneous))
 	c.floats(speeds)
@@ -128,7 +97,8 @@ func (c *canon) commHomogeneous(speeds []float64, bandwidth float64) {
 }
 
 // fullyHeterogeneous appends a fully heterogeneous platform from its raw
-// wire slices, byte-identical to platform() on the constructed object.
+// wire slices, byte-identical to canon.platform on the constructed
+// object.
 // Diagonal cells hash as 0 no matter what the request put there: the
 // constructor ignores them, so two requests differing only on the
 // diagonal describe the same platform and must share a key. Every
@@ -198,50 +168,13 @@ func sweepKeyWire(points int, works, deltas []float64, plat *platformWire) cache
 	return c.key()
 }
 
-// solveKey digests a solve request from constructed objects. It must
-// produce the same key as solveKeyWire on the same instance; tests pin
-// the equivalence.
-func solveKey(objective portfolio.Objective, mode string, bound float64, app *pipeline.Pipeline, plat *platform.Platform) cache.Key {
-	c := newCanon("solve")
-	c.u64(uint64(objective))
-	c.str(mode)
-	c.f64(bound)
-	c.pipeline(app)
-	c.platform(plat)
-	return c.key()
-}
-
-// sweepKey digests a sweep request from constructed objects; it matches
-// sweepKeyWire exactly like solveKey matches solveKeyWire.
-func sweepKey(points int, app *pipeline.Pipeline, plat *platform.Platform) cache.Key {
-	c := newCanon("sweep")
-	c.u64(uint64(points))
-	c.pipeline(app)
-	c.platform(plat)
-	return c.key()
-}
-
-// batchKey digests one /v1/batch request. Worker count is deliberately
-// excluded: the batch engine guarantees results identical for any worker
-// count, so scheduling knobs must not fragment the cache.
-func batchKey(opts portfolio.BatchOptions, instances []workload.Instance) cache.Key {
-	c := newCanon("batch")
-	c.u64(uint64(opts.Objective))
-	c.f64(opts.Bound)
-	c.u64(boolBit(opts.RelativeBound))
-	c.u64(boolBit(opts.Exact))
-	c.u64(uint64(len(instances)))
-	for _, in := range instances {
-		c.pipeline(in.App)
-		c.platform(in.Plat)
-	}
-	return c.key()
-}
-
 // batchKeyWire digests one /v1/batch request straight from its decoded
-// wire form. It must produce the same key as batchKey on the constructed
-// objects; tests pin the equivalence, so the primed batch hot path can
-// answer from the cache without materialising a single domain object.
+// wire form. Worker count is deliberately excluded: the batch engine
+// guarantees results identical for any worker count, so scheduling knobs
+// must not fragment the cache. It must produce the same key as the test
+// oracle batchKey on the constructed objects, so the primed batch hot
+// path can answer from the cache without materialising a single domain
+// object.
 func batchKeyWire(opts portfolio.BatchOptions, instances []instanceWire) cache.Key {
 	c := newCanon("batch")
 	c.u64(uint64(opts.Objective))

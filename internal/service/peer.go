@@ -25,8 +25,8 @@ package service
 //
 // The topology is swappable at runtime (ReloadTopology): requests in
 // flight finish under the epoch they started with, new requests route
-// under the new view, and the reloading node pulls newly-owned keys from
-// its peers' snapshots in the background.
+// under the new view, and the reloading node then runs one anti-entropy
+// round under it to pull the keys it now replicates.
 //
 // # Self-healing membership
 //
@@ -43,13 +43,16 @@ package service
 //     join or an operator reload reaches nodes the initiator never
 //     contacted. Operator reloads bump the epoch, and a higher epoch
 //     wins wholesale — removal propagates; gossip alone never removes.
-//   - Anti-entropy: a periodic sync round (SyncOnce) pulls each live
-//     peer's bounded cache-key digest (GET /v1/peer/digest) and fetches
-//     the entries this node replicates but does not hold
+//   - Anti-entropy: a sync round (SyncOnce) pulls each live peer's
+//     bounded cache-key digest (GET /v1/peer/digest) and fetches the
+//     entries this node replicates but does not hold
 //     (POST /v1/peer/fetch), so a replica set converges digest-equal
-//     within one round per peer even with zero client traffic. Inline
-//     read-repair stays what it always was: relayed remote-hit bytes
-//     install locally as second-tier hits.
+//     within one round per peer even with zero client traffic. It is
+//     the only way entries move between nodes: a booting node runs one
+//     round at once, a topology reload runs one under the new view, and
+//     the periodic tick runs the rest. Inline read-repair stays what it
+//     always was: relayed remote-hit bytes install locally as
+//     second-tier hits.
 //
 // A node never adopts a view that excludes itself — it keeps its own
 // epoch, counts the rejection, and every peer exchange carries a
@@ -107,9 +110,8 @@ type ClusterConfig struct {
 	// JitterSeed seeds the backoff jitter; 0 derives a per-node seed
 	// from the advertise URL so a fleet never re-probes in lockstep.
 	JitterSeed int64
-	// SnapshotEntries bounds both the hot set served on
-	// GET /v1/peer/snapshot and the entries accepted per peer during
-	// warm-up and handoff; 0 selects the default (1024).
+	// SnapshotEntries bounds both the keys a served digest lists and the
+	// entries accepted from one fetch; 0 selects the default (1024).
 	SnapshotEntries int
 	// Transport overrides the peer client's HTTP transport — the hook
 	// the chaos suite uses to inject faults in-process. nil selects the
@@ -188,22 +190,19 @@ type peerRouter struct {
 	jitterSeed int64
 	transport  http.RoundTripper
 
-	forwarded       atomic.Uint64 // requests proxied to a replica, any outcome
-	remoteHits      atomic.Uint64 // proxied, replica had it cached
-	remoteMisses    atomic.Uint64 // proxied, replica solved it
-	hedgedHits      atomic.Uint64 // proxied, a hedge attempt won the race
-	fallbacks       atomic.Uint64 // all replicas down or forwards failed; solved locally
-	ownedForwards   atomic.Uint64 // forwarded requests served for peers
-	snapshotsServed atomic.Uint64 // GET /v1/peer/snapshot responses
-	warmedEntries   atomic.Uint64 // entries imported by WarmFromPeers
-	reloads         atomic.Uint64 // topology epochs swapped in (operator or gossip)
-	handoffEntries  atomic.Uint64 // entries imported by reload handoff
+	forwarded     atomic.Uint64 // requests proxied to a replica, any outcome
+	remoteHits    atomic.Uint64 // proxied, replica had it cached
+	remoteMisses  atomic.Uint64 // proxied, replica solved it
+	hedgedHits    atomic.Uint64 // proxied, a hedge attempt won the race
+	fallbacks     atomic.Uint64 // all replicas down or forwards failed; solved locally
+	ownedForwards atomic.Uint64 // forwarded requests served for peers
+	reloads       atomic.Uint64 // topology epochs swapped in (operator or gossip)
 
 	gossipCursor    atomic.Uint64 // round-robin start for GossipOnce
 	gossipExchanges atomic.Uint64 // membership views pulled by gossip
 	gossipMerges    atomic.Uint64 // gossip pulls that changed our view
 	joinsServed     atomic.Uint64 // POST /v1/peer/join requests handled
-	syncRounds      atomic.Uint64 // anti-entropy rounds run
+	syncRounds      atomic.Uint64 // anti-entropy rounds run (boot, reload and tick)
 	syncPulled      atomic.Uint64 // entries installed by anti-entropy
 	mismatches      atomic.Uint64 // peer exchanges with a foreign membership stamp
 	rejected        atomic.Uint64 // remote views refused (self-excluding or invalid)
@@ -360,24 +359,6 @@ func (p *peerRouter) route(w http.ResponseWriter, r *http.Request, key cache.Key
 	}
 }
 
-// handleSnapshot streams this node's hot cache entries in the peer wire
-// codec — the warm-up source for joining nodes and the handoff source
-// for membership changes.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	s.peers.observeStamp(r)
-	s.peers.stampResponse(w)
-	items := s.cache.Snapshot(s.peers.snapshotEntries)
-	entries := make([]cluster.Entry, len(items))
-	for i, it := range items {
-		entries[i] = cluster.Entry{Key: cluster.Key(it.Key), Body: it.Val}
-	}
-	s.peers.snapshotsServed.Add(1)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := cluster.EncodeSnapshot(w, entries); err != nil {
-		s.logger.Printf("pipeschedd: snapshot stream: %v", err)
-	}
-}
-
 // handleMembers serves this node's membership view — the seed a joining
 // node bootstraps from and the gossip pull every node runs periodically.
 func (s *Server) handleMembers(w http.ResponseWriter, r *http.Request) {
@@ -432,9 +413,9 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFetch answers an anti-entropy want-list: the subset of the
-// requested keys this node holds, streamed as a snapshot. Keys we do
-// not hold are simply absent — the puller treats the answer as best
-// effort, exactly like warm-up.
+// requested keys this node holds, streamed in the entry codec. Keys we
+// do not hold are simply absent — the puller treats the answer as best
+// effort.
 func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	p := s.peers
 	p.observeStamp(r)
@@ -456,48 +437,16 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// WarmFromPeers pulls each peer's hot cache snapshot and installs the
-// entries locally, returning how many were imported. It is the joining
-// node's warm-up: correctness never depends on it (a cold node simply
-// misses and forwards or solves), so failures are collected and
-// reported, not fatal, and a partially warmed cache is strictly better
-// than a cold one. In single-node mode it is a no-op.
-func (s *Server) WarmFromPeers(ctx context.Context) (int, error) {
-	if s.peers == nil {
-		return 0, nil
-	}
-	p := s.peers
-	ep := p.epoch.Load()
-	imported := 0
-	var errs []error
-	for i := 0; i < ep.topo.Size(); i++ {
-		if i == ep.topo.Self() {
-			continue
-		}
-		entries, err := ep.client.FetchSnapshot(ctx, i, ep.topo.Peer(i), p.snapshotEntries, int(s.opts.maxBody()))
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		for _, e := range entries {
-			s.cache.Put(cache.Key(e.Key), e.Body)
-		}
-		imported += len(entries)
-	}
-	p.warmedEntries.Add(uint64(imported))
-	return imported, errors.Join(errs...)
-}
-
-// ReloadTopology swaps a new fleet view in atomically and performs the
-// snapshot-driven key handoff: this node pulls its peers' hot entries
-// and installs the keys whose replica set it just joined, so a
-// membership change costs no cache coverage. Requests in flight finish
-// under the epoch they started with; new requests route under topo
-// immediately — correctness never waits for the handoff (an unhanded-off
-// key simply misses and forwards or solves). The number of handed-off
-// entries is returned; fetch failures are collected, not fatal. Calling
-// it on a single-node server is an error: there is no peer surface to
-// reload.
+// ReloadTopology swaps a new fleet view in atomically, then runs one
+// anti-entropy round (SyncOnce) under it, so this node pulls the keys
+// whose replica set it just joined and a membership change costs no
+// cache coverage. The new epoch's client starts with every peer up, so
+// the round asks every peer. Requests in flight finish under the epoch
+// they started with; new requests route under topo immediately —
+// correctness never waits for the round (a key not yet pulled simply
+// misses and forwards or solves). The number of pulled entries is
+// returned; fetch failures are collected, not fatal. Calling it on a
+// single-node server is an error: there is no peer surface to reload.
 func (s *Server) ReloadTopology(ctx context.Context, topo *cluster.Topology) (int, error) {
 	if s.peers == nil {
 		return 0, errors.New("service: single-node server has no topology to reload")
@@ -514,50 +463,17 @@ func (s *Server) ReloadTopology(ctx context.Context, topo *cluster.Topology) (in
 	// twice for one operator decision. The CAS closes that race: if a
 	// gossip install lands between the equality check and the swap, the
 	// reload re-checks against the winner's view.
-	var old, ep *peerEpoch
 	for {
-		old = p.epoch.Load()
+		old := p.epoch.Load()
 		if cluster.NewMembers(old.members.Epoch, topo.Peers()).Equal(old.members) {
 			return 0, nil
 		}
-		ep = p.newEpoch(topo, old.members.Epoch+1)
-		if p.epoch.CompareAndSwap(old, ep) {
+		if p.epoch.CompareAndSwap(old, p.newEpoch(topo, old.members.Epoch+1)) {
 			break
 		}
 	}
 	p.reloads.Add(1)
-
-	// Handoff: for every peer's hot set, keep the keys this node now
-	// replicates but did not before. The cache install is idempotent, so
-	// the old-ownership filter only avoids redundant work, never
-	// correctness.
-	imported := 0
-	var errs []error
-	var newOwn, oldOwn []int
-	for i := 0; i < topo.Size(); i++ {
-		if i == topo.Self() {
-			continue
-		}
-		entries, err := ep.client.FetchSnapshot(ctx, i, topo.Peer(i), p.snapshotEntries, int(s.opts.maxBody()))
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		for _, e := range entries {
-			newOwn = topo.Owners(cluster.Key(e.Key), p.replicas, newOwn)
-			if !containsInt(newOwn, topo.Self()) {
-				continue
-			}
-			oldOwn = old.topo.Owners(cluster.Key(e.Key), p.replicas, oldOwn)
-			if containsInt(oldOwn, old.topo.Self()) {
-				continue
-			}
-			s.cache.Put(cache.Key(e.Key), e.Body)
-			imported++
-		}
-	}
-	p.handoffEntries.Add(uint64(imported))
-	return imported, errors.Join(errs...)
+	return s.SyncOnce(ctx)
 }
 
 // Topology returns the server's current fleet view, or nil in
@@ -620,7 +536,7 @@ func (s *Server) adoptMembers(remote cluster.Members) cluster.Members {
 // GossipOnce performs one membership exchange: it pulls the member list
 // of the next live peer (round-robin across ticks) and adopts the
 // merged view. changed reports whether our view moved. A gossip-driven
-// install performs no snapshot handoff — the anti-entropy loop heals
+// install runs no sync round of its own — the anti-entropy loop heals
 // any coverage gap on its own cadence. No reachable peer is not an
 // error; every reachable peer failing is.
 func (s *Server) GossipOnce(ctx context.Context) (changed bool, err error) {
@@ -739,8 +655,11 @@ func (s *Server) SyncOnce(ctx context.Context) (int, error) {
 
 // RunSelfHealing runs the background membership-gossip and replica
 // anti-entropy loops until ctx is cancelled. A non-positive interval
-// disables the corresponding loop. The daemon spawns this; tests drive
-// GossipOnce and SyncOnce directly for determinism. Each tick is
+// disables the corresponding loop. With the sync loop on, the first
+// round runs as soon as the loop starts: that round is a booting node's
+// warm-up, pulling the entries it replicates from its peers instead of
+// waiting one interval cold. The daemon spawns this; tests drive
+// GossipOnce and SyncOnce directly for determinism. Each round is
 // bounded so one stuck peer cannot wedge the loop past the next tick.
 func (s *Server) RunSelfHealing(ctx context.Context, gossipEvery, syncEvery time.Duration) {
 	if s.peers == nil {
@@ -767,6 +686,13 @@ func (s *Server) RunSelfHealing(ctx context.Context, gossipEvery, syncEvery time
 			s.logger.Printf("pipeschedd: self-healing: %v", err)
 		}
 	}
+	syncRound := func(c context.Context) error {
+		_, err := s.SyncOnce(c)
+		return err
+	}
+	if syncC != nil {
+		tick(syncRound)
+	}
 	for {
 		select {
 		case <-ctx.Done():
@@ -777,10 +703,7 @@ func (s *Server) RunSelfHealing(ctx context.Context, gossipEvery, syncEvery time
 				return err
 			})
 		case <-syncC:
-			tick(func(c context.Context) error {
-				_, err := s.SyncOnce(c)
-				return err
-			})
+			tick(syncRound)
 		}
 	}
 }
@@ -797,20 +720,17 @@ func containsInt(s []int, v int) bool {
 // ClusterMetricsSnapshot is the "cluster" section of GET /metrics,
 // present only in peer mode.
 type ClusterMetricsSnapshot struct {
-	Peers           int    `json:"peers"`
-	Self            int    `json:"self"`
-	Replicas        int    `json:"replicas"`
-	PeersDown       int    `json:"peers_down"`
-	Forwarded       uint64 `json:"forwarded"`
-	RemoteHits      uint64 `json:"remote_hits"`
-	RemoteMisses    uint64 `json:"remote_misses"`
-	HedgedHits      uint64 `json:"hedged_hits"`
-	Fallbacks       uint64 `json:"fallbacks"`
-	OwnedForwards   uint64 `json:"owned_forwards"`
-	SnapshotsServed uint64 `json:"snapshots_served"`
-	WarmedEntries   uint64 `json:"warmed_entries"`
-	Reloads         uint64 `json:"reloads"`
-	HandoffEntries  uint64 `json:"handoff_entries"`
+	Peers         int    `json:"peers"`
+	Self          int    `json:"self"`
+	Replicas      int    `json:"replicas"`
+	PeersDown     int    `json:"peers_down"`
+	Forwarded     uint64 `json:"forwarded"`
+	RemoteHits    uint64 `json:"remote_hits"`
+	RemoteMisses  uint64 `json:"remote_misses"`
+	HedgedHits    uint64 `json:"hedged_hits"`
+	Fallbacks     uint64 `json:"fallbacks"`
+	OwnedForwards uint64 `json:"owned_forwards"`
+	Reloads       uint64 `json:"reloads"`
 
 	// Self-healing membership: the epoch-stamped view, its wire stamp,
 	// and the disagreement/convergence observables. MembershipAgeSeconds
@@ -855,20 +775,17 @@ func (p *peerRouter) snapshot() *ClusterMetricsSnapshot {
 		converged = 0
 	}
 	return &ClusterMetricsSnapshot{
-		Peers:           ep.topo.Size(),
-		Self:            ep.topo.Self(),
-		Replicas:        p.replicas,
-		PeersDown:       down,
-		Forwarded:       p.forwarded.Load(),
-		RemoteHits:      p.remoteHits.Load(),
-		RemoteMisses:    p.remoteMisses.Load(),
-		HedgedHits:      p.hedgedHits.Load(),
-		Fallbacks:       p.fallbacks.Load(),
-		OwnedForwards:   p.ownedForwards.Load(),
-		SnapshotsServed: p.snapshotsServed.Load(),
-		WarmedEntries:   p.warmedEntries.Load(),
-		Reloads:         p.reloads.Load(),
-		HandoffEntries:  p.handoffEntries.Load(),
+		Peers:         ep.topo.Size(),
+		Self:          ep.topo.Self(),
+		Replicas:      p.replicas,
+		PeersDown:     down,
+		Forwarded:     p.forwarded.Load(),
+		RemoteHits:    p.remoteHits.Load(),
+		RemoteMisses:  p.remoteMisses.Load(),
+		HedgedHits:    p.hedgedHits.Load(),
+		Fallbacks:     p.fallbacks.Load(),
+		OwnedForwards: p.ownedForwards.Load(),
+		Reloads:       p.reloads.Load(),
 
 		MembershipEpoch:      ep.members.Epoch,
 		MembershipHash:       ep.stamp,

@@ -232,10 +232,12 @@ func TestPeerForwardedRequestNeverReforwarded(t *testing.T) {
 	}
 }
 
-// TestPeerSnapshotEndpoint: the snapshot stream decodes under the peer
-// codec and carries exactly the entries this node has cached.
-func TestPeerSnapshotEndpoint(t *testing.T) {
-	s, ts := newPeerTestServer(t, deadPeerURL(t), 300*time.Millisecond, time.Minute)
+// TestPeerDigestThenFetch: the anti-entropy exchange a sync round runs.
+// The digest lists exactly the keys this node has cached; a want-list
+// of those keys plus one it lacks comes back as exactly the cached
+// entries, in the entry codec, with the missing key absent.
+func TestPeerDigestThenFetch(t *testing.T) {
+	_, ts := newPeerTestServer(t, deadPeerURL(t), 300*time.Millisecond, time.Minute)
 
 	var bodies [][]byte
 	for seed := int64(0); seed < 3; seed++ {
@@ -247,18 +249,41 @@ func TestPeerSnapshotEndpoint(t *testing.T) {
 		bodies = append(bodies, b)
 	}
 
-	resp, raw := get(t, ts, cluster.SnapshotPath)
+	resp, raw := get(t, ts, cluster.DigestPath)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: status %d", resp.StatusCode)
+		t.Fatalf("digest: status %d", resp.StatusCode)
+	}
+	keys, err := cluster.DecodeDigest(bytes.NewReader(raw), 16)
+	if err != nil {
+		t.Fatalf("digest does not decode: %v", err)
+	}
+	if len(keys) != len(bodies) {
+		t.Fatalf("digest lists %d keys, want %d", len(keys), len(bodies))
+	}
+
+	absent := cluster.Key{0xff}
+	var want bytes.Buffer
+	if err := cluster.EncodeDigest(&want, append(keys, absent)); err != nil {
+		t.Fatal(err)
+	}
+	resp, raw = post(t, ts, cluster.FetchPath, want.Bytes())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fetch: status %d: %s", resp.StatusCode, raw)
 	}
 	entries, err := cluster.DecodeSnapshot(bytes.NewReader(raw), 16, 1<<20)
 	if err != nil {
-		t.Fatalf("snapshot does not decode: %v", err)
+		t.Fatalf("fetch answer does not decode: %v", err)
 	}
-	if len(entries) != len(bodies) {
-		t.Fatalf("snapshot has %d entries, want %d", len(entries), len(bodies))
+	if len(entries) != len(keys) {
+		t.Fatalf("fetch answered %d entries, want %d", len(entries), len(keys))
 	}
-	for _, e := range entries {
+	for i, e := range entries {
+		if e.Key == absent {
+			t.Fatal("fetch answered a key this node does not hold")
+		}
+		if e.Key != keys[i] {
+			t.Fatalf("entry %d: key out of want-list order", i)
+		}
 		found := false
 		for _, b := range bodies {
 			if bytes.Equal(e.Body, b) {
@@ -267,27 +292,24 @@ func TestPeerSnapshotEndpoint(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatalf("snapshot entry body not among served responses: %s", e.Body)
+			t.Fatalf("fetched entry body not among served responses: %s", e.Body)
 		}
-	}
-	if s.Metrics().Cluster.SnapshotsServed != 1 {
-		t.Fatalf("snapshots_served = %d, want 1", s.Metrics().Cluster.SnapshotsServed)
 	}
 }
 
-// TestSingleNodeHasNoClusterSurface: without a cluster config the
-// snapshot route does not exist and metrics carry no cluster section —
-// single-node deployments keep exactly the old surface.
+// TestSingleNodeHasNoClusterSurface: without a cluster config the peer
+// routes do not exist and metrics carry no cluster section — single-node
+// deployments keep exactly the old surface.
 func TestSingleNodeHasNoClusterSurface(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	resp, _ := get(t, ts, cluster.SnapshotPath)
+	resp, _ := get(t, ts, cluster.DigestPath)
 	if resp.StatusCode == http.StatusOK {
-		t.Fatal("snapshot endpoint exposed in single-node mode")
+		t.Fatal("digest endpoint exposed in single-node mode")
 	}
 	if s.Metrics().Cluster != nil {
 		t.Fatal("metrics carry a cluster section in single-node mode")
 	}
-	if n, err := s.WarmFromPeers(context.Background()); n != 0 || err != nil {
-		t.Fatalf("single-node WarmFromPeers = (%d, %v), want (0, nil)", n, err)
+	if n, err := s.SyncOnce(context.Background()); n != 0 || err != nil {
+		t.Fatalf("single-node SyncOnce = (%d, %v), want (0, nil)", n, err)
 	}
 }

@@ -5,15 +5,16 @@
 # by a seeded fault schedule (flapping latency, 5xx bursts, dropped
 # connections). Then, in order: drive a verified Zipf stream through the
 # chaotic fleet, kill one clean node mid-fleet and stream against the
-# survivors, restart it (rolling restart) and stream again, shrink the
-# fleet by rewriting the shared peers file and SIGHUPing the survivors
-# (dynamic membership), and finally run the membership-churn drill: the
-# node left off the shrunk peers file must surface as a disagreement in
-# /metrics on every side (never adopted, never silent), a brand-new node
-# must join the fleet from a seed URL alone (-join, no peers file) and
-# serve verified traffic, and partitioning that joiner must NOT move the
-# disagreement counters — an unreachable peer is a health event, not a
-# membership dispute. Every phase byte-compares every fleet response
+# survivors, restart it (rolling restart), wait until its start-up
+# anti-entropy round has pulled entries from its peers and stream again,
+# shrink the fleet by rewriting the shared peers file and SIGHUPing the
+# survivors (dynamic membership), and finally run the membership-churn
+# drill: the node left off the shrunk peers file must surface as a
+# disagreement in /metrics on every side (never adopted, never silent),
+# a brand-new node must join the fleet from a seed URL alone (-join, no
+# peers file) and serve verified traffic, and partitioning that joiner
+# must NOT move the disagreement counters — an unreachable peer is a
+# health event, not a membership dispute. Every phase byte-compares every fleet response
 # against the reference via pipeschedbench -verify and must finish with
 # zero client-visible errors and zero mismatches — pipeschedbench exits
 # 1 otherwise, and so does this script.
@@ -63,14 +64,22 @@ go build -o "$workdir/pipeschedbench" ./cmd/pipeschedbench
 go build -o "$workdir/chaosproxy" ./cmd/chaosproxy
 
 # pick_ports: choose N distinct loopback ports that nothing is listening
-# on right now. The bind race between the probe and the daemon's own
-# listen is real but negligible on a CI runner; a daemon that does lose
-# the race exits non-zero and fails the wait below loudly.
+# on right now, drawn below the kernel's ephemeral range: a port inside
+# it can be handed to some outgoing connection (the fleet's own peer
+# traffic included) between the probe and the daemon's listen. The
+# remaining bind race is negligible on a CI runner; a daemon that does
+# lose it exits non-zero and fails the wait below loudly.
+ephemeral_lo=32768
+if [ -r /proc/sys/net/ipv4/ip_local_port_range ]; then
+    read -r ephemeral_lo _ </proc/sys/net/ipv4/ip_local_port_range
+fi
+port_lo=$((ephemeral_lo > 21024 ? ephemeral_lo - 20000 : 1024))
+port_span=$((ephemeral_lo - port_lo))
 pick_ports() {
     local n=$1 found=0 port
     local chosen=()
     while [ "$found" -lt "$n" ]; do
-        port=$((20000 + RANDOM % 20000))
+        port=$((port_lo + RANDOM % port_span))
         case " ${chosen[*]:-} " in *" $port "*) continue ;; esac
         # The probe runs in a subshell, so no fd leaks either way; a
         # refused connection means nothing is listening there.
@@ -85,7 +94,7 @@ pick_ports() {
 read -r P1 P2 P3 PCHAOS PREF <<<"$(pick_ports 5)"
 
 # Node 3 advertises the chaosproxy's address: every forward, hedge and
-# snapshot pull aimed at it crosses the fault schedule, while its own
+# sync pull aimed at it crosses the fault schedule, while its own
 # client port P3 stays clean — faults are injected into the fleet's
 # internal traffic only, which is exactly what must never leak out.
 URL1="http://127.0.0.1:$P1"
@@ -192,6 +201,9 @@ echo "== phase 3: rolling restart — node 2 rejoins cold and warms from peers"
 start_daemon "$workdir/node2-restarted.log" $(node_args "$P2" "$URL2")
 NODE2_PID=${pids[-1]}
 wait_healthy "$URL2"
+# The restarted node's start-up anti-entropy round must pull the entries
+# it replicates from its peers before the stream begins.
+wait_metric "$URL2" '"sync_pulled":[1-9]' "start-up sync round on restarted node 2"
 "$workdir/pipeschedbench" \
     -targets "$CLIENTS" \
     -verify "http://127.0.0.1:$PREF" \
@@ -201,7 +213,7 @@ wait_healthy "$URL2"
 echo "== phase 4: dynamic membership — drop the chaotic node from the peers file, SIGHUP the survivors"
 # Node 3 (and its proxy) leave the fleet for real: first the file, then
 # the signal, then the processes. The survivors swap to the 2-node
-# topology and hand off; no restart involved.
+# topology and each runs one sync round under it; no restart involved.
 printf '# e2e fleet, shrunk\n%s\n%s\n' "$URL1" "$URL2" >"$PEERS_FILE"
 kill -HUP "$NODE1_PID" "$NODE2_PID"
 for port in "$P1" "$P2"; do
@@ -287,7 +299,7 @@ echo "== survivor cluster metrics"
 for port in "$P1" "$P2" "$P4"; do
     echo "-- 127.0.0.1:$port"
     curl -sf "http://127.0.0.1:$port/metrics" | tr ',' '\n' |
-        grep -E 'forwarded|remote|hedged|fallback|peers|reloads|handoff|membership|gossip|joins|sync' || true
+        grep -E 'forwarded|remote|hedged|fallback|peers|reloads|membership|gossip|joins|sync' || true
 done
 echo "-- chaosproxy log"
 tail -2 "$workdir/chaosproxy.log" || true

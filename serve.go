@@ -32,15 +32,16 @@ type (
 	// ServerClusterConfig opts a Server into peer-aware fleet serving
 	// via ServerOptions.Cluster: a Topology built by NewClusterTopology
 	// plus the replication factor, forward timeout, hedge delay, peer
-	// backoff window and cap, and snapshot bound (zero values select the
-	// cluster defaults). Each canonical cache key has an ordered replica
-	// set (default two owners); local misses forward to the first
-	// available replica — hedging to the next when it is slow — and
-	// install the relayed bytes as a second-tier hit. Only when every
-	// replica is down does the node degrade to a local solve. Joining
-	// nodes warm from their peers' hottest entries, and
-	// Server.ReloadTopology swaps the fleet view at runtime with
-	// snapshot-driven key handoff.
+	// backoff window and cap, and the per-digest and per-fetch entry
+	// bound (zero values select the cluster defaults). Each canonical
+	// cache key has an ordered replica set (default two owners); local
+	// misses forward to the first available replica — hedging to the
+	// next when it is slow — and install the relayed bytes as a
+	// second-tier hit. Only when every replica is down does the node
+	// degrade to a local solve. Entries move between nodes only through
+	// anti-entropy rounds (Server.SyncOnce): Server.RunSelfHealing runs
+	// one at start, and Server.ReloadTopology swaps the fleet view at
+	// runtime and then runs one under it.
 	ServerClusterConfig = service.ClusterConfig
 	// ClusterTopology is the fleet view: the full normalized peer list
 	// and this node's position in it. Build it with NewClusterTopology.
