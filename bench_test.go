@@ -398,15 +398,15 @@ func BenchmarkSolveBatch(b *testing.B) {
 	instances := workload.GenerateSet(workload.E2, 20, 10, 64, 31000)
 	base := pipesched.BatchOptions{Bound: 1.5, RelativeBound: true}
 	for _, mode := range []struct {
-		name   string
-		serial bool
+		name    string
+		workers int
 	}{
-		{"serial", true},
-		{"parallel", false},
+		{"serial", 1},
+		{"parallel", 0},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			opts := base
-			opts.Serial = mode.serial
+			opts.Workers = mode.workers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -3,8 +3,7 @@
 // concurrent portfolio/batch engine over a JSON API, with a sharded
 // canonical-instance result cache and singleflight deduplication so that
 // repeat and concurrent-identical traffic costs one solve and cache hits
-// scale with cores (-cache-shards tunes the shard count; the default is
-// one power-of-two shard per core).
+// scale with cores (one power-of-two cache shard per core).
 //
 // Endpoints:
 //
@@ -49,8 +48,6 @@
 //	-peer-backoff DUR     initial down window after a failed or 5xx
 //	                      exchange (default 5s)
 //	-peer-max-backoff DUR cap for the exponential down window (default 60s)
-//	-snapshot-entries N   cap on the keys per digest and the entries per
-//	                      fetch (default 1024)
 //	-gossip-interval DUR  membership exchange with one live peer per tick
 //	                      (default 10s; 0 disables gossip)
 //	-sync-interval DUR    replica anti-entropy round at start and every
@@ -60,7 +57,8 @@
 //
 // Cache entries move between nodes only through anti-entropy rounds: the
 // round at start is a booting node's warm-up, and a reload runs one
-// under the new view.
+// under the new view. One digest lists, and one fetch moves, at most
+// 1024 entries (cluster.MaxDigestKeys) on every node.
 //
 // Example 3-node fleet member (edit the file, then kill -HUP the
 // daemons; gossip carries the new epoch to any node not signalled):
@@ -123,7 +121,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	var (
 		addr           = fs.String("addr", ":8080", "listen address")
 		cacheEntries   = fs.Int("cache-entries", 0, "result cache bound in entries (0 = default 1024, negative = disable storage)")
-		cacheShards    = fs.Int("cache-shards", 0, "result cache shard count, rounded up to a power of two (0 = one shard per core, negative = single shard)")
 		workers        = fs.Int("workers", 0, "batch worker pool cap (0 = GOMAXPROCS)")
 		requestTimeout = fs.Duration("request-timeout", 0, "server-side deadline per request (0 = none; requests may still set timeout_ms)")
 		drainTimeout   = fs.Duration("drain-timeout", 15*time.Second, "graceful-shutdown wait for in-flight requests")
@@ -138,7 +135,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		hedgeAfter     = fs.Duration("hedge-after", 0, "fire the same forward at the next replica when the first has not answered within this delay (0 = peer-timeout/4, negative = no hedging)")
 		peerBackoff    = fs.Duration("peer-backoff", cluster.DefaultBackoff, "base down window after a peer failure; consecutive failures back off exponentially up to -peer-max-backoff")
 		peerMaxBackoff = fs.Duration("peer-max-backoff", cluster.DefaultMaxBackoff, "cap on the exponential peer down window")
-		snapshotMax    = fs.Int("snapshot-entries", 0, "cache keys listed in one served digest, and entries accepted from one peer fetch (0 = default 1024)")
 		join           = fs.String("join", "", "comma-separated seed URLs: bootstrap the member list from any reachable one, announce this node, and join the fleet (requires -advertise; excludes -peers/-peers-file)")
 		gossipInterval = fs.Duration("gossip-interval", 10*time.Second, "membership gossip tick: pull one live peer's member list and merge (0 = disabled)")
 		syncInterval   = fs.Duration("sync-interval", 30*time.Second, "replica anti-entropy round at start and every tick: pull peer cache digests and fetch missing owned entries (0 = disabled, start round included)")
@@ -190,14 +186,13 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 			return fmt.Errorf("join: %w", err)
 		}
 		clusterCfg = &service.ClusterConfig{
-			Topology:        topo,
-			Epoch:           m.Epoch,
-			Replicas:        *replicas,
-			ForwardTimeout:  *peerTimeout,
-			HedgeAfter:      *hedgeAfter,
-			PeerBackoff:     *peerBackoff,
-			MaxPeerBackoff:  *peerMaxBackoff,
-			SnapshotEntries: *snapshotMax,
+			Topology:       topo,
+			Epoch:          m.Epoch,
+			Replicas:       *replicas,
+			ForwardTimeout: *peerTimeout,
+			HedgeAfter:     *hedgeAfter,
+			PeerBackoff:    *peerBackoff,
+			MaxPeerBackoff: *peerMaxBackoff,
 		}
 	case *peers != "" || *peersFile != "":
 		if *advertise == "" {
@@ -208,13 +203,12 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 			return cli.Usagef("%v", err)
 		}
 		clusterCfg = &service.ClusterConfig{
-			Topology:        topo,
-			Replicas:        *replicas,
-			ForwardTimeout:  *peerTimeout,
-			HedgeAfter:      *hedgeAfter,
-			PeerBackoff:     *peerBackoff,
-			MaxPeerBackoff:  *peerMaxBackoff,
-			SnapshotEntries: *snapshotMax,
+			Topology:       topo,
+			Replicas:       *replicas,
+			ForwardTimeout: *peerTimeout,
+			HedgeAfter:     *hedgeAfter,
+			PeerBackoff:    *peerBackoff,
+			MaxPeerBackoff: *peerMaxBackoff,
 		}
 	case *advertise != "":
 		return cli.Usagef("-advertise requires -peers, -peers-file or -join")
@@ -250,7 +244,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	}
 	srv := service.New(service.Options{
 		CacheEntries:   *cacheEntries,
-		CacheShards:    *cacheShards,
 		Workers:        *workers,
 		RequestTimeout: *requestTimeout,
 		DrainTimeout:   *drainTimeout,

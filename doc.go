@@ -226,15 +226,15 @@
 // cache hits — does near-zero work beyond the unavoidable JSON decode:
 //
 //   - Sharded result cache. The LRU+singleflight cache is split across a
-//     power-of-two number of shards selected by key bits (ServerOptions.
-//     CacheShards; 0 picks one shard per core). Each shard owns its
-//     mutex, LRU list and counters, so requests for distinct keys never
-//     serialise on one lock; SHA-256 keys spread uniformly by
-//     construction. Per shard the semantics are exactly the single-shard
-//     implementation, which stays in the package as a property-test
-//     oracle: randomized concurrent Get/Do/evict traffic must observe
-//     identical hit/miss/collapse/eviction behaviour on both, and the
-//     aggregate counters obey hits+misses+collapsed = calls.
+//     power-of-two number of shards selected by key bits, one shard per
+//     core. Each shard owns its mutex, LRU list and counters, so
+//     requests for distinct keys never serialise on one lock; SHA-256
+//     keys spread uniformly by construction. Per shard the semantics are
+//     exactly the single-shard implementation, which stays in the
+//     package as a property-test oracle: randomized concurrent
+//     Get/Do/evict traffic must observe identical
+//     hit/miss/collapse/eviction behaviour on both, and the aggregate
+//     counters obey hits+misses+collapsed = calls.
 //   - Pooled decode, hashing and render. Requests decode into pooled
 //     wire structs whose float slices are reused across requests;
 //     canonical hashing leases a pooled SHA-256 state and digests the
@@ -245,11 +245,11 @@
 //     Domain objects, evaluators and the solve itself exist only on the
 //     miss path. Error bodies render through the same pooled path,
 //     byte-identical to encoding/json (pinned by tests).
-//   - Lock-free metrics. Each endpoint records into cache-line-padded
-//     stripes of atomic moment accumulators plus a lock-free reservoir
-//     ring; GET /metrics merges them at scrape time into mean/min/max/
-//     stddev plus p50/p95/p99. Recording a request takes a handful of
-//     atomics — no mutex, no map, no allocation.
+//   - One metrics record per endpoint. Each endpoint records into one
+//     mutex-guarded record of counters, moment sums and a 256-sample
+//     ring of recent latencies; GET /metrics copies it and computes
+//     mean/min/max/stddev plus p50/p95/p99 outside the lock. Recording a
+//     request takes the lock once — no map, no allocation.
 //
 // BENCH_4 → BENCH_5 on the same Xeon 2.10GHz (serving baselines measured
 // on the PR-4 code with the same new end-to-end benchmarks): a cache-hit
@@ -364,10 +364,11 @@
 // (GET /v1/peer/digest — the digest and membership codecs share the
 // entry codec's bounded, fuzzed wire discipline) and fetches only the
 // entries it replicates but does not hold (POST /v1/peer/fetch), at
-// most -snapshot-entries per digest and per fetch. A replica set with
-// zero client traffic converges digest-equal within one round per
-// direction; a missed round costs freshness, never correctness,
-// because an unsynced key simply misses and forwards or solves.
+// most cluster.MaxDigestKeys (1024) per digest and per fetch on every
+// node. A replica set with zero client traffic converges digest-equal
+// within one round per direction; a missed round costs freshness, never
+// correctness, because an unsynced key simply misses and forwards or
+// solves.
 //
 // Disagreement is detected, not inferred: every peer exchange carries
 // the sender's membership stamp (X-Pipesched-Membership, epoch plus a

@@ -46,6 +46,10 @@ const (
 	// — far above any fleet this system targets, small enough that a
 	// hostile message cannot balloon memory.
 	MaxMembers = 1024
+	// MaxDigestKeys bounds the keys one digest lists and the entries one
+	// fetch moves, on every node alike: a served digest never lists more
+	// than a puller accepts, whatever the fleet's cache sizes.
+	MaxDigestKeys = 1024
 	// maxPeerURLLen bounds one member URL on the wire.
 	maxPeerURLLen = 512
 )
@@ -60,8 +64,8 @@ type Entry struct {
 // Decode bound errors, distinguishable from plain corruption so callers
 // can log "peer over budget" differently from "peer sent garbage".
 var (
-	ErrBadMagic    = errors.New("cluster: snapshot stream has wrong magic or version")
-	ErrTooMany     = errors.New("cluster: snapshot stream exceeds the entry bound")
+	ErrBadMagic    = errors.New("cluster: peer message has wrong magic or version")
+	ErrTooMany     = errors.New("cluster: peer message exceeds its count bound")
 	ErrBodyTooLong = errors.New("cluster: snapshot entry exceeds the body bound")
 	ErrURLTooLong  = errors.New("cluster: member URL exceeds the length bound")
 )

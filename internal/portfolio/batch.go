@@ -54,10 +54,8 @@ type BatchOptions struct {
 	// space within exact.MaxStates).
 	Exact bool
 	// Workers bounds the worker pool; 0 selects runtime.GOMAXPROCS(0).
-	Workers int
-	// Serial means Workers: 1 — the batch runs on the calling goroutine.
 	// Results are the same for every worker count.
-	Serial bool
+	Workers int
 }
 
 // InstanceResult is the outcome of one batch element.
@@ -154,13 +152,9 @@ func solveOne(ctx context.Context, ev *mapping.Evaluator, index int, opts BatchO
 // returned report is always complete and in input order.
 //
 // For a fixed input and options the report is identical whatever the
-// worker count, including Serial: scheduling never influences results.
+// worker count: scheduling never influences results.
 func SolveBatch(ctx context.Context, instances []workload.Instance, opts BatchOptions) (BatchReport, error) {
-	workers := opts.Workers
-	if opts.Serial {
-		workers = 1
-	}
-	rows, err := MapIndexed(ctx, workers, groupEvaluators(instances), func(ctx context.Context, i int, ev *mapping.Evaluator) *InstanceResult {
+	rows, err := MapIndexed(ctx, opts.Workers, groupEvaluators(instances), func(ctx context.Context, i int, ev *mapping.Evaluator) *InstanceResult {
 		r := solveOne(ctx, ev, i, opts)
 		return &r
 	})

@@ -166,7 +166,7 @@ func TestSolveBatchMatchesSerialReference(t *testing.T) {
 			Exact:         true,
 		}
 		serialOpts := opts
-		serialOpts.Serial = true
+		serialOpts.Workers = 1
 		ref, err := SolveBatch(context.Background(), instances, serialOpts)
 		if err != nil {
 			t.Fatal(err)

@@ -6,8 +6,8 @@ package service
 // budget pins the PR-5 rebuild: the naive pre-rework path measured 80
 // allocs per hit, the pooled path 16. The caps leave a little headroom
 // for Go-version drift in encoding/json without letting the old
-// per-request costs (fresh hashers, constructed platforms, Welford
-// mutexes) creep back in.
+// per-request costs (fresh hashers, constructed platforms) creep back
+// in.
 
 import (
 	"net/http"

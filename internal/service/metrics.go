@@ -2,8 +2,8 @@ package service
 
 import (
 	"math"
-	"math/rand/v2"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,153 +11,60 @@ import (
 	"pipesched/internal/service/cache"
 )
 
-// Serving metrics, built for the request hot path: recording one finished
-// request takes a handful of atomic operations and no locks, no maps and
-// no allocations. The registry holds one fixed slot per endpoint (the
-// endpoint set is static — solve, batch, sweep), each slot a set of
-// cache-line-padded stripes of atomic moment accumulators plus a
-// lock-free reservoir ring of recent latency samples. Stripes spread
-// concurrent writers so heavy traffic does not serialise on one
-// contended word; everything is merged only at GET /metrics scrape time,
-// which is off the hot path by construction.
-//
-// The previous implementation — one mutex around a map of Welford
-// accumulators — serialised every finished request against every other
-// and against every scrape. The moment sums kept here (count, sum, sum
-// of squares, min, max) reproduce the same mean/min/max/stddev snapshot
-// fields; the reservoir adds tail quantiles the Welford form could not
-// provide.
+// Serving metrics. The registry holds one fixed record per endpoint (the
+// endpoint set is static — solve, batch, sweep), each a mutex-guarded
+// set of counters and moment sums (count, sum, sum of squares, min, max)
+// plus a ring of recent latency samples. Recording one finished request
+// takes the record's lock once, with no maps and no allocations; GET
+// /metrics copies the record under the same lock and computes the
+// snapshot outside it. The moment sums reproduce the mean/min/max/stddev
+// snapshot fields of a Welford accumulator; the ring adds tail quantiles.
 
-// metricStripes spreads concurrent observers; a small power of two is
-// enough, since each observation touches one stripe for a few dozen ns.
-const metricStripes = 8
-
-// reservoirSize bounds the per-endpoint latency reservoir. Power of two,
-// so the write cursor wraps with a mask.
+// reservoirSize bounds the per-endpoint latency ring.
 const reservoirSize = 256
 
-// latencyStripe is one padded stripe of moment accumulators. Sums are
-// float64 bit patterns updated by CAS; min/max likewise. Padding keeps
-// two stripes from sharing a cache line, which would reintroduce the
-// very contention striping removes.
-type latencyStripe struct {
-	count atomic.Uint64
-	sum   atomic.Uint64 // float64 bits, seconds
-	sumSq atomic.Uint64 // float64 bits, seconds²
-	min   atomic.Uint64 // float64 bits; math.Inf(1) when empty
-	max   atomic.Uint64 // float64 bits; math.Inf(-1) when empty
-	_     [24]byte      // pad the struct to 64 bytes
-}
-
-// addFloat atomically adds v to the float64 stored as bits in a.
-func addFloat(a *atomic.Uint64, v float64) {
-	for {
-		old := a.Load()
-		if a.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-// minFloat atomically lowers the float64 stored in a to v if smaller.
-func minFloat(a *atomic.Uint64, v float64) {
-	for {
-		old := a.Load()
-		if math.Float64frombits(old) <= v {
-			return
-		}
-		if a.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// maxFloat atomically raises the float64 stored in a to v if larger.
-func maxFloat(a *atomic.Uint64, v float64) {
-	for {
-		old := a.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if a.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// endpointMetrics is one endpoint's slot: request/error counters, moment
-// stripes and the latency reservoir.
+// endpointMetrics is one endpoint's record.
 type endpointMetrics struct {
-	requests atomic.Uint64
-	errors   atomic.Uint64
-	stripes  [metricStripes]latencyStripe
-	// reservoir is a wrapping ring of the most recent latency samples
-	// (float64 seconds as bits). Writers claim slots with one atomic
-	// increment; readers snapshot whatever is there. A torn read is
-	// impossible (64-bit atomic), a stale one is harmless — the ring is
-	// a statistical sample, not a ledger.
-	cursor    atomic.Uint64
-	reservoir [reservoirSize]atomic.Uint64
+	mu       sync.Mutex
+	requests uint64
+	errors   uint64
+	sum      float64 // seconds
+	sumSq    float64 // seconds²
+	min, max float64 // seconds; ±Inf before the first request
+	// reservoir holds the most recent latency samples in seconds; sample
+	// k (0-based, counted over all requests) sits at k % reservoirSize.
+	reservoir [reservoirSize]float64
 }
 
 func newEndpointMetrics() *endpointMetrics {
-	em := &endpointMetrics{}
-	for i := range em.stripes {
-		em.stripes[i].min.Store(math.Float64bits(math.Inf(1)))
-		em.stripes[i].max.Store(math.Float64bits(math.Inf(-1)))
-	}
-	return em
+	return &endpointMetrics{min: math.Inf(1), max: math.Inf(-1)}
 }
 
-// observe records one finished request: two counter increments, one
-// striped moment update and one reservoir write — all atomic, no locks.
+// observe records one finished request.
 func (em *endpointMetrics) observe(d time.Duration, failed bool) {
-	em.requests.Add(1)
-	if failed {
-		em.errors.Add(1)
-	}
 	sec := d.Seconds()
-	// rand.Uint64 draws from the runtime's per-thread generator: cheap,
-	// allocation-free, and uncorrelated with the request stream, so
-	// concurrent observers scatter across stripes even when goroutines
-	// are pinned.
-	st := &em.stripes[rand.Uint64()&(metricStripes-1)]
-	st.count.Add(1)
-	addFloat(&st.sum, sec)
-	addFloat(&st.sumSq, sec*sec)
-	minFloat(&st.min, sec)
-	maxFloat(&st.max, sec)
-	slot := em.cursor.Add(1) - 1
-	em.reservoir[slot&(reservoirSize-1)].Store(math.Float64bits(sec))
-}
-
-// merge folds every stripe into one moment set.
-func (em *endpointMetrics) merge() (n uint64, sum, sumSq, min, max float64) {
-	min, max = math.Inf(1), math.Inf(-1)
-	for i := range em.stripes {
-		st := &em.stripes[i]
-		n += st.count.Load()
-		sum += math.Float64frombits(st.sum.Load())
-		sumSq += math.Float64frombits(st.sumSq.Load())
-		min = math.Min(min, math.Float64frombits(st.min.Load()))
-		max = math.Max(max, math.Float64frombits(st.max.Load()))
+	em.mu.Lock()
+	em.reservoir[em.requests%reservoirSize] = sec
+	em.requests++
+	if failed {
+		em.errors++
 	}
-	return n, sum, sumSq, min, max
+	em.sum += sec
+	em.sumSq += sec * sec
+	em.min = min(em.min, sec)
+	em.max = max(em.max, sec)
+	em.mu.Unlock()
 }
 
-// quantiles snapshots the reservoir and returns the p50/p95/p99 of the
-// retained samples (zeros before the first request).
+// quantiles returns the nearest-rank p50/p95/p99 of the retained samples
+// (zeros before the first request).
 func (em *endpointMetrics) quantiles() (p50, p95, p99 float64) {
-	filled := em.cursor.Load()
-	if filled == 0 {
+	em.mu.Lock()
+	samples := make([]float64, min(em.requests, reservoirSize))
+	copy(samples, em.reservoir[:])
+	em.mu.Unlock()
+	if len(samples) == 0 {
 		return 0, 0, 0
-	}
-	if filled > reservoirSize {
-		filled = reservoirSize
-	}
-	samples := make([]float64, filled)
-	for i := range samples {
-		samples[i] = math.Float64frombits(em.reservoir[i].Load())
 	}
 	sort.Float64s(samples)
 	at := func(q float64) float64 {
@@ -259,9 +166,8 @@ type MetricsSnapshot struct {
 	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
 }
 
-// snapshot merges every stripe and reservoir into the scrape view. Only
-// endpoints that have seen traffic appear, matching the lazy-map
-// behaviour of the original registry.
+// snapshot reads every endpoint record into the scrape view. Only
+// endpoints that have seen traffic appear.
 func (m *metricsRegistry) snapshot(cs cache.Stats, shards int) MetricsSnapshot {
 	snap := MetricsSnapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
@@ -281,25 +187,28 @@ func (m *metricsRegistry) snapshot(cs cache.Stats, shards int) MetricsSnapshot {
 	}
 	for i, name := range endpointNames {
 		em := m.endpoints[i]
-		requests := em.requests.Load()
-		if requests == 0 {
+		em.mu.Lock()
+		n, errs, sum, sumSq, lo, hi := em.requests, em.errors, em.sum, em.sumSq, em.min, em.max
+		em.mu.Unlock()
+		if n == 0 {
 			continue
 		}
-		es := EndpointSnapshot{Requests: requests, Errors: em.errors.Load()}
-		if n, sum, sumSq, min, max := em.merge(); n > 0 {
-			mean := sum / float64(n)
-			es.MeanMS = 1000 * mean
-			es.MinMS = 1000 * min
-			es.MaxMS = 1000 * max
-			if n > 1 {
-				// Sample variance from raw moments; clamp the
-				// cancellation error that can drive it a hair negative.
-				varc := (sumSq - float64(n)*mean*mean) / float64(n-1)
-				es.StddevMS = 1000 * math.Sqrt(math.Max(varc, 0))
-			}
-			p50, p95, p99 := em.quantiles()
-			es.P50MS, es.P95MS, es.P99MS = 1000*p50, 1000*p95, 1000*p99
+		mean := sum / float64(n)
+		es := EndpointSnapshot{
+			Requests: n,
+			Errors:   errs,
+			MeanMS:   1000 * mean,
+			MinMS:    1000 * lo,
+			MaxMS:    1000 * hi,
 		}
+		if n > 1 {
+			// Sample variance from raw moments; clamp the cancellation
+			// error that can drive it a hair negative.
+			varc := (sumSq - float64(n)*mean*mean) / float64(n-1)
+			es.StddevMS = 1000 * math.Sqrt(math.Max(varc, 0))
+		}
+		p50, p95, p99 := em.quantiles()
+		es.P50MS, es.P95MS, es.P99MS = 1000*p50, 1000*p95, 1000*p99
 		snap.Endpoints[name] = es
 	}
 	return snap

@@ -10,10 +10,9 @@ import (
 	"pipesched/internal/stats"
 )
 
-// TestMetricsMatchWelfordOracle cross-checks the striped atomic moments
-// against the streaming Welford accumulator the registry used to wrap in
-// a mutex: same samples in, same mean/min/max/stddev out (to floating-
-// point merge tolerance).
+// TestMetricsMatchWelfordOracle cross-checks the record's moment sums
+// against a streaming Welford accumulator: same samples in, same
+// mean/min/max/stddev out (to floating-point tolerance).
 func TestMetricsMatchWelfordOracle(t *testing.T) {
 	m := newMetricsRegistry()
 	var w stats.Welford
@@ -54,7 +53,7 @@ func TestMetricsMatchWelfordOracle(t *testing.T) {
 
 // TestMetricsConcurrentObserve hammers one endpoint slot from many
 // goroutines under identical samples, so every aggregate is exactly
-// predictable: lock-free recording must lose no observation.
+// predictable: concurrent recording must lose no observation.
 func TestMetricsConcurrentObserve(t *testing.T) {
 	const (
 		workers = 8

@@ -110,22 +110,10 @@ type ClusterConfig struct {
 	// JitterSeed seeds the backoff jitter; 0 derives a per-node seed
 	// from the advertise URL so a fleet never re-probes in lockstep.
 	JitterSeed int64
-	// SnapshotEntries bounds both the keys a served digest lists and the
-	// entries accepted from one fetch; 0 selects the default (1024).
-	SnapshotEntries int
 	// Transport overrides the peer client's HTTP transport — the hook
 	// the chaos suite uses to inject faults in-process. nil selects the
 	// default pooled transport.
 	Transport http.RoundTripper
-}
-
-const defaultSnapshotEntries = 1024
-
-func (c *ClusterConfig) snapshotEntries() int {
-	if c.SnapshotEntries <= 0 {
-		return defaultSnapshotEntries
-	}
-	return c.SnapshotEntries
 }
 
 func (c *ClusterConfig) replicas() int {
@@ -173,10 +161,9 @@ type peerEpoch struct {
 // the routing parameters shared by all epochs, and the peer-tier
 // counters.
 type peerRouter struct {
-	epoch           atomic.Pointer[peerEpoch]
-	replicas        int
-	hedgeAfter      time.Duration
-	snapshotEntries int
+	epoch      atomic.Pointer[peerEpoch]
+	replicas   int
+	hedgeAfter time.Duration
 
 	// selfURL is this node's normalised advertise URL — constant across
 	// epochs, the anchor every membership install re-validates against.
@@ -273,15 +260,14 @@ func newPeerRouter(cfg *ClusterConfig) *peerRouter {
 		return nil
 	}
 	p := &peerRouter{
-		replicas:        cfg.replicas(),
-		hedgeAfter:      cfg.hedgeAfter(),
-		snapshotEntries: cfg.snapshotEntries(),
-		selfURL:         cfg.Topology.Peer(cfg.Topology.Self()),
-		timeout:         cfg.ForwardTimeout,
-		backoff:         cfg.PeerBackoff,
-		maxBackoff:      cfg.MaxPeerBackoff,
-		jitterSeed:      cfg.JitterSeed,
-		transport:       cfg.Transport,
+		replicas:   cfg.replicas(),
+		hedgeAfter: cfg.hedgeAfter(),
+		selfURL:    cfg.Topology.Peer(cfg.Topology.Self()),
+		timeout:    cfg.ForwardTimeout,
+		backoff:    cfg.PeerBackoff,
+		maxBackoff: cfg.MaxPeerBackoff,
+		jitterSeed: cfg.JitterSeed,
+		transport:  cfg.Transport,
 	}
 	p.epoch.Store(p.newEpoch(cfg.Topology, cfg.Epoch))
 	return p
@@ -304,8 +290,8 @@ func (p *peerRouter) route(w http.ResponseWriter, r *http.Request, key cache.Key
 		// forward again — loops are structurally impossible. The
 		// exchange is peer-to-peer, so it carries membership stamps in
 		// both directions; a client-facing response never does
-		// (writeCachedTier sets only its three fixed headers, but the
-		// stamp below lands on w only on this branch).
+		// (writeCached sets only its three fixed headers, and the stamp
+		// below lands on w only on this branch).
 		p.ownedForwards.Add(1)
 		p.observeStamp(r)
 		p.stampResponse(w)
@@ -401,7 +387,7 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 	p := s.peers
 	p.observeStamp(r)
 	p.stampResponse(w)
-	items := s.cache.Snapshot(p.snapshotEntries)
+	items := s.cache.Snapshot(cluster.MaxDigestKeys)
 	keys := make([]cluster.Key, len(items))
 	for i, it := range items {
 		keys[i] = cluster.Key(it.Key)
@@ -420,7 +406,7 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	p := s.peers
 	p.observeStamp(r)
 	p.stampResponse(w)
-	keys, err := cluster.DecodeDigest(http.MaxBytesReader(w, r.Body, s.opts.maxBody()), p.snapshotEntries)
+	keys, err := cluster.DecodeDigest(http.MaxBytesReader(w, r.Body, s.opts.maxBody()), cluster.MaxDigestKeys)
 	if err != nil {
 		writeErrorBody(w, http.StatusBadRequest, err.Error())
 		return
@@ -620,7 +606,7 @@ func (s *Server) SyncOnce(ctx context.Context) (int, error) {
 		if i == ep.topo.Self() || !ep.client.Available(i) {
 			continue
 		}
-		keys, err := ep.client.FetchDigest(ctx, i, ep.topo.Peer(i), p.snapshotEntries)
+		keys, err := ep.client.FetchDigest(ctx, i, ep.topo.Peer(i), cluster.MaxDigestKeys)
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -639,7 +625,7 @@ func (s *Server) SyncOnce(ctx context.Context) (int, error) {
 		if len(want) == 0 {
 			continue
 		}
-		entries, err := ep.client.FetchEntries(ctx, i, ep.topo.Peer(i), want, p.snapshotEntries, int(s.opts.maxBody()))
+		entries, err := ep.client.FetchEntries(ctx, i, ep.topo.Peer(i), want, cluster.MaxDigestKeys, int(s.opts.maxBody()))
 		if err != nil {
 			errs = append(errs, err)
 			continue

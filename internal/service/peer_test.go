@@ -3,9 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -53,19 +56,20 @@ func deadPeerURL(t *testing.T) string {
 	return url
 }
 
-// peerOwnedBody probes from seedBase for an instance whose canonical key
-// the peer owns, identified behaviourally by wantTier on a cold request
-// ("fallback" against a dead peer, "remote-miss" against a live stub).
-// Self-owned keys ("miss", or "hit" when a probe re-walks cached seeds)
-// are skipped. Returns the body and the response that carried wantTier.
-func peerOwnedBody(t *testing.T, ts *httptest.Server, wantTier string, seedBase int64) ([]byte, []byte) {
+// peerOwnedBody probes path from seedBase for an instance whose canonical
+// key the peer owns, identified behaviourally by wantTier on a cold
+// request ("fallback" against a dead peer, "remote-miss" against a live
+// stub). Self-owned keys ("miss", or "hit" when a probe re-walks cached
+// seeds) are skipped. Returns the body and the response that carried
+// wantTier.
+func peerOwnedBody(t *testing.T, ts *httptest.Server, path, wantTier string, seedBase int64) ([]byte, []byte) {
 	t.Helper()
 	for seed := seedBase; seed < seedBase+24; seed++ {
 		in := workload.Generate(workload.Config{Family: workload.E1, Stages: 6, Processors: 4, Seed: seed})
-		body := solveBody(t, in, map[string]any{"bound": 1e6})
-		resp, got := post(t, ts, "/v1/solve", body)
+		body := keyedBody(t, path, in, nil)
+		resp, got := post(t, ts, path, body)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("probe solve: status %d: %s", resp.StatusCode, got)
+			t.Fatalf("probe %s: status %d: %s", path, resp.StatusCode, got)
 		}
 		switch tier := resp.Header.Get("X-Cache"); tier {
 		case wantTier:
@@ -81,27 +85,48 @@ func peerOwnedBody(t *testing.T, ts *httptest.Server, wantTier string, seedBase 
 }
 
 // TestPeerOwnerDownFallsBack: the owner refuses connections, so a
-// peer-owned key degrades to a local solve — HTTP 200, tier "fallback",
-// counted in metrics — and the solved bytes are installed locally, so
-// the repeat is a plain hit.
+// peer-owned solve or sweep key degrades to a local solve — HTTP 200,
+// tier "fallback", counted in metrics — and the solved bytes are
+// installed locally, so the repeat is a plain hit.
 func TestPeerOwnerDownFallsBack(t *testing.T) {
-	s, ts := newPeerTestServer(t, deadPeerURL(t), 300*time.Millisecond, 50*time.Millisecond)
+	for _, path := range []string{"/v1/solve", "/v1/sweep"} {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
+			s, ts := newPeerTestServer(t, deadPeerURL(t), 300*time.Millisecond, 50*time.Millisecond)
 
-	body, first := peerOwnedBody(t, ts, "fallback", 500)
-	c := s.Metrics().Cluster
-	if c == nil || c.Fallbacks == 0 {
-		t.Fatalf("fallback not counted: %+v", c)
-	}
-	if c.Forwarded != 0 {
-		t.Fatalf("forward counted against a dead peer: %+v", c)
-	}
+			body, first := peerOwnedBody(t, ts, path, "fallback", 500)
+			c := s.Metrics().Cluster
+			if c == nil || c.Fallbacks == 0 {
+				t.Fatalf("fallback not counted: %+v", c)
+			}
+			if c.Forwarded != 0 {
+				t.Fatalf("forward counted against a dead peer: %+v", c)
+			}
 
-	resp, second := post(t, ts, "/v1/solve", body)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
-		t.Fatalf("repeat after fallback: status %d tier %q, want 200 \"hit\"", resp.StatusCode, resp.Header.Get("X-Cache"))
+			resp, second := post(t, ts, path, body)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+				t.Fatalf("repeat after fallback: status %d tier %q, want 200 \"hit\"", resp.StatusCode, resp.Header.Get("X-Cache"))
+			}
+			if !bytes.Equal(first, second) {
+				t.Fatal("fallback solve and cached repeat returned different bytes")
+			}
+		})
 	}
-	if !bytes.Equal(first, second) {
-		t.Fatal("fallback solve and cached repeat returned different bytes")
+}
+
+// TestPeerBatchStaysLocal: batch requests are never routed, so against a
+// dead peer every cold batch is a plain local miss and no forward or
+// fallback is counted, whichever node owns its key.
+func TestPeerBatchStaysLocal(t *testing.T) {
+	s, ts := newPeerTestServer(t, deadPeerURL(t), 300*time.Millisecond, time.Minute)
+	for seed := int64(500); seed < 508; seed++ {
+		in := workload.Generate(workload.Config{Family: workload.E1, Stages: 6, Processors: 4, Seed: seed})
+		resp, got := post(t, ts, "/v1/batch", keyedBody(t, "/v1/batch", in, nil))
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("seed %d: status %d tier %q, want 200 \"miss\": %s", seed, resp.StatusCode, resp.Header.Get("X-Cache"), got)
+		}
+	}
+	if c := s.Metrics().Cluster; c.Fallbacks != 0 || c.Forwarded != 0 {
+		t.Fatalf("batch traffic reached the peer tier: %+v", c)
 	}
 }
 
@@ -123,7 +148,7 @@ func TestPeerSlowOwnerHitsForwardTimeout(t *testing.T) {
 	s, ts := newPeerTestServer(t, slow.URL, timeout, time.Minute)
 
 	start := time.Now()
-	_, _ = peerOwnedBody(t, ts, "fallback", 600)
+	_, _ = peerOwnedBody(t, ts, "/v1/solve", "fallback", 600)
 	if s.Metrics().Cluster.Fallbacks == 0 {
 		t.Fatal("slow owner did not register a fallback")
 	}
@@ -167,7 +192,7 @@ func TestPeerForwardRelaysOwnerBytes(t *testing.T) {
 
 	s, ts := newPeerTestServer(t, owner.URL, time.Second, time.Minute)
 
-	body, got := peerOwnedBody(t, ts, "remote-miss", 700)
+	body, got := peerOwnedBody(t, ts, "/v1/solve", "remote-miss", 700)
 	if !bytes.Equal(got, ownerBody) {
 		t.Fatalf("forwarded body not relayed verbatim: %s", got)
 	}
@@ -192,7 +217,7 @@ func TestPeerForwardRelaysOwnerBytes(t *testing.T) {
 	mu.Lock()
 	ownerTier = "hit"
 	mu.Unlock()
-	if _, _ = peerOwnedBody(t, ts, "remote-hit", 750); s.Metrics().Cluster.RemoteHits == 0 {
+	if _, _ = peerOwnedBody(t, ts, "/v1/solve", "remote-hit", 750); s.Metrics().Cluster.RemoteHits == 0 {
 		t.Fatalf("remote hit not counted: %+v", s.Metrics().Cluster)
 	}
 }
@@ -294,6 +319,43 @@ func TestPeerDigestThenFetch(t *testing.T) {
 		if !found {
 			t.Fatalf("fetched entry body not among served responses: %s", e.Body)
 		}
+	}
+}
+
+// TestSyncPullsBoundFromFullerPeer: a peer whose cache holds more
+// entries than cluster.MaxDigestKeys serves a digest of exactly that many
+// keys, and a replica's sync round accepts and pulls all of them — every
+// node serves and decodes digests under the same bound.
+func TestSyncPullsBoundFromFullerPeer(t *testing.T) {
+	tsA, tsB := httptest.NewUnstartedServer(nil), httptest.NewUnstartedServer(nil)
+	urlA := "http://" + tsA.Listener.Addr().String()
+	urlB := "http://" + tsB.Listener.Addr().String()
+	node := func(ts *httptest.Server, self string) *Server {
+		topo, err := cluster.NewTopology([]string{urlA, urlB}, self)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two nodes at the default two replicas: each replicates every key.
+		s := New(Options{CacheEntries: 8 * cluster.MaxDigestKeys, Cluster: &ClusterConfig{Topology: topo}})
+		ts.Config.Handler = s
+		ts.Start()
+		t.Cleanup(ts.Close)
+		return s
+	}
+	full, replica := node(tsA, urlA), node(tsB, urlB)
+	const held = 4 * cluster.MaxDigestKeys
+	for i := 0; i < held; i++ {
+		full.cache.Put(sha256.Sum256(strconv.AppendInt(nil, int64(i), 10)), []byte(strconv.Itoa(i)+"\n"))
+	}
+	if got := full.CacheStats().Entries; got != held {
+		t.Fatalf("peer holds %d entries, want %d", got, held)
+	}
+	pulled, err := replica.SyncOnce(context.Background())
+	if err != nil {
+		t.Fatalf("sync round: %v", err)
+	}
+	if pulled != cluster.MaxDigestKeys || replica.CacheStats().Entries != cluster.MaxDigestKeys {
+		t.Fatalf("pulled %d entries (%d held), want the bound %d", pulled, replica.CacheStats().Entries, cluster.MaxDigestKeys)
 	}
 }
 

@@ -29,10 +29,10 @@
 // identical requests collapse to one solve, repeated ones are served from
 // memory. The hot path is built for high QPS: requests decode into pooled
 // wire scratch, keys come from pooled hashers, the cache shards by key
-// bits so cores do not serialise on one mutex, metrics record through
-// lock-free atomics, and responses are cached as fully rendered bytes —
-// a hit is one Write and a handful of allocations. The X-Cache response
-// header reports hit, miss or collapsed.
+// bits so cores do not serialise on one mutex, each endpoint records its
+// timings in one small locked record, and responses are cached as fully
+// rendered bytes — a hit is one Write and a handful of allocations. The
+// X-Cache response header reports hit, miss or collapsed.
 package service
 
 import (
@@ -66,10 +66,6 @@ type Options struct {
 	// and negative values disable storage while keeping singleflight
 	// deduplication.
 	CacheEntries int
-	// CacheShards sets the result-cache shard count; values are rounded
-	// up to a power of two. 0 auto-selects one shard per core
-	// (cache.DefaultShards); negative values force a single shard.
-	CacheShards int
 	// Workers caps the batch engine's worker pool when a request does not
 	// set its own; 0 selects runtime.GOMAXPROCS(0).
 	Workers int
@@ -113,13 +109,6 @@ func (o Options) cacheEntries() int {
 	}
 }
 
-func (o Options) cacheShards() int {
-	if o.CacheShards < 0 {
-		return 1
-	}
-	return o.CacheShards
-}
-
 func (o Options) drain() time.Duration {
 	if o.DrainTimeout <= 0 {
 		return defaultDrainTimeout
@@ -157,7 +146,7 @@ type Server struct {
 func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
-		cache:   cache.NewSharded[[]byte](opts.cacheEntries(), opts.cacheShards()),
+		cache:   cache.NewSharded[[]byte](opts.cacheEntries(), 0),
 		intern:  newEvalIntern(),
 		metrics: newMetricsRegistry(),
 		logger:  opts.Logger,
@@ -344,13 +333,6 @@ type SweepResponse struct {
 	Points []SweepPoint `json:"points"`
 }
 
-// errorResponse is the body of every non-2xx reply. The serving path
-// renders it by hand (writeErrorBody) byte-identically to the encoder;
-// the type remains the schema and the test oracle.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // ------------------------------------------------------------ plumbing --
 
 // statusError is an error that knows its HTTP status.
@@ -392,12 +374,6 @@ func (w *statusRecorder) reset(inner http.ResponseWriter) {
 // time, so the per-request path records straight into it.
 func (s *Server) instrument(name string, h func(*Server, *scratch, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	em := s.metrics.slot(name)
-	if em == nil {
-		// Unknown endpoint names never reach the mux today; a detached
-		// slot keeps a future registration mistake a silent no-op (as
-		// the old map registry was) rather than a nil deref.
-		em = newEndpointMetrics()
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inFlight.Add(1)
 		defer s.metrics.inFlight.Add(-1)
@@ -510,21 +486,15 @@ func validBound(bound float64) error {
 // may name any platform kind some solver lane supports — comm-homogeneous
 // (the paper's H1–H6 plus the exact DP) or fully heterogeneous (the
 // free-processor-choice F1/F5/F6 lane). An empty tag defaults to
-// comm-homogeneous, as in platform.UnmarshalJSON. Both the wire-level
-// check (before any platform object exists) and the object-level one
-// (batch instances) route through here, so the two can never drift.
+// comm-homogeneous, as in platform.UnmarshalJSON. Solve, sweep and every
+// batch instance check their wire kind tag here, before any platform
+// object exists.
 func servableKind(kind string) error {
 	switch kind {
 	case "", platform.CommHomogeneous.String(), platform.FullyHeterogeneous.String():
 		return nil
 	}
 	return badRequest("unknown platform kind %q (want %q or %q)", kind, platform.CommHomogeneous, platform.FullyHeterogeneous)
-}
-
-// validPlatform is the object-level face of servableKind, applied to
-// batch instances decoded through platform.UnmarshalJSON.
-func validPlatform(plat *platform.Platform) error {
-	return servableKind(plat.Kind().String())
 }
 
 // wireFullHet reports whether a (validated) wire kind tag names a fully
@@ -629,6 +599,69 @@ func buildBatchInstances(wires []instanceWire) ([]workload.Instance, error) {
 	return instances, nil
 }
 
+// solver runs one request's solve and renders its body. It reads only
+// what its prepare step copied out of the pooled scratch, so it may run
+// on after the handler has returned the scratch to its pool.
+type solver func(ctx context.Context) ([]byte, error)
+
+// serveKeyed is the path every solver endpoint takes once it has decoded,
+// validated and keyed its request: cache hit, peer route, prepare,
+// request context, one detached solve under cache.Do, one write.
+//
+// forwardPath is the endpoint a peer-owned key is proxied to; empty keeps
+// the request node-local. prepare runs on a local miss only: it builds
+// the solve's inputs (the evaluator lease, a batch's domain objects) and
+// returns the solver, and its errors are the request's errors.
+func (s *Server) serveKeyed(w http.ResponseWriter, r *http.Request, key cache.Key, forwardPath string, raw []byte, timeoutMS int, prepare func() (solver, error)) {
+	// Hot path: a stored entry is served without building domain objects
+	// or a request context — one lookup, one Write.
+	if body, ok := s.cache.Get(key); ok {
+		writeCached(w, body, tierHit)
+		return
+	}
+	// Peer tier: a local miss on a key owned elsewhere proxies the raw
+	// body to the owner and installs the answer locally; a failed forward
+	// degrades to the local solve below.
+	fellBack := false
+	if s.peers != nil && forwardPath != "" {
+		body, tier, served, fb := s.peers.route(w, r, key, forwardPath, raw)
+		if served {
+			s.cache.Put(key, body)
+			writeCached(w, body, tier)
+			return
+		}
+		fellBack = fb
+	}
+	solve, err := prepare()
+	if err != nil {
+		s.writeError(w, r, err)
+		return
+	}
+	ctx, cancel := s.requestContext(r, timeoutMS)
+	defer cancel()
+	// The solve itself runs detached from this request's lifetime: ctx
+	// bounds only the wait below, so one impatient or disconnecting
+	// client can never poison collapsed waiters, and the finished result
+	// still lands in the cache. Since solveCtx is never cancelled, a
+	// sweep's frontier or a batch's report is never truncated.
+	solveCtx := context.WithoutCancel(ctx)
+	body, src, err := s.cache.Do(ctx, key, func() ([]byte, error) {
+		if s.solveHook != nil {
+			s.solveHook()
+		}
+		return solve(solveCtx)
+	})
+	if err != nil {
+		s.writeError(w, r, err)
+		return
+	}
+	tier := int(src) // cache.Source values coincide with the first three tiers
+	if fellBack {
+		tier = tierFallback
+	}
+	writeCached(w, body, tier)
+}
+
 func (s *Server) handleSolve(sc *scratch, w http.ResponseWriter, r *http.Request) {
 	req := &sc.solve
 	req.reset()
@@ -660,62 +693,24 @@ func (s *Server) handleSolve(sc *scratch, w http.ResponseWriter, r *http.Request
 		return
 	}
 	key := solveKeyWire(objective, mode, req.Bound, req.Pipeline.Works, req.Pipeline.Deltas, &req.Platform)
-	// Hot path: a stored entry is served without building domain objects
-	// or a request context — one lookup, one Write.
-	if body, ok := s.cache.Get(key); ok {
-		writeCached(w, body, cache.Hit)
-		return
-	}
-	// Peer tier: a local miss on a key owned elsewhere proxies the raw
-	// body to the owner and installs the answer locally; a failed forward
-	// degrades to the local solve below.
-	fellBack := false
-	if s.peers != nil {
-		body, tier, served, fb := s.peers.route(w, r, key, "/v1/solve", raw)
-		if served {
-			s.cache.Put(key, body)
-			writeCachedTier(w, body, tier)
-			return
-		}
-		fellBack = fb
-	}
-	// Miss: lease the instance's shared evaluator (validating and
-	// constructing it on first sight). The intern table copies nothing
-	// from the scratch — the constructors copy the wire slices — so the
-	// detached solve below owns its inputs and the scratch can be pooled
-	// the moment this handler returns.
-	ev, err := s.intern.lease(req.Pipeline.Works, req.Pipeline.Deltas, &req.Platform)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	bound := req.Bound
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	// The solve itself runs detached from this request's lifetime: ctx
-	// bounds only the wait below, so one impatient or disconnecting
-	// client can never poison collapsed waiters, and the finished result
-	// still lands in the cache.
-	solveCtx := context.WithoutCancel(ctx)
-	body, src, err := s.cache.Do(ctx, key, func() ([]byte, error) {
-		if s.solveHook != nil {
-			s.solveHook()
-		}
-		resp, err := s.solveOne(solveCtx, objective, mode, ev, bound)
+	s.serveKeyed(w, r, key, "/v1/solve", raw, req.TimeoutMS, func() (solver, error) {
+		// Lease the instance's shared evaluator (validating and
+		// constructing it on first sight). The intern table copies
+		// nothing from the scratch — the constructors copy the wire
+		// slices — so the solver owns its inputs.
+		ev, err := s.intern.lease(req.Pipeline.Works, req.Pipeline.Deltas, &req.Platform)
 		if err != nil {
 			return nil, err
 		}
-		return renderJSON(resp)
+		bound := req.Bound
+		return func(ctx context.Context) ([]byte, error) {
+			resp, err := s.solveOne(ctx, objective, mode, ev, bound)
+			if err != nil {
+				return nil, err
+			}
+			return renderJSON(resp)
+		}, nil
 	})
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	if fellBack {
-		writeCachedTier(w, body, tierFallback)
-		return
-	}
-	writeCached(w, body, src)
 }
 
 // solveOne runs one instance through the selected mode. ev is the
@@ -795,8 +790,8 @@ func (s *Server) handleBatch(sc *scratch, w http.ResponseWriter, r *http.Request
 	// Batch bodies decode into pooled wire scratch like solve bodies: the
 	// primed hot path goes body → canonical key → cached bytes without
 	// constructing a single pipeline or platform. Domain objects are
-	// built on the miss only, below, and own their data, so the detached
-	// batch run never touches the scratch after the handler returns.
+	// built on the miss only, and own their data, so the detached batch
+	// run never touches the scratch after the handler returns.
 	// Batch requests stay node-local in peer mode: the canonical key of a
 	// whole instance list is effectively unique per client, so forwarding
 	// would add a hop for no expected hit, and the batch engine already
@@ -843,60 +838,45 @@ func (s *Server) handleBatch(sc *scratch, w http.ResponseWriter, r *http.Request
 		Workers:       workers,
 	}
 	key := batchKeyWire(opts, req.Instances)
-	if body, ok := s.cache.Get(key); ok {
-		writeCached(w, body, cache.Hit)
-		return
-	}
-	// Miss: construct the domain objects, deduplicating platforms by
-	// content so instances naming the same platform share one object —
-	// the pointer identity SolveBatch groups its evaluator-table
-	// construction by.
-	instances, err := buildBatchInstances(req.Instances)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	// Detached as in handleSolve: ctx bounds the wait, not the batch.
-	solveCtx := context.WithoutCancel(ctx)
-	body, src, err := s.cache.Do(ctx, key, func() ([]byte, error) {
-		if s.solveHook != nil {
-			s.solveHook()
-		}
-		report, err := portfolio.SolveBatch(solveCtx, instances, opts)
+	s.serveKeyed(w, r, key, "", nil, req.TimeoutMS, func() (solver, error) {
+		// Construct the domain objects, deduplicating platforms by
+		// content so instances naming the same platform share one object
+		// — the pointer identity SolveBatch groups its evaluator-table
+		// construction by.
+		instances, err := buildBatchInstances(req.Instances)
 		if err != nil {
-			// Cancelled mid-batch: the report is partial, never cache it.
 			return nil, err
 		}
-		resp := BatchResponse{Solved: report.Solved, Failed: report.Failed}
-		resp.Results = make([]BatchResult, len(report.Results))
-		for i, res := range report.Results {
-			br := BatchResult{Index: res.Index, Bound: res.Bound}
-			if res.Err != nil {
-				br.Error = res.Err.Error()
-			} else {
-				br.Solver = res.Outcome.Solver
-				br.Period = res.Outcome.Result.Metrics.Period
-				br.Latency = res.Outcome.Result.Metrics.Latency
-				br.Intervals = intervalsJSON(res.Outcome.Result.Mapping)
+		return func(ctx context.Context) ([]byte, error) {
+			report, err := portfolio.SolveBatch(ctx, instances, opts)
+			if err != nil {
+				// Cancelled mid-batch: the report is partial, never cache it.
+				return nil, err
 			}
-			resp.Results[i] = br
-		}
-		for _, pt := range report.Front {
-			resp.Front = append(resp.Front, BatchFrontPoint{
-				Instance: pt.Instance,
-				Period:   pt.Metrics.Period,
-				Latency:  pt.Metrics.Latency,
-			})
-		}
-		return renderJSON(resp)
+			resp := BatchResponse{Solved: report.Solved, Failed: report.Failed}
+			resp.Results = make([]BatchResult, len(report.Results))
+			for i, res := range report.Results {
+				br := BatchResult{Index: res.Index, Bound: res.Bound}
+				if res.Err != nil {
+					br.Error = res.Err.Error()
+				} else {
+					br.Solver = res.Outcome.Solver
+					br.Period = res.Outcome.Result.Metrics.Period
+					br.Latency = res.Outcome.Result.Metrics.Latency
+					br.Intervals = intervalsJSON(res.Outcome.Result.Mapping)
+				}
+				resp.Results[i] = br
+			}
+			for _, pt := range report.Front {
+				resp.Front = append(resp.Front, BatchFrontPoint{
+					Instance: pt.Instance,
+					Period:   pt.Metrics.Period,
+					Latency:  pt.Metrics.Latency,
+				})
+			}
+			return renderJSON(resp)
+		}, nil
 	})
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	writeCached(w, body, src)
 }
 
 func (s *Server) handleSweep(sc *scratch, w http.ResponseWriter, r *http.Request) {
@@ -924,77 +904,34 @@ func (s *Server) handleSweep(sc *scratch, w http.ResponseWriter, r *http.Request
 		points = defaultSweepPoints
 	}
 	key := sweepKeyWire(points, req.Pipeline.Works, req.Pipeline.Deltas, &req.Platform)
-	if body, ok := s.cache.Get(key); ok {
-		writeCached(w, body, cache.Hit)
-		return
-	}
-	// Peer tier, as in handleSolve.
-	fellBack := false
-	if s.peers != nil {
-		body, tier, served, fb := s.peers.route(w, r, key, "/v1/sweep", raw)
-		if served {
-			s.cache.Put(key, body)
-			writeCachedTier(w, body, tier)
-			return
+	s.serveKeyed(w, r, key, "/v1/sweep", raw, req.TimeoutMS, func() (solver, error) {
+		ev, err := s.intern.lease(req.Pipeline.Works, req.Pipeline.Deltas, &req.Platform)
+		if err != nil {
+			return nil, err
 		}
-		fellBack = fb
-	}
-	ev, err := s.intern.lease(req.Pipeline.Works, req.Pipeline.Deltas, &req.Platform)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	// Detached as in handleSolve: ctx bounds the wait, not the sweep.
-	solveCtx := context.WithoutCancel(ctx)
-	body, src, err := s.cache.Do(ctx, key, func() ([]byte, error) {
-		if s.solveHook != nil {
-			s.solveHook()
-		}
-		// solveCtx is never cancellable (WithoutCancel), so the sweep
-		// always runs to completion and the frontier is never truncated;
-		// a cancelled client merely abandons its wait in cache.Do.
-		front := portfolio.ParetoSweep(solveCtx, ev, points, 0)
-		resp := SweepResponse{Points: make([]SweepPoint, len(front))}
-		for i, pt := range front {
-			resp.Points[i] = SweepPoint{
-				Period:    pt.Metrics.Period,
-				Latency:   pt.Metrics.Latency,
-				Intervals: intervalsJSON(pt.Mapping),
+		return func(ctx context.Context) ([]byte, error) {
+			front := portfolio.ParetoSweep(ctx, ev, points, 0)
+			resp := SweepResponse{Points: make([]SweepPoint, len(front))}
+			for i, pt := range front {
+				resp.Points[i] = SweepPoint{
+					Period:    pt.Metrics.Period,
+					Latency:   pt.Metrics.Latency,
+					Intervals: intervalsJSON(pt.Mapping),
+				}
 			}
-		}
-		return renderJSON(resp)
+			return renderJSON(resp)
+		}, nil
 	})
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	if fellBack {
-		writeCachedTier(w, body, tierFallback)
-		return
-	}
-	writeCached(w, body, src)
 }
 
 // writeCached renders a cached (or just-rendered) response body with its
-// cache disposition: three header slots and exactly one Write. Bodies are
+// X-Cache tier: three header slots and exactly one Write. Bodies are
 // rendered with their trailing newline (renderJSON), so no second write
 // is ever needed.
-func writeCached(w http.ResponseWriter, body []byte, src cache.Source) {
-	// cache.Source values coincide with the first three tier indices.
-	writeCachedTier(w, body, int(src))
-}
-
-// writeCachedTier is writeCached with an explicit X-Cache tier index,
-// covering the peer tiers (remote-hit, remote-miss, fallback) the
-// single-node cache.Source enum cannot express.
-func writeCachedTier(w http.ResponseWriter, body []byte, tier int) {
+func writeCached(w http.ResponseWriter, body []byte, tier int) {
 	h := w.Header()
 	h["Content-Type"] = hdrJSON
-	if tier >= 0 && tier < len(hdrXCacheVal) {
-		h["X-Cache"] = hdrXCacheVal[tier]
-	}
+	h["X-Cache"] = hdrXCacheVal[tier]
 	setContentLength(h, len(body))
 	w.Write(body)
 }

@@ -379,35 +379,79 @@ func TestSweepPointsCapped(t *testing.T) {
 	}
 }
 
-// TestLeaderTimeoutDoesNotPoisonCache pins the detached-solve contract at
-// the HTTP level: a leader whose deadline fires gets its 504, but the
-// solve completes and later identical requests are served from cache.
-func TestLeaderTimeoutDoesNotPoisonCache(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
-	in := testInstance(t)
-	release := make(chan struct{})
-	s.solveHook = func() { <-release }
+// keyedPaths are the three solver endpoints; all of them serve through
+// serveKeyed.
+var keyedPaths = []string{"/v1/solve", "/v1/sweep", "/v1/batch"}
 
-	resp, data := post(t, ts, "/v1/solve", solveBody(t, in, map[string]any{"bound": 1e6, "timeout_ms": 1}))
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("impatient leader got %d, want 504: %s", resp.StatusCode, data)
+// keyedBody is a request body for path on instance in — a loose-bound
+// solve, a 4-point sweep or a one-instance batch — with extra merged into
+// its top level.
+func keyedBody(t *testing.T, path string, in workload.Instance, extra map[string]any) []byte {
+	t.Helper()
+	var req map[string]any
+	switch path {
+	case "/v1/solve":
+		req = map[string]any{"pipeline": in.App, "platform": in.Plat, "bound": 1e6}
+	case "/v1/sweep":
+		req = map[string]any{"pipeline": in.App, "platform": in.Plat, "points": 4}
+	case "/v1/batch":
+		req = map[string]any{"instances": []workload.Instance{in}, "bound": 1e6}
+	default:
+		t.Fatalf("no request body for %s", path)
 	}
-	close(release)
-	deadline := time.Now().Add(10 * time.Second)
-	for s.CacheStats().Entries == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned solve never cached its result")
-		}
-		time.Sleep(time.Millisecond)
+	for k, v := range extra {
+		req[k] = v
 	}
-	s.solveHook = nil
-	// The exact same request body — timeout included — now hits.
-	resp2, data2 := post(t, ts, "/v1/solve", solveBody(t, in, map[string]any{"bound": 1e6, "timeout_ms": 1}))
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("follow-up got %d, want 200: %s", resp2.StatusCode, data2)
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := resp2.Header.Get("X-Cache"); got != "hit" {
-		t.Fatalf("follow-up X-Cache %q, want hit", got)
+	return data
+}
+
+// TestLeaderTimeoutDoesNotPoisonCache pins the detached-solve contract at
+// the HTTP level on every endpoint: a leader whose deadline fires gets
+// its 504, but the solve completes — the whole answer, as an undisturbed
+// server gives it — and later identical requests are served from cache.
+func TestLeaderTimeoutDoesNotPoisonCache(t *testing.T) {
+	in := testInstance(t)
+	for _, path := range keyedPaths {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
+			_, ref := newTestServer(t, Options{})
+			refResp, want := post(t, ref, path, keyedBody(t, path, in, nil))
+			if refResp.StatusCode != http.StatusOK {
+				t.Fatalf("reference got %d: %s", refResp.StatusCode, want)
+			}
+			s, ts := newTestServer(t, Options{})
+			release := make(chan struct{})
+			s.solveHook = func() { <-release }
+			body := keyedBody(t, path, in, map[string]any{"timeout_ms": 1})
+
+			resp, data := post(t, ts, path, body)
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("impatient leader got %d, want 504: %s", resp.StatusCode, data)
+			}
+			close(release)
+			deadline := time.Now().Add(10 * time.Second)
+			for s.CacheStats().Entries == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("abandoned solve never cached its result")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			s.solveHook = nil
+			// The exact same request body — timeout included — now hits.
+			resp2, data2 := post(t, ts, path, body)
+			if resp2.StatusCode != http.StatusOK {
+				t.Fatalf("follow-up got %d, want 200: %s", resp2.StatusCode, data2)
+			}
+			if got := resp2.Header.Get("X-Cache"); got != "hit" {
+				t.Fatalf("follow-up X-Cache %q, want hit", got)
+			}
+			if !bytes.Equal(data2, want) {
+				t.Fatalf("cached answer differs from an undisturbed solve:\n%s\nwant\n%s", data2, want)
+			}
+		})
 	}
 }
 
@@ -468,70 +512,75 @@ func TestRepeatedRequestIsCacheHit(t *testing.T) {
 	}
 }
 
-// TestConcurrentIdenticalRequestsCollapse fires N identical solves while
-// the singleflight leader is held inside the solver, then asserts exactly
-// one underlying solve ran and every response carries the same body.
+// TestConcurrentIdenticalRequestsCollapse fires N identical requests at
+// each endpoint while the singleflight leader is held inside the solver,
+// then asserts exactly one underlying solve ran and every response
+// carries the same body.
 func TestConcurrentIdenticalRequestsCollapse(t *testing.T) {
 	const n = 6
-	s, ts := newTestServer(t, Options{})
 	in := testInstance(t)
-	body := solveBody(t, in, map[string]any{"bound": 1e6})
+	for _, path := range keyedPaths {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
+			s, ts := newTestServer(t, Options{})
+			body := keyedBody(t, path, in, nil)
 
-	release := make(chan struct{})
-	s.solveHook = func() { <-release }
+			release := make(chan struct{})
+			s.solveHook = func() { <-release }
 
-	type reply struct {
-		status int
-		cache  string
-		body   string
-	}
-	replies := make([]reply, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, data := post(t, ts, "/v1/solve", body)
-			replies[i] = reply{status: resp.StatusCode, cache: resp.Header.Get("X-Cache"), body: string(data)}
-		}(i)
-	}
-	// Wait until one leader is inside the solver and the other n-1
-	// requests are parked on its flight, then release.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		cs := s.CacheStats()
-		if cs.Misses == 1 && cs.Collapsed == n-1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("requests never collapsed: %+v", cs)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
+			type reply struct {
+				status int
+				cache  string
+				body   string
+			}
+			replies := make([]reply, n)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					resp, data := post(t, ts, path, body)
+					replies[i] = reply{status: resp.StatusCode, cache: resp.Header.Get("X-Cache"), body: string(data)}
+				}(i)
+			}
+			// Wait until one leader is inside the solver and the other
+			// n-1 requests are parked on its flight, then release.
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				cs := s.CacheStats()
+				if cs.Misses == 1 && cs.Collapsed == n-1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("requests never collapsed: %+v", cs)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			wg.Wait()
 
-	cs := s.CacheStats()
-	if cs.Misses != 1 {
-		t.Fatalf("%d underlying solves for %d concurrent identical requests, want 1 (stats %+v)", cs.Misses, n, cs)
-	}
-	misses, collapsed := 0, 0
-	for i, rp := range replies {
-		if rp.status != http.StatusOK {
-			t.Fatalf("request %d status %d: %s", i, rp.status, rp.body)
-		}
-		if rp.body != replies[0].body {
-			t.Fatalf("request %d body differs", i)
-		}
-		switch rp.cache {
-		case "miss":
-			misses++
-		case "collapsed":
-			collapsed++
-		}
-	}
-	if misses != 1 || collapsed != n-1 {
-		t.Fatalf("dispositions: %d miss, %d collapsed; want 1 and %d", misses, collapsed, n-1)
+			cs := s.CacheStats()
+			if cs.Misses != 1 {
+				t.Fatalf("%d underlying solves for %d concurrent identical requests, want 1 (stats %+v)", cs.Misses, n, cs)
+			}
+			misses, collapsed := 0, 0
+			for i, rp := range replies {
+				if rp.status != http.StatusOK {
+					t.Fatalf("request %d status %d: %s", i, rp.status, rp.body)
+				}
+				if rp.body != replies[0].body {
+					t.Fatalf("request %d body differs", i)
+				}
+				switch rp.cache {
+				case "miss":
+					misses++
+				case "collapsed":
+					collapsed++
+				}
+			}
+			if misses != 1 || collapsed != n-1 {
+				t.Fatalf("dispositions: %d miss, %d collapsed; want 1 and %d", misses, collapsed, n-1)
+			}
+		})
 	}
 }
 

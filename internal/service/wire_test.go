@@ -124,6 +124,12 @@ func TestCanonSeparatesLinkBandwidths(t *testing.T) {
 	}
 }
 
+// errorResponse is the body of every non-2xx reply, in the encoder's
+// form: the oracle writeErrorBody's hand-rendered bytes are held to.
+type errorResponse struct {
+	Error string `json:"error"`
+}
+
 // TestErrorJSONShape pins the hand-rendered error body byte-for-byte
 // against encoding/json on a torture table: quotes, backslashes, HTML
 // metacharacters, control bytes, multi-byte UTF-8, the JS line

@@ -13,35 +13,34 @@ import (
 // cache and singleflight deduplication. The hot path is built for high
 // QPS: the result cache is sharded by key bits so cores never serialise
 // on one mutex, request decode and canonical hashing run on pooled
-// scratch, metrics are lock-free atomics, and cache hits are served as
-// pre-rendered bytes in a single write. cmd/pipeschedd is the packaged
-// daemon; these façade hooks embed the same server in any Go process.
+// scratch, each endpoint's timings go into one small locked record, and
+// cache hits are served as pre-rendered bytes in a single write.
+// cmd/pipeschedd is the packaged daemon; these façade hooks embed the
+// same server in any Go process.
 type (
 	// Server is the HTTP solver service. It implements http.Handler, so
 	// it mounts under any mux or http.Server; use its Serve method (or
 	// the Serve function below) for a managed listen-drain-stop
 	// lifecycle.
 	Server = service.Server
-	// ServerOptions configure a Server: cache bound, cache shard count
-	// (CacheShards; 0 auto-selects one power-of-two shard per core),
-	// worker cap, per-request timeout, drain timeout, body limit and
-	// logger. The zero value is fully usable.
+	// ServerOptions configure a Server: cache bound, worker cap,
+	// per-request timeout, drain timeout, body limit and logger. The zero
+	// value is fully usable.
 	ServerOptions = service.Options
 	// ServerMetrics is the snapshot served by GET /metrics.
 	ServerMetrics = service.MetricsSnapshot
 	// ServerClusterConfig opts a Server into peer-aware fleet serving
 	// via ServerOptions.Cluster: a Topology built by NewClusterTopology
-	// plus the replication factor, forward timeout, hedge delay, peer
-	// backoff window and cap, and the per-digest and per-fetch entry
-	// bound (zero values select the cluster defaults). Each canonical
-	// cache key has an ordered replica set (default two owners); local
-	// misses forward to the first available replica — hedging to the
-	// next when it is slow — and install the relayed bytes as a
-	// second-tier hit. Only when every replica is down does the node
-	// degrade to a local solve. Entries move between nodes only through
-	// anti-entropy rounds (Server.SyncOnce): Server.RunSelfHealing runs
-	// one at start, and Server.ReloadTopology swaps the fleet view at
-	// runtime and then runs one under it.
+	// plus the replication factor, forward timeout, hedge delay, and peer
+	// backoff window and cap (zero values select the cluster defaults).
+	// Each canonical cache key has an ordered replica set (default two
+	// owners); local misses forward to the first available replica —
+	// hedging to the next when it is slow — and install the relayed
+	// bytes as a second-tier hit. Only when every replica is down does
+	// the node degrade to a local solve. Entries move between nodes only
+	// through anti-entropy rounds (Server.SyncOnce): Server.RunSelfHealing
+	// runs one at start, and Server.ReloadTopology swaps the fleet view
+	// at runtime and then runs one under it.
 	ServerClusterConfig = service.ClusterConfig
 	// ClusterTopology is the fleet view: the full normalized peer list
 	// and this node's position in it. Build it with NewClusterTopology.
