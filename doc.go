@@ -223,7 +223,7 @@
 // # Serving performance: the high-QPS hot path
 //
 // The serving path is built so that the steady state of heavy traffic —
-// cache hits — does near-zero work beyond the unavoidable JSON decode:
+// cache hits — does near-zero work beyond one scan of the request body:
 //
 //   - Sharded result cache. The LRU+singleflight cache is split across a
 //     power-of-two number of shards selected by key bits, one shard per
@@ -235,6 +235,13 @@
 //     Get/Do/evict traffic must observe identical
 //     hit/miss/collapse/eviction behaviour on both, and the aggregate
 //     counters obey hits+misses+collapsed = calls.
+//   - Single-scan request decoding. The body is read once into a fresh
+//     buffer, and a small reader walks it once, straight into the
+//     pooled wire structs, calling strconv once per number token. It
+//     accepts, rejects and decodes exactly as the strict json.Decoder
+//     it replaced, which the tests keep as its differential oracle and
+//     fuzz against; only a key or string holding an escape or a
+//     non-ASCII byte still goes through encoding/json.
 //   - Pooled decode, hashing and render. Requests decode into pooled
 //     wire structs whose float slices are reused across requests;
 //     canonical hashing leases a pooled SHA-256 state and digests the

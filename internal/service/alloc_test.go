@@ -1,13 +1,14 @@
 package service
 
 // Allocation-regression caps for the serving hot path. The cache-hit
-// serve is the high-QPS steady state — decode into pooled wire scratch,
-// pooled canonical hash, sharded-cache lookup, one Write — and its
-// budget pins the PR-5 rebuild: the naive pre-rework path measured 80
-// allocs per hit, the pooled path 16. The caps leave a little headroom
-// for Go-version drift in encoding/json without letting the old
-// per-request costs (fresh hashers, constructed platforms) creep back
-// in.
+// serve is the high-QPS steady state — one body read, a single-scan
+// decode into pooled wire scratch, pooled canonical hash, sharded-cache
+// lookup, one Write. The naive pre-rework path measured 80 allocs per
+// hit, the pooled path with encoding/json 16, and the single-scan reader
+// 4: the body buffer, the MaxBytesReader, the reader and the
+// Content-Length string. The caps leave a little headroom without
+// letting the old per-request costs (fresh hashers, constructed
+// platforms, a decoder per request) creep back in.
 
 import (
 	"net/http"
@@ -25,7 +26,11 @@ func testWorkload() workload.Instance {
 
 const (
 	// serveHitAllocCap bounds allocations for one cache-hit /v1/solve.
-	serveHitAllocCap = 24
+	serveHitAllocCap = 8
+	// decodeAllocCap bounds one warm decode of a batch body into reused
+	// scratch: the numbers parse in place and the enum strings are
+	// constants, so only the reader itself may reach the heap.
+	decodeAllocCap = 1
 	// errorRenderAllocCap bounds the pooled error-body render itself.
 	errorRenderAllocCap = 4
 )
@@ -49,6 +54,24 @@ func TestServeSolveHitAllocs(t *testing.T) {
 	run() // warm the pools
 	if got := testing.AllocsPerRun(200, run); got > serveHitAllocCap {
 		t.Errorf("cache-hit solve: %.1f allocs/run, cap %d", got, serveHitAllocCap)
+	}
+}
+
+func TestDecodeBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	body := bulkBatchBody(t, 40, 100, 4)
+	w := new(batchWire)
+	run := func() {
+		w.reset()
+		if err := decodeWire(body, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // grow the scratch
+	if got := testing.AllocsPerRun(50, run); got > decodeAllocCap {
+		t.Errorf("warm 16-instance batch decode: %.1f allocs/run, cap %d", got, decodeAllocCap)
 	}
 }
 

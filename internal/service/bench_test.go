@@ -50,9 +50,11 @@ func (w *benchWriter) reset() {
 }
 
 // serveOnce drives one pre-built request through s, reusing w and body.
+// The request carries the body's Content-Length, as a client's does.
 func serveOnce(s *Server, w *benchWriter, req *http.Request, body *benchBody, raw []byte) int {
 	body.rd.Reset(raw)
 	req.Body = body
+	req.ContentLength = int64(len(raw))
 	w.reset()
 	s.ServeHTTP(w, req)
 	if w.status == 0 {
@@ -284,6 +286,30 @@ func BenchmarkServeSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if st := serveOnce(s, w, req, body, raw); st != http.StatusOK {
 			b.Fatalf("status %d", st)
+		}
+	}
+}
+
+// BenchmarkDecodeBody decodes request bodies into reused scratch, as a
+// pooled request does: loopbench bulk's four batch shapes (16 pipelines
+// sharing one platform) and one solve body.
+func BenchmarkDecodeBody(b *testing.B) {
+	for _, shape := range bulkShapes {
+		body := bulkBatchBody(b, shape.n, shape.p, 4)
+		b.Run(fmt.Sprintf("batch-n%d-p%d", shape.n, shape.p), func(b *testing.B) {
+			benchDecode(b, body, new(batchWire))
+		})
+	}
+	b.Run("solve", func(b *testing.B) { benchDecode(b, benchmarkSolveBody(b), new(solveWire)) })
+}
+
+func benchDecode(b *testing.B, body []byte, w wireBody) {
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w.reset()
+		if err := decodeWire(body, w); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

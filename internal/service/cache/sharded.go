@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"runtime"
+	"slices"
 )
 
 // Sharded is the multi-core result cache: the key space is split across a
@@ -100,24 +101,43 @@ func (s *Sharded[V]) Do(ctx context.Context, k Key, fn func() (V, error)) (V, So
 // See Cache.Put for the contract.
 func (s *Sharded[V]) Put(k Key, v V) { s.shard(k).Put(k, v) }
 
-// Snapshot returns up to max stored entries across shards, each shard's
-// contribution most recently used first. The per-shard quota is
-// max/shards rounded up, so the result is the union of every shard's hot
-// prefix rather than a globally ordered hot set — an approximation that
-// costs nothing and is exactly what an anti-entropy digest wants (keys
-// are SHA-256-uniform, so shard hot sets are statistically
-// interchangeable). max <= 0 returns every entry.
+// Snapshot returns min(max, Len()) stored entries across shards, each
+// shard's contribution most recently used first. The bound is filled
+// like water: a shard holding fewer entries than its even share gives
+// all of them, and the rest of the bound is split over the fuller
+// shards, so uneven occupancy never shortens the result. It is the union
+// of every shard's hot prefix rather than a globally ordered hot set —
+// exactly what an anti-entropy digest wants (keys are SHA-256-uniform,
+// so shard hot sets are statistically interchangeable). max <= 0
+// returns every entry. Under concurrent writes the shard lengths are
+// read before the entries, so the result may fall short of the bound.
 func (s *Sharded[V]) Snapshot(max int) []Item[V] {
-	per := 0 // 0 = unbounded, per Cache.Snapshot
-	if max > 0 {
-		per = (max + len(s.shards) - 1) / len(s.shards)
+	if max <= 0 {
+		var out []Item[V]
+		for _, c := range s.shards {
+			out = append(out, c.Snapshot(0)...)
+		}
+		return out
 	}
-	var out []Item[V]
-	for _, c := range s.shards {
-		out = append(out, c.Snapshot(per)...)
-		if max > 0 && len(out) >= max {
-			out = out[:max]
-			break
+	lens := make([]int, len(s.shards))
+	order := make([]int, len(s.shards))
+	for i, c := range s.shards {
+		lens[i], order[i] = c.Len(), i
+	}
+	slices.SortFunc(order, func(a, b int) int { return lens[a] - lens[b] })
+	// Emptiest shard first: each takes the smaller of its length and an
+	// even share of what is left, so the last shards absorb the slack.
+	quota := make([]int, len(s.shards))
+	left := max
+	for k, i := range order {
+		share := (left + len(order) - k - 1) / (len(order) - k)
+		quota[i] = min(lens[i], share)
+		left -= quota[i]
+	}
+	out := make([]Item[V], 0, max-left)
+	for i, c := range s.shards {
+		if quota[i] > 0 {
+			out = append(out, c.Snapshot(quota[i])...)
 		}
 	}
 	return out

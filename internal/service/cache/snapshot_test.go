@@ -2,6 +2,7 @@ package cache
 
 import (
 	"context"
+	"encoding/binary"
 	"testing"
 )
 
@@ -141,5 +142,38 @@ func TestShardedPutZeroCapacity(t *testing.T) {
 	}
 	if snap := c.Snapshot(0); len(snap) != 0 {
 		t.Fatalf("zero-capacity snapshot has %d entries", len(snap))
+	}
+}
+
+// TestShardedSnapshotFillsBound pins the water-filling quota: with the
+// entries split unevenly over the shards, a bounded snapshot still lists
+// min(max, Len()) entries, each shard's part its most recently used
+// prefix. An even per-shard share would list only 300 + 512 of 1024.
+func TestShardedSnapshotFillsBound(t *testing.T) {
+	c := NewSharded[int](8192, 2)
+	counts := [2]int{300, 900}
+	for shard, n := range counts {
+		for i := 0; i < n; i++ {
+			var k Key
+			k[0] = byte(shard) // the shard, for two shards
+			binary.LittleEndian.PutUint32(k[8:], uint32(i))
+			c.Put(k, i)
+		}
+	}
+	for _, max := range []int{1, 2, 599, 600, 601, 1024, 1199, 1200, 5000} {
+		snap := c.Snapshot(max)
+		if want := min(max, c.Len()); len(snap) != want {
+			t.Fatalf("Snapshot(%d) listed %d entries, want %d", max, len(snap), want)
+		}
+		// Each shard's part is its hottest prefix: the latest puts, in
+		// descending insertion order.
+		next := [2]int{counts[0] - 1, counts[1] - 1}
+		for _, it := range snap {
+			shard := it.Key[0]
+			if it.Val != next[shard] {
+				t.Fatalf("Snapshot(%d): shard %d lists %d, want %d", max, shard, it.Val, next[shard])
+			}
+			next[shard]--
+		}
 	}
 }

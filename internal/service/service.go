@@ -36,7 +36,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -388,38 +387,57 @@ func (s *Server) instrument(name string, h func(*Server, *scratch, http.Response
 	}
 }
 
-// decodeJSON strictly decodes the request body into v: unknown top-level
-// fields and trailing data are rejected, exactly as before the wire
-// rework (sub-objects decoded from RawMessage stay lenient, matching the
-// former custom-unmarshaler behaviour).
-//
-// In single-node mode the body is decoded streaming and the returned raw
-// slice is nil — the hot path is unchanged. In peer mode the body is
-// read fully first and returned verbatim, because a non-owner may need
-// the exact original bytes to proxy to the key's owner.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, error) {
-	limited := http.MaxBytesReader(w, r.Body, s.opts.maxBody())
-	var (
-		dec *json.Decoder
-		raw []byte
-	)
-	if s.peers != nil {
-		var err error
-		if raw, err = io.ReadAll(limited); err != nil {
-			return nil, badRequest("invalid request body: %v", err)
-		}
-		dec = json.NewDecoder(bytes.NewReader(raw))
-	} else {
-		dec = json.NewDecoder(limited)
+// decodeJSON reads the request body once and decodes it into v with
+// the single-scan reader of decode.go: an unknown key at any depth, a
+// value of the wrong type and trailing data are 400s, exactly as with
+// the strict json.Decoder it replaced. It returns the body as raw, which
+// a peer-mode non-owner proxies verbatim to the key's owner.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v wireObject) ([]byte, error) {
+	raw, err := s.readBody(w, r)
+	if err == nil {
+		err = decodeWire(raw, v)
 	}
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err != nil {
 		return nil, badRequest("invalid request body: %v", err)
 	}
-	if dec.More() {
-		return nil, badRequest("invalid request body: trailing data after the JSON object")
-	}
 	return raw, nil
+}
+
+// maxBodyPrealloc caps the buffer Content-Length sizes up front, so a
+// false header cannot make the daemon allocate the whole body limit
+// before a byte arrives; a longer body grows the buffer as it reads.
+const maxBodyPrealloc = 1 << 20
+
+// readBody reads the whole body into a fresh buffer through
+// http.MaxBytesReader: a body over the limit is an error in every mode,
+// and a Content-Length over it is one before any read. Buffers are not
+// pooled, so the largest bodies seen do not stay resident between
+// requests.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	limit := s.opts.maxBody()
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	size := int64(512) // io.ReadAll's start when the length is unknown
+	if r.ContentLength > 0 {
+		// One spare byte reads EOF without growing the buffer.
+		size = min(r.ContentLength, maxBodyPrealloc) + 1
+	}
+	body := make([]byte, 0, size)
+	rd := http.MaxBytesReader(w, r.Body, limit)
+	for {
+		n, err := rd.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			return body, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+	}
 }
 
 // writeJSON renders a 200 with v as JSON (non-hot paths: health, metrics).

@@ -5,10 +5,14 @@ package service
 // Requests are decoded into reusable wire structs — raw works/deltas/
 // speeds slices whose backing arrays survive between requests — instead
 // of validated pipeline/platform objects, because the cache key only
-// needs the raw numbers. The expensive constructors (prefix sums, speed
-// orders, class tables) run on cache misses only, where a solve is about
-// to dwarf them anyway. Responses render through pooled buffers; cached
-// bodies carry their trailing newline so a hit is exactly one Write.
+// needs the raw numbers. The single-scan reader in decode.go fills them
+// straight from the body bytes, with encoding/json's semantics and
+// without its reflection; the json tags below name the wire keys and
+// drive the encoding/json oracle the reader is tested against. The
+// expensive constructors (prefix sums, speed orders, class tables) run
+// on cache misses only, where a solve is about to dwarf them anyway.
+// Responses render through pooled buffers; cached bodies carry their
+// trailing newline so a hit is exactly one Write.
 
 import (
 	"bytes"
@@ -29,11 +33,12 @@ func (pw *pipelineWire) reset() {
 	pw.Deltas = clearFloats(pw.Deltas)
 }
 
-// clearFloats zeroes s up to its capacity and truncates it. encoding/json
-// regrows a reused slice over its old backing array and leaves an element
-// decoded from null untouched, so without this a null inside an array
-// would read the number an earlier request left there — in the cache key
-// and in the solve alike — instead of 0, as it does on a fresh slice.
+// clearFloats zeroes s up to its capacity and truncates it. The reader,
+// like encoding/json, regrows a reused slice over its old backing array
+// and leaves an element decoded from null untouched, so without this a
+// null inside an array would read the number an earlier request left
+// there — in the cache key and in the solve alike — instead of 0, as it
+// does on a fresh slice.
 func clearFloats(s []float64) []float64 {
 	s = s[:cap(s)]
 	clear(s)
@@ -88,14 +93,13 @@ type instanceWire struct {
 }
 
 // batchWire is the top-level body of POST /v1/batch, decoded into pooled
-// scratch like solveWire. encoding/json reuses both the instance slice
-// and every nested number slice when capacity allows, so a warm decode
-// of a batch allocates for none of the instance payloads — on the primed
-// hot path the handler goes body → key → cached bytes without
-// materialising a single pipeline or platform object. reset clears every
-// instance up to the slice's capacity, so neither a field absent from
-// this request nor a null element can leak a previous request's numbers
-// into the key.
+// scratch like solveWire. The reader reuses both the instance slice and
+// every nested number slice when capacity allows, so a warm decode of a
+// batch allocates for none of the instance payloads — on the primed hot
+// path the handler goes body → key → cached bytes without materialising
+// a single pipeline or platform object. reset clears every instance up
+// to the slice's capacity, so neither a field absent from this request
+// nor a null element can leak a previous request's numbers into the key.
 type batchWire struct {
 	Instances     []instanceWire `json:"instances"`
 	Objective     string         `json:"objective"`
