@@ -134,36 +134,44 @@
 // comm-homogeneous platform whose state space fits 2^16, so every
 // platform of up to 16 processors qualifies unconditionally.
 //
-// The DP workspace is pooled: value tables, backpointers, per-class cycle
-// tables and the candidate-bound set live in a sync.Pool arena, so
-// repeated solves — portfolio races, batches, the daemon's cache-miss
-// path — are allocation-free in steady state, and the bound-probing
-// solvers (ExactMinPeriodUnderLatency, ExactParetoFront) reuse one arena
-// and one sorted candidate set across all probes instead of re-deriving
-// them per bound. The DP itself visits states outermost with its tables
-// laid out for consecutive inner-loop reads, prunes cells below each
-// state's processor-usage floor, and a pooled arena re-acquired for the
+// The DP workspace is pooled: value tables, backpointers, per-class cost
+// tables (each interval's cycle-time beside its latency term) and
+// transition lists live in a sync.Pool arena, so repeated solves —
+// portfolio races, batches, the daemon's cache-miss path — are
+// allocation-free in steady state, and the bound-probing solvers
+// (ExactMinPeriodUnderLatency, ExactParetoFront) reuse one arena across
+// all probes. Binding an arena to a new evaluator reads the state
+// structure off a mixed-radix counter of per-class usage digits, one
+// step per state. The min-period bisection pays only for the candidates
+// it can use: its first probe is always the largest candidate period
+// below the race's ceiling, so it collects the interval cycle-times
+// below that ceiling, probes their maximum, and sorts them only when
+// that probe passes; ExactParetoFront sorts the full set once. The DP
+// itself visits states outermost with its tables laid out for
+// consecutive inner-loop reads, prunes cells below each state's
+// processor-usage floor, and a pooled arena re-acquired for the
 // evaluator it last served skips rebinding entirely — bit-identical to
-// the row-major formulation, roughly halving ExactMinPeriod again after
-// PR 3 (94µs → 45µs) and cutting the large few-class latency probe 7.5×.
+// the row-major formulation.
 //
 // ExactMinPeriodUnderLatency bisects the candidate periods with
 // feasibility probes that exit early: a probe fills states in ascending
 // order and stops at the first complete final cell that meets the
-// latency bound. Probes and the chosen candidate's full fill are cut at
-// that bound: a cell is skipped when its remaining work exceeds the
-// period bound times the speed its state leaves spare, or when its
-// value plus a completion bound exceeds the bound. The completion bound
-// is the least latency of the remaining stages split into intervals
-// that meet the period bound on unlimited processors of the fastest
-// class the state leaves spare. Both bounds are admissible and
-// consistent, with a 1e-9 relative margin for rounding, so every cell
-// that can still meet the bound keeps its exact value and the mapping
-// is unchanged bit for bit. Each row records its first and last finite
-// cell, and the fill runs transition-major: each (class, predecessor)
-// pair visits only the cells its window can reach. Every latency fill
-// runs this one kernel, an uncut one under a cutoff that starts at +Inf;
-// a full fill lowers its cutoff to each better final latency it finds.
+// latency bound. Probes are cut at that bound, and the chosen
+// candidate's full fill at the latency its proving probe found there: a
+// cell is skipped when its remaining work exceeds the period bound times
+// the speed its state leaves spare, or when its value plus a completion
+// bound exceeds the cutoff. The completion bound is the least latency of
+// the remaining stages split into intervals that meet the period bound
+// on unlimited processors of the fastest class the state leaves spare,
+// built per class only when a row first reads it. Both bounds are
+// admissible and consistent, with a 1e-9 relative margin for rounding,
+// so every cell that can still meet the cutoff keeps its exact value and
+// the mapping is unchanged bit for bit. Each row records its first and
+// last finite cell, and the fill runs transition-major: each (class,
+// predecessor) pair visits only the cells its window can reach. Every
+// latency fill runs this one kernel, an uncut one under a cutoff that
+// starts at +Inf; a full fill lowers its cutoff to each better final
+// latency it finds.
 // Inside a portfolio race both DP members poll the incumbent: the
 // min-period DP caps its bisection below the best finished H5/H6
 // period, and the min-latency DP cuts its fill at the best finished

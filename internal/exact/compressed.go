@@ -3,7 +3,7 @@ package exact
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,7 +25,7 @@ import (
 // 14-processor ceiling become exactly solvable whenever their class
 // structure is small.
 //
-// The workspace (value table, backpointers, per-class cycle tables,
+// The workspace (value table, backpointers, per-class cost tables,
 // transition lists) lives in a pooled arena so that repeated solves —
 // portfolio races, batch sweeps, the service daemon's cache-miss path, and
 // the incremental probing of MinPeriodUnderLatency/ParetoFront — are
@@ -54,14 +54,14 @@ const slack = 1 + 1e-12
 const classShift = 5
 
 // arena is one reusable compressed-DP workspace bound to an evaluator.
-// Acquire with acquireArena, return with release; between the two, the
-// candidate set and all tables are reused across any number of runs.
+// Acquire with acquireArena, return with release; between the two, all
+// tables are reused across any number of runs.
 type arena struct {
 	ev *mapping.Evaluator
 	// boundTo survives release: when a pooled arena is re-acquired for
 	// the evaluator it last served — the portfolio/batch/service steady
-	// state — bind skips rebuilding the cost tables, transitions and
-	// candidate set entirely. Holding the pointer keeps that evaluator
+	// state — bind skips rebuilding the cost tables and transitions
+	// entirely. Holding the pointer keeps that evaluator
 	// reachable, so pointer identity cannot be recycled under us; the
 	// pool's GC-driven eviction bounds how long it is pinned.
 	boundTo *mapping.Evaluator
@@ -73,11 +73,10 @@ type arena struct {
 	radix []int // radix[k] = ∏_{j<k} (c_j+1): stride of class k's digit
 
 	// Per-class interval costs, indexed k*n*n + (e-1)*n + (d-1) — end-major,
-	// so the DP's inner loop over interval starts reads consecutively.
-	// cycle is the full cycle-time of [d..e] on class k; lat is its
-	// latency contribution (input + compute terms).
-	cycle []float64
-	lat   []float64
+	// so the DP's inner loop over interval starts reads consecutively. One
+	// entry holds both costs of [d..e] on class k, which the latency kernel
+	// reads together.
+	cost []cost
 
 	// Transitions: for every state S, the classes whose usage digit is
 	// non-zero, with the predecessor state S - radix[k]. Built once per
@@ -101,19 +100,22 @@ type arena struct {
 	// a latency run: togo[k][i] is the least latency of stages i+1..n
 	// split into intervals whose cycle on class k meets the run's period
 	// bound, given unlimited class-k processors; +Inf when no split fits.
-	// Rows 0..classes-1 are built per run, once its cutoff is finite
-	// (togoBuilt); row classes, for states with no spare processor, is
-	// set at bind: 0 at i = n, +Inf below.
+	// A class row is built on its first read in a run with a finite
+	// cutoff, under the cutoff of that read; bit k of togoBuilt marks row
+	// k built. Row classes, for states with no spare processor, is set at
+	// bind (0 at i = n, +Inf below) and marked built by every run.
 	togo      []float64
-	togoBuilt bool
+	togoBuilt uint32
 	// spans[S] delimits the finite cells of row S after a latency fill.
 	spans []span
 
-	cands  []float64          // sorted unique candidate cycle-times (lazy)
+	cands  []float64          // candidate scratch, refilled by each solve that bisects
 	ivbuf  []mapping.Interval // reconstruction scratch
 	cursor []int              // per-class member cursor for reconstruction
+	digit  []int              // bind's mixed-radix state counter
+	speed  []float64          // bind's class speeds
 
-	// maxCycle (set at bind) is the largest entry of the cycle table;
+	// maxCycle (set at bind) is the largest cycle-time of the cost table;
 	// period bounds at or above it cannot prune any candidate, so
 	// latency runs under such bounds skip the feasStart precompute.
 	// feasStart (set per run by prepareFeasStart) holds, per (class k,
@@ -132,6 +134,14 @@ type arena struct {
 
 // span delimits the finite cells of one row: first > last when it has none.
 type span struct{ first, last int32 }
+
+// cost is one interval's entry in the cost table: its full cycle-time and
+// its latency contribution (input + compute terms).
+type cost struct{ cyc, lat float64 }
+
+// maxClasses bounds the speed-class count, hence the transitions into any
+// state: every class has a member, so 2^classes ≤ MaxStates.
+const maxClasses = 16
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
@@ -162,7 +172,7 @@ func resize[T any](s []T, n int) []T {
 func (a *arena) bind(ev *mapping.Evaluator) {
 	a.ev = ev
 	if a.boundTo == ev {
-		return // tables, transitions and candidates are still valid
+		return // cost tables and transitions are still valid
 	}
 	a.boundTo = nil // invalidate while rebinding: a panic must not leave stale tables claimed
 	a.feasStart = a.feasStart[:0]
@@ -171,26 +181,31 @@ func (a *arena) bind(ev *mapping.Evaluator) {
 	a.classes = plat.SpeedClasses()
 	a.csize = resize(a.csize, a.classes)
 	a.radix = resize(a.radix, a.classes)
-	states := 1
+	a.speed = resize(a.speed, a.classes)
+	a.digit = resize(a.digit, a.classes)
+	states, trans := 1, 0
 	for k := 0; k < a.classes; k++ {
 		a.csize[k] = plat.ClassSize(k)
 		a.radix[k] = states
+		a.speed[k] = plat.ClassSpeed(k)
+		a.digit[k] = 0
 		states *= a.csize[k] + 1
+	}
+	for _, c := range a.csize {
+		// Digit k is non-zero in c of every c+1 consecutive states.
+		trans += states / (c + 1) * c
 	}
 	a.states = states
 
 	n, nn := a.n, a.n*a.n
-	a.cycle = resize(a.cycle, a.classes*nn)
-	a.lat = resize(a.lat, a.classes*nn)
+	a.cost = resize(a.cost, a.classes*nn)
 	a.maxCycle = 0
 	for k := 0; k < a.classes; k++ {
 		for d := 1; d <= n; d++ {
 			for e := d; e <= n; e++ {
 				in, comp, out := ev.ClassCycleParts(d, e, k)
-				idx := k*nn + (e-1)*n + (d - 1)
 				cy := in + comp + out
-				a.cycle[idx] = cy
-				a.lat[idx] = in + comp
+				a.cost[k*nn+(e-1)*n+(d-1)] = cost{cyc: cy, lat: in + comp}
 				if cy > a.maxCycle {
 					a.maxCycle = cy
 				}
@@ -212,69 +227,86 @@ func (a *arena) bind(ev *mapping.Evaluator) {
 	}
 	noSpare[n] = 0
 
+	// The states in id order are the values of a mixed-radix counter whose
+	// digit k counts class k's processors in use: step the digits instead
+	// of dividing the id by every radix.
 	a.transOff = resize(a.transOff, states+1)
-	a.transClass = a.transClass[:0]
-	a.transPrev = a.transPrev[:0]
+	a.transClass = resize(a.transClass, trans)
+	a.transPrev = resize(a.transPrev, trans)
 	a.usage = resize(a.usage, states)
-	a.usage[0] = 0
 	a.spare = resize(a.spare, states)
 	a.fastClass = resize(a.fastClass, states)
+	digit, t := a.digit, 0
 	for S := 0; S < states; S++ {
-		a.transOff[S] = int32(len(a.transClass))
-		spare, fast := 0.0, a.classes
-		for k := 0; k < a.classes; k++ {
-			used := (S / a.radix[k]) % (a.csize[k] + 1)
-			if used > 0 {
-				a.transClass = append(a.transClass, int8(k))
-				a.transPrev = append(a.transPrev, int32(S-a.radix[k]))
+		a.transOff[S] = int32(t)
+		spare, fast, used := 0.0, a.classes, 0
+		for k, u := range digit {
+			if u > 0 {
+				a.transClass[t] = int8(k)
+				a.transPrev[t] = int32(S - a.radix[k])
+				t++
 			}
-			if free := a.csize[k] - used; free > 0 {
-				spare += float64(free) * plat.ClassSpeed(k)
+			if free := a.csize[k] - u; free > 0 {
+				spare += float64(free) * a.speed[k]
 				fast = min(fast, k) // classes are numbered fastest-first
 			}
+			used += u
 		}
-		a.spare[S], a.fastClass[S] = spare, int8(fast)
-		if S > 0 {
-			// Every transition consumes one processor: derive the usage
-			// count from any predecessor (the last recorded one).
-			a.usage[S] = a.usage[a.transPrev[len(a.transPrev)-1]] + 1
+		a.spare[S], a.fastClass[S], a.usage[S] = spare, int8(fast), int16(used)
+		for k := range digit {
+			if digit[k] < a.csize[k] {
+				digit[k]++
+				break
+			}
+			digit[k] = 0
 		}
 	}
-	a.transOff[states] = int32(len(a.transClass))
+	a.transOff[states] = int32(t)
 
 	a.f = resize(a.f, (n+1)*states)
 	a.back = resize(a.back, (n+1)*states)
 	a.spans = resize(a.spans, states)
 	a.cursor = resize(a.cursor, a.classes)
-	a.cands = a.cands[:0]
 	a.boundTo = ev
 }
 
-// candidates returns the sorted, deduplicated set of interval cycle-times
-// — the only values an optimal period can take. It is computed on first
-// use and cached on the arena, so the bound probing of
-// MinPeriodUnderLatency and ParetoFront pays for it exactly once.
-func (a *arena) candidates() []float64 {
-	if len(a.cands) > 0 {
-		return a.cands
-	}
+// candidatesBelow collects the interval cycle-times strictly below ceil —
+// the only values an optimal period can take, cut where
+// sort.SearchFloat64s cuts a sorted set, so a NaN ceil keeps them all —
+// into the arena's scratch, unsorted and with repeats. excluded reports
+// whether ceil left any out.
+func (a *arena) candidatesBelow(ceil float64) (cands []float64, excluded bool) {
 	n, nn := a.n, a.n*a.n
+	cands = a.cands[:0]
 	for k := 0; k < a.classes; k++ {
+		// Ends ascend innermost: cycle-times mostly grow with the end, and
+		// ascending runs are what the sort handles best.
 		for d := 1; d <= n; d++ {
 			for e := d; e <= n; e++ {
-				a.cands = append(a.cands, a.cycle[k*nn+(e-1)*n+(d-1)])
+				c := a.cost[k*nn+(e-1)*n+(d-1)].cyc
+				if c >= ceil {
+					excluded = true
+					continue
+				}
+				cands = append(cands, c)
 			}
 		}
 	}
-	sort.Float64s(a.cands)
-	uniq := a.cands[:1]
-	for _, c := range a.cands[1:] {
-		if c != uniq[len(uniq)-1] {
-			uniq = append(uniq, c)
-		}
-	}
-	a.cands = uniq
-	return a.cands
+	a.cands = cands
+	return cands, excluded
+}
+
+// sortedCandidates returns every interval cycle-time, sorted and
+// deduplicated.
+func (a *arena) sortedCandidates() []float64 {
+	cands, _ := a.candidatesBelow(math.NaN())
+	return sortUnique(cands)
+}
+
+// sortUnique sorts cands in place and drops repeats.
+func sortUnique(cands []float64) []float64 {
+	slices.Sort(cands)
+	return slices.Compact(cands)
 }
 
 // dpRuns counts table fills, probes included; read through ReadStats.
@@ -331,14 +363,13 @@ func (a *arena) run(obj objective, periodBound float64, cut *latencyCut) (best f
 		cut = &latencyCut{bound: math.Inf(1)}
 	}
 	a.prepareFeasStart(periodBound)
-	a.togoBuilt = false
+	a.togoBuilt = 1 << a.classes
 	a.spans[0] = span{0, 0}
 	// Row 0 holds one cell, (0, 0), under the bound every cell meets:
 	// S = 0 spares class 0, the fastest. When that cell is pruned, so is
 	// every other, and the run has no answer.
 	if lim := cut.bound * (1 + cutMargin); lim < math.Inf(1) {
-		a.buildTogo(periodBound, lim)
-		if a.togo[0]+cut.tail > lim {
+		if a.togoRow(0, periodBound, lim)[0]+cut.tail > lim {
 			return inf, 0, false
 		}
 	}
@@ -372,7 +403,9 @@ func (a *arena) run(obj objective, periodBound float64, cut *latencyCut) (best f
 // exceeds the period bound; since the cost tables are start-consecutive
 // and interval work only shrinks as the start advances, the rejected
 // starts cluster at the front of each (class, end) row. One scan over
-// the cycle table records where the first admissible start sits, and
+// the cost table records where the first admissible start sits (a start
+// whose latency term alone exceeds the bound is rejected at every later
+// end too, so each class's scan passes it once), and
 // every state's inner loop then begins there instead of re-rejecting the
 // same prefix — the skipped candidates are exactly those the unpruned
 // scan discards, so values, backpointers and tie-breaking are untouched.
@@ -396,11 +429,18 @@ func (a *arena) prepareFeasStart(periodBound float64) {
 		for kk := range reach {
 			reach[kk] = -1
 		}
+		// Every start below ls has a latency term above periodBound at
+		// this end, hence at every later one (lat grows with the end), and
+		// a cycle above it too (a cycle adds the output term).
+		ls := 0
 		for i := 1; i <= n; i++ {
 			base := k*nn + (i-1)*n
+			for ls < i && a.cost[base+ls].lat > periodBound {
+				ls++
+			}
 			fs := i // empty admissible window unless a start qualifies
-			for kk := 0; kk < i; kk++ {
-				if a.cycle[base+kk] <= periodBound {
+			for kk := ls; kk < i; kk++ {
+				if a.cost[base+kk].cyc <= periodBound {
 					fs = kk
 					reach[kk] = int32(i) // ends ascend: the last write is the max
 					break
@@ -414,36 +454,43 @@ func (a *arena) prepareFeasStart(periodBound float64) {
 	}
 }
 
-// buildTogo fills togo's class rows for one latency run, backwards from
-// the last stage: togo[k][i] is the least lat[k][i+1..e] + togo[k][e]
-// over the ends e whose interval's cycle meets periodBound. lat only
-// grows with the end, so the scan stops once lat alone reaches the best
-// found (nothing later improves it) or exceeds lim. The second stop
-// leaves an entry above its true value only when that value exceeds
-// lim, and every cell reading such an entry is pruned either way: the
-// kernel's decisions are those of the exact table, under lim and any
-// smaller cutoff the run polls later.
-func (a *arena) buildTogo(periodBound, lim float64) {
+// togoRow returns togo's row for class k in the current latency run,
+// building it on its first read, backwards from the last stage:
+// togo[k][i] is the least lat[k][i+1..e] + togo[k][e] over the ends e
+// whose interval's cycle meets periodBound. lat only grows with the end,
+// so the scan stops once lat alone reaches the best found (nothing later
+// improves it), exceeds periodBound (no later cycle fits) or exceeds lim,
+// the cutoff at that read. The last stop leaves an entry above its true
+// value only when that value exceeds lim, and every cell reading such an
+// entry is pruned either way: the cutoff only falls, so the kernel's
+// decisions are those of the exact table, under lim and any smaller
+// cutoff the run polls later.
+func (a *arena) togoRow(k int, periodBound, lim float64) []float64 {
 	n, nn := a.n, a.n*a.n
-	for k := 0; k < a.classes; k++ {
-		togo := a.togo[k*(n+1) : (k+1)*(n+1)]
-		togo[n] = 0
-		for i := n - 1; i >= 0; i-- {
-			best := math.Inf(1)
-			// [i+1..e] on class k is at k*nn + (e-1)*n + i.
-			for e, idx := i+1, k*nn+i*n+i; e <= n; e, idx = e+1, idx+n {
-				l := a.lat[idx]
-				if l >= best || l > lim {
-					break
-				}
-				if a.cycle[idx] <= periodBound {
-					best = min(best, l+togo[e])
-				}
-			}
-			togo[i] = best
-		}
+	togo := a.togo[k*(n+1) : (k+1)*(n+1)]
+	if a.togoBuilt&(1<<k) != 0 {
+		return togo
 	}
-	a.togoBuilt = true
+	a.togoBuilt |= 1 << k
+	costK := a.cost[k*nn : (k+1)*nn]
+	togo[n] = 0
+	for i := n - 1; i >= 0; i-- {
+		best := math.Inf(1)
+		// [i+1..e] on class k is at (e-1)*n + i.
+		for e, idx := i+1, i*n+i; e <= n; e, idx = e+1, idx+n {
+			c := costK[idx]
+			// A cycle is its latency term plus the output term, so once
+			// lat alone exceeds periodBound no later end meets it either.
+			if c.lat >= best || c.lat > lim || c.lat > periodBound {
+				break
+			}
+			if c.cyc <= periodBound {
+				best = min(best, c.lat+togo[e])
+			}
+		}
+		togo[i] = best
+	}
+	return togo
 }
 
 // cutMargin is the relative margin of cutRow's bounds: a cell is pruned
@@ -482,10 +529,12 @@ func (c *latencyCut) poll() {
 // Float addition is monotone, so some final cell passes exactly when the
 // winner of a full fill would. Speed classes are numbered
 // fastest-first, so the states that hold a feasible mapping's fast
-// processors are among the first rows filled.
-func (a *arena) probe(periodBound, tail, latBound float64) bool {
-	_, _, ok := a.run(objMinLatency, periodBound, &latencyCut{tail: tail, bound: latBound, exit: true})
-	return ok
+// processors are among the first rows filled. When ok, lat is the latency
+// of the final cell that passed: the exact value of a state's final
+// cell, so the optimum under periodBound is at most lat.
+func (a *arena) probe(periodBound, tail, latBound float64) (lat float64, ok bool) {
+	v, _, ok := a.run(objMinLatency, periodBound, &latencyCut{tail: tail, bound: latBound, exit: true})
+	return v + tail, ok
 }
 
 // merge scans a complete period table for the winning final state. The
@@ -542,19 +591,19 @@ func (a *arena) computeRow(S int) {
 		for t := t0; t < t1; t++ {
 			k := int(a.transClass[t])
 			prevRow := int(a.transPrev[t]) * (n + 1)
-			base := k*nn + (i-1)*n // cycle[k][kk+1..i] is at base + kk
+			base := k*nn + (i-1)*n // cost[k][kk+1..i] is at base + kk
 			lo := cS - 1
 			// Sliced windows over the candidate range let the compiler
 			// drop the per-element bounds checks of the parallel tables —
 			// on portfolio-sized instances this loop is the whole solve.
 			fprev := f[prevRow+lo : prevRow+i]
-			cyc := a.cycle[base+lo : base+i]
+			costs := a.cost[base+lo : base+i]
 			for j, fv := range fprev {
 				if fv == inf {
 					continue
 				}
 				cand := fv
-				if cy := cyc[j]; cy > cand {
+				if cy := costs[j].cyc; cy > cand {
 					cand = cy
 				}
 				if cand < bestV {
@@ -596,34 +645,42 @@ func (a *arena) computeRow(S int) {
 // The fill is transition-major: each transition (class k, predecessor p)
 // visits only the cells its window can reach — past p's first finite
 // cell, and up to reach[k][last[p]] — so the per-transition bookkeeping
-// is paid once per row, not once per cell. Each cell still sees its
-// candidates in (transition, start) order with strict improvement, so
-// values, backpointers and ties are those of the cell-major order. Cells
-// outside the row's span are never read — later rows read only the span,
-// and run reads f[S][n] only when the span ends there — so a row with no
-// live predecessor costs one pass over its transitions and writes
-// nothing but its empty span.
+// is paid once per row, not once per cell. A first pass over S's
+// transitions keeps the live ones, those whose predecessor has a finite
+// cell, with their windows; the fill then visits only those. Each cell
+// still sees its candidates in (transition, start) order with strict
+// improvement, so values, backpointers and ties are those of the
+// cell-major order. Cells outside the row's span are never read — later
+// rows read only the span, and run reads f[S][n] only when the span ends
+// there — so a row with no live predecessor costs one pass over its
+// transitions and writes nothing but its empty span. The completion
+// bound's row is read, and built, only when the row has a finite cell.
 func (a *arena) cutRow(periodBound, lim, tail float64, S int) {
 	n, nn := a.n, a.n*a.n
 	f, back := a.f, a.back
 	rowS := S * (n + 1)
-	t0, t1 := a.transOff[S], a.transOff[S+1]
 	armed := len(a.feasStart) > 0
 	// [start, stop] spans the cells some live predecessor's window can
 	// reach; start then skips the cells whose remaining work the spare
 	// speed cannot carry (rem only falls as i grows).
+	var live [maxClasses]liveTrans
+	nl := 0
 	start, stop := n+1, -1
-	for t := t0; t < t1; t++ {
-		sp := a.spans[a.transPrev[t]]
+	for t := a.transOff[S]; t < a.transOff[S+1]; t++ {
+		p := a.transPrev[t]
+		sp := a.spans[p]
 		if sp.first > sp.last {
 			continue
 		}
-		start = min(start, int(sp.first)+1)
+		k := int32(a.transClass[t])
+		hi := int32(n)
 		if armed {
-			stop = max(stop, int(a.reach[int(a.transClass[t])*(n+1)+int(sp.last)]))
-		} else {
-			stop = n
+			hi = a.reach[int(k)*(n+1)+int(sp.last)]
 		}
+		live[nl] = liveTrans{k, p, sp.first, sp.last, hi}
+		nl++
+		start = min(start, int(sp.first)+1)
+		stop = max(stop, int(hi))
 	}
 	capacity := periodBound * a.spare[S] * (1 + cutMargin)
 	for start < n && a.rem[start] > capacity {
@@ -633,21 +690,15 @@ func (a *arena) cutRow(periodBound, lim, tail float64, S int) {
 	for i := start; i <= stop; i++ {
 		row[i] = inf
 	}
-	for t := t0; t < t1; t++ {
-		k := int(a.transClass[t])
-		p := int(a.transPrev[t])
-		fp, lp := int(a.spans[p].first), int(a.spans[p].last)
-		if fp > lp {
-			continue
-		}
-		hi := stop
+	for _, tr := range live[:nl] {
+		k, fp, lp := int(tr.k), int(tr.first), int(tr.last)
+		hi := min(stop, int(tr.hi))
 		var fs []int32
 		if armed {
-			hi = min(hi, int(a.reach[k*(n+1)+lp]))
 			fs = a.feasStart[k*n : (k+1)*n]
 		}
-		prev := f[p*(n+1) : p*(n+1)+lp+1]
-		cycK, latK := a.cycle[k*nn:(k+1)*nn], a.lat[k*nn:(k+1)*nn]
+		prev := f[int(tr.p)*(n+1) : int(tr.p)*(n+1)+lp+1]
+		costK := a.cost[k*nn : (k+1)*nn]
 		for i := max(start, fp+1); i <= hi; i++ {
 			lo := fp
 			if armed {
@@ -657,48 +708,52 @@ func (a *arena) cutRow(periodBound, lim, tail float64, S int) {
 			if lo >= end {
 				continue
 			}
-			base := (i - 1) * n // cycle[k][kk+1..i] is at base + kk
+			base := (i - 1) * n // cost[k][kk+1..i] is at base + kk
 			fprev := prev[lo:end]
-			cyc := cycK[base+lo : base+end]
-			lats := latK[base+lo : base+end]
-			bestV, bestJ := row[i], -1
+			costs := costK[base+lo : base+end]
+			// The cell's best so far is written back unconditionally: an
+			// unreachable predecessor (inf, the largest finite float)
+			// never improves on it, and a cell no candidate reaches keeps
+			// its value and backpointer.
+			bestV, bestB := row[i], back[rowS+i]
 			for j, fv := range fprev {
-				if fv == inf || cyc[j] > periodBound {
+				c := costs[j]
+				if c.cyc > periodBound {
 					continue
 				}
-				if cand := fv + lats[j]; cand < bestV {
-					bestV, bestJ = cand, j
+				if cand := fv + c.lat; cand < bestV {
+					bestV, bestB = cand, int32(lo+j)<<classShift|int32(k)
 				}
 			}
-			if bestJ >= 0 {
-				row[i] = bestV
-				back[rowS+i] = int32(lo+bestJ)<<classShift | int32(k)
-			}
+			row[i], back[rowS+i] = bestV, bestB
 		}
 	}
 	first, last := n+1, -1
 	var togo []float64
-	if lim < math.Inf(1) {
-		if !a.togoBuilt {
-			a.buildTogo(periodBound, lim)
-		}
-		fc := int(a.fastClass[S])
-		togo = a.togo[fc*(n+1) : (fc+1)*(n+1)]
-	}
 	for i := start; i <= stop; i++ {
 		v := row[i]
 		if v == inf {
 			continue
 		}
-		if togo != nil && v+togo[i]+tail > lim {
-			row[i] = inf
-			continue
+		if lim < math.Inf(1) {
+			if togo == nil {
+				togo = a.togoRow(int(a.fastClass[S]), periodBound, lim)
+			}
+			if v+togo[i]+tail > lim {
+				row[i] = inf
+				continue
+			}
 		}
 		first = min(first, i)
 		last = i
 	}
 	a.spans[S] = span{int32(first), int32(last)}
 }
+
+// liveTrans is a transition of cutRow's row whose predecessor row p has a
+// finite cell: class k, p's first and last finite cells, and hi, the last
+// cell of S's row its window can reach.
+type liveTrans struct{ k, p, first, last, hi int32 }
 
 // latencyTail is the constant trailing δ_n/b term of the latency: adding
 // it to a run(objMinLatency, ·) value yields the mapping's latency, bit

@@ -38,10 +38,10 @@ func (a *arena) denseLatencyFill(periodBound float64) (best float64, bestState i
 				prevRow := int(a.transPrev[t]) * (n + 1)
 				for kk := int(a.usage[S]) - 1; kk < i; kk++ {
 					idx := k*nn + (i-1)*n + kk
-					if f[prevRow+kk] == inf || a.cycle[idx] > periodBound {
+					if f[prevRow+kk] == inf || a.cost[idx].cyc > periodBound {
 						continue
 					}
-					if cand := f[prevRow+kk] + a.lat[idx]; cand < bestV {
+					if cand := f[prevRow+kk] + a.cost[idx].lat; cand < bestV {
 						bestV, bestB = cand, int32(kk)<<classShift|int32(k)
 					}
 				}
@@ -102,56 +102,64 @@ func h1Latency(ev *mapping.Evaluator, maxPeriod float64) (float64, bool) {
 // cut, by an off-by-one in the remaining work or by rounding, fails here.
 func TestCutFillMatchesDense(t *testing.T) {
 	for ii, ev := range probeInstances(t) {
-		a := acquireArena(ev)
-		tail := a.latencyTail()
-		for ci, c := range append([]float64(nil), a.candidates()...) {
-			bound := c * slack
-			v, state, ok := a.denseLatencyFill(bound)
-			var want []mapping.Interval
-			cuts := []float64{0, ev.OptimalLatencyValue() * 1.5, math.Inf(1)}
-			if ok {
-				want = append(want, a.reconstruct(state)...)
-				opt := v + tail
-				cuts = append(cuts, opt, math.Nextafter(opt, 0), math.Nextafter(opt, math.Inf(1)))
+		t.Run(fmt.Sprintf("instance-%d", ii), func(t *testing.T) {
+			t.Parallel()
+			cutFillMatchesDense(t, ii, ev)
+		})
+	}
+}
+
+// cutFillMatchesDense checks one instance of TestCutFillMatchesDense.
+func cutFillMatchesDense(t *testing.T, ii int, ev *mapping.Evaluator) {
+	a := acquireArena(ev)
+	defer a.release()
+	tail := a.latencyTail()
+	for ci, c := range append([]float64(nil), a.sortedCandidates()...) {
+		bound := c * slack
+		v, state, ok := a.denseLatencyFill(bound)
+		var want []mapping.Interval
+		cuts := []float64{0, ev.OptimalLatencyValue() * 1.5, math.Inf(1)}
+		if ok {
+			want = append(want, a.reconstruct(state)...)
+			opt := v + tail
+			cuts = append(cuts, opt, math.Nextafter(opt, 0), math.Nextafter(opt, math.Inf(1)))
+		}
+		if h1, feasible := h1Latency(ev, c); feasible {
+			cuts = append(cuts, h1)
+		}
+		// verify checks one cut fill: the optimum survives exactly when
+		// it is within L, with the dense value, state and path.
+		verify := func(label string, L, cv float64, cstate int, cok bool) {
+			if wantOK := ok && v+tail <= L; cok != wantOK {
+				t.Fatalf("instance %d candidate %d %s: cut fill ok %v, dense %v (optimum %v)",
+					ii, ci, label, cok, wantOK, v+tail)
 			}
-			if h1, feasible := h1Latency(ev, c); feasible {
-				cuts = append(cuts, h1)
-			}
-			// verify checks one cut fill: the optimum survives exactly when
-			// it is within L, with the dense value, state and path.
-			verify := func(label string, L, cv float64, cstate int, cok bool) {
-				if wantOK := ok && v+tail <= L; cok != wantOK {
-					t.Fatalf("instance %d candidate %d %s: cut fill ok %v, dense %v (optimum %v)",
-						ii, ci, label, cok, wantOK, v+tail)
-				}
-				if cok && (math.Float64bits(cv) != math.Float64bits(v) || cstate != state ||
-					!reflect.DeepEqual(a.reconstruct(cstate), want)) {
-					t.Fatalf("instance %d candidate %d %s: cut fill (%v, %d) != dense (%v, %d)",
-						ii, ci, label, cv, cstate, v, state)
-				}
-			}
-			for _, L := range cuts {
-				cv, cstate, cok := a.run(objMinLatency, bound, &latencyCut{tail: tail, bound: L})
-				verify(fmt.Sprintf("cut %v", L), L, cv, cstate, cok)
-			}
-			// The uncut fill runs the kernel under an internal +Inf cut.
-			cv, cstate, cok := a.run(objMinLatency, bound, nil)
-			verify("uncut", math.Inf(1), cv, cstate, cok)
-			// An incumbent reading +Inf for k polls and L after them: once
-			// L has been read the fill answers as a cut at L.
-			for _, k := range []int{0, 2, 40} {
-				for _, L := range cuts[3:] {
-					inc := &fallingCeiling{k: k, ceil: L}
-					cv, cstate, cok := a.run(objMinLatency, bound, &latencyCut{tail: tail, bound: math.Inf(1), inc: inc})
-					seen := math.Inf(1)
-					if inc.polls > k {
-						seen = L
-					}
-					verify(fmt.Sprintf("incumbent %v after %d polls", L, k), seen, cv, cstate, cok)
-				}
+			if cok && (math.Float64bits(cv) != math.Float64bits(v) || cstate != state ||
+				!reflect.DeepEqual(a.reconstruct(cstate), want)) {
+				t.Fatalf("instance %d candidate %d %s: cut fill (%v, %d) != dense (%v, %d)",
+					ii, ci, label, cv, cstate, v, state)
 			}
 		}
-		a.release()
+		for _, L := range cuts {
+			cv, cstate, cok := a.run(objMinLatency, bound, &latencyCut{tail: tail, bound: L})
+			verify(fmt.Sprintf("cut %v", L), L, cv, cstate, cok)
+		}
+		// The uncut fill runs the kernel under an internal +Inf cut.
+		cv, cstate, cok := a.run(objMinLatency, bound, nil)
+		verify("uncut", math.Inf(1), cv, cstate, cok)
+		// An incumbent reading +Inf for k polls and L after them: once
+		// L has been read the fill answers as a cut at L.
+		for _, k := range []int{0, 2, 40} {
+			for _, L := range cuts[3:] {
+				inc := &fallingCeiling{k: k, ceil: L}
+				cv, cstate, cok := a.run(objMinLatency, bound, &latencyCut{tail: tail, bound: math.Inf(1), inc: inc})
+				seen := math.Inf(1)
+				if inc.polls > k {
+					seen = L
+				}
+				verify(fmt.Sprintf("incumbent %v after %d polls", L, k), seen, cv, cstate, cok)
+			}
+		}
 	}
 }
 
@@ -164,7 +172,7 @@ func TestCutFillMatchesDense(t *testing.T) {
 func TestMinLatencyUnderPeriodWithin(t *testing.T) {
 	for ii, ev := range probeInstances(t) {
 		a := acquireArena(ev)
-		cands := append([]float64(nil), a.candidates()...)
+		cands := append([]float64(nil), a.sortedCandidates()...)
 		a.release()
 		periods := []float64{cands[0] * 0.5, cands[len(cands)/3], cands[len(cands)/2], cands[len(cands)-1]}
 		for _, period := range periods {
@@ -216,54 +224,62 @@ func TestCutKernelPaperShapes(t *testing.T) {
 	for _, n := range []int{20, 40} {
 		for fi, fam := range workload.Families() {
 			ev := workload.Generate(workload.Config{Family: fam, Stages: n, Processors: 10, Seed: int64(2300 + fi)}).Evaluator()
-			optLat := ev.OptimalLatencyValue()
-			lb := lowerbound.Period(ev)
-			single, _ := ev.OptimalLatency()
-			for _, f := range []float64{0.2, 0.5, 0.8} {
-				lat := optLat * (1 + f)
-				ref, opt, err := fullFillMinPeriodUnderLatency(ev, lat)
-				if err != nil {
-					t.Fatalf("%v n=%d latency %g: oracle: %v", fam, n, lat, err)
-				}
-				ceil := math.Inf(1)
-				if h5, err := (heuristics.SpMonoL{}).MinimizePeriod(ev, lat); err == nil {
-					ceil = h5.Metrics.Period
-				}
-				got, err := MinPeriodUnderLatencyBelow(ev, lat, func() float64 { return ceil })
-				if opt >= ceil {
-					if !errors.Is(err, ErrNotBelow) {
-						t.Fatalf("%v n=%d latency %g ceiling %g: got (%+v, %v), want ErrNotBelow", fam, n, lat, ceil, got.Metrics, err)
-					}
-				} else if !sameOutcome(got, err, ref, nil) {
-					t.Fatalf("%v n=%d latency %g ceiling %g: (%+v, %v) != oracle %+v", fam, n, lat, ceil, got.Metrics, err, ref.Metrics)
-				}
+			t.Run(fmt.Sprintf("%v-n=%d", fam, n), func(t *testing.T) {
+				t.Parallel()
+				cutKernelPaperShape(t, fmt.Sprintf("%v n=%d", fam, n), ev)
+			})
+		}
+	}
+}
 
-				period := lb + f*(ev.Period(single)-lb)
-				dense, denseErr := denseMinLatencyUnderPeriod(ev, period)
-				if denseErr != nil && !errors.Is(denseErr, ErrInfeasible) {
-					t.Fatalf("%v n=%d period %g: oracle: %v", fam, n, period, denseErr)
-				}
-				if got, err := MinLatencyUnderPeriod(ev, period); !sameOutcome(got, err, dense, denseErr) {
-					t.Fatalf("%v n=%d period %g: uncut (%+v, %v) != oracle (%+v, %v)", fam, n, period, got.Metrics, err, dense.Metrics, denseErr)
-				}
-				h1, h1ok := h1Latency(ev, period)
-				if !h1ok {
-					h1 = math.Inf(1)
-				}
-				got, err = MinLatencyUnderPeriodWithin(ev, period, fixedCeiling(h1))
-				switch {
-				case denseErr != nil && !h1ok:
-					if !errors.Is(err, ErrInfeasible) {
-						t.Fatalf("%v n=%d period %g: got %v, want ErrInfeasible", fam, n, period, err)
-					}
-				case denseErr != nil || dense.Metrics.Latency > h1:
-					if !errors.Is(err, ErrNotBelow) {
-						t.Fatalf("%v n=%d period %g incumbent %g: got (%+v, %v), want ErrNotBelow", fam, n, period, h1, got.Metrics, err)
-					}
-				case !sameOutcome(got, err, dense, nil):
-					t.Fatalf("%v n=%d period %g incumbent %g: (%+v, %v) != oracle %+v", fam, n, period, h1, got.Metrics, err, dense.Metrics)
-				}
+// cutKernelPaperShape checks one instance of TestCutKernelPaperShapes.
+func cutKernelPaperShape(t *testing.T, name string, ev *mapping.Evaluator) {
+	optLat := ev.OptimalLatencyValue()
+	lb := lowerbound.Period(ev)
+	single, _ := ev.OptimalLatency()
+	for _, f := range []float64{0.2, 0.5, 0.8} {
+		lat := optLat * (1 + f)
+		ref, opt, err := fullFillMinPeriodUnderLatency(ev, lat)
+		if err != nil {
+			t.Fatalf("%s latency %g: oracle: %v", name, lat, err)
+		}
+		ceil := math.Inf(1)
+		if h5, err := (heuristics.SpMonoL{}).MinimizePeriod(ev, lat); err == nil {
+			ceil = h5.Metrics.Period
+		}
+		got, err := MinPeriodUnderLatencyBelow(ev, lat, func() float64 { return ceil })
+		if opt >= ceil {
+			if !errors.Is(err, ErrNotBelow) {
+				t.Fatalf("%s latency %g ceiling %g: got (%+v, %v), want ErrNotBelow", name, lat, ceil, got.Metrics, err)
 			}
+		} else if !sameOutcome(got, err, ref, nil) {
+			t.Fatalf("%s latency %g ceiling %g: (%+v, %v) != oracle %+v", name, lat, ceil, got.Metrics, err, ref.Metrics)
+		}
+
+		period := lb + f*(ev.Period(single)-lb)
+		dense, denseErr := denseMinLatencyUnderPeriod(ev, period)
+		if denseErr != nil && !errors.Is(denseErr, ErrInfeasible) {
+			t.Fatalf("%s period %g: oracle: %v", name, period, denseErr)
+		}
+		if got, err := MinLatencyUnderPeriod(ev, period); !sameOutcome(got, err, dense, denseErr) {
+			t.Fatalf("%s period %g: uncut (%+v, %v) != oracle (%+v, %v)", name, period, got.Metrics, err, dense.Metrics, denseErr)
+		}
+		h1, h1ok := h1Latency(ev, period)
+		if !h1ok {
+			h1 = math.Inf(1)
+		}
+		got, err = MinLatencyUnderPeriodWithin(ev, period, fixedCeiling(h1))
+		switch {
+		case denseErr != nil && !h1ok:
+			if !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("%s period %g: got %v, want ErrInfeasible", name, period, err)
+			}
+		case denseErr != nil || dense.Metrics.Latency > h1:
+			if !errors.Is(err, ErrNotBelow) {
+				t.Fatalf("%s period %g incumbent %g: got (%+v, %v), want ErrNotBelow", name, period, h1, got.Metrics, err)
+			}
+		case !sameOutcome(got, err, dense, nil):
+			t.Fatalf("%s period %g incumbent %g: (%+v, %v) != oracle %+v", name, period, h1, got.Metrics, err, dense.Metrics)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pipesched/internal/mapping"
@@ -144,11 +145,17 @@ func MinPeriodUnderLatency(ev *mapping.Evaluator, maxLatency float64) (Result, e
 // over the K speed classes — so the solver bisects that candidate set:
 // each probe is an early-exit feasibility test in the shared arena, and
 // only the chosen candidate gets a full fill and a reconstruction. Probes
-// and that fill are cut at the latency bound: they skip every cell that
-// cannot finish within it.
+// are cut at the latency bound: they skip every cell that cannot finish
+// within it. The final fill is cut at the latency the probe that proved
+// the chosen candidate found there, which the candidate's optimum cannot
+// exceed.
 //
 // ceiling is polled before every probe, and the bisection is capped at
-// the largest candidate strictly below it. When no candidate below the
+// the largest candidate strictly below it. Like a race incumbent, it
+// only falls: a reading above an earlier one counts as the earlier one.
+// The first probe is always the largest candidate below the first
+// reading, so only the candidates below it are collected, and they are
+// sorted only when that probe passes. When no candidate below the
 // ceiling is feasible the result is ErrNotBelow, or ErrInfeasible when the
 // ceiling excluded no candidate. The mapping an unbounded solve returns
 // never has a period below its candidate, so ErrNotBelow only withholds a
@@ -160,44 +167,65 @@ func MinPeriodUnderLatencyBelow(ev *mapping.Evaluator, maxLatency float64, ceili
 	}
 	a := acquireArena(ev)
 	defer a.release()
-	cands := a.candidates()
 	tail := a.latencyTail()
 	latBound := maxLatency * slack
-	// Every candidate below lo is infeasible; hi is the smallest candidate
-	// proven feasible (len(cands) until one is).
-	lo, hi := 0, len(cands)
-	for {
-		top := len(cands) // cands[:top] lie strictly below the ceiling
-		if ceiling != nil {
-			top = sort.SearchFloat64s(cands, ceiling())
+	// read polls the ceiling. A nil one reads NaN, which excludes no
+	// candidate: nothing compares at or above NaN.
+	read := func() float64 {
+		if ceiling == nil {
+			return math.NaN()
 		}
+		return ceiling()
+	}
+	cands, excluded := a.candidatesBelow(read())
+	if len(cands) == 0 {
+		return Result{}, ErrNotBelow
+	}
+	largest := slices.Max(cands)
+	hiLat, ok := a.probe(largest*slack, tail, latBound)
+	if !ok {
+		// Nothing below the first reading is feasible: the next reading
+		// decides only the error, ErrInfeasible when neither excludes a
+		// candidate.
+		if c := read(); excluded || largest >= c {
+			return Result{}, ErrNotBelow
+		}
+		return Result{}, ErrInfeasible
+	}
+	cands = sortUnique(cands)
+	// Every candidate below lo is infeasible; hi is the smallest candidate
+	// proven feasible, and hiLat the latency its probe found.
+	lo, hi := 0, len(cands)-1
+	for {
+		top := sort.SearchFloat64s(cands, read()) // cands[:top] lie strictly below the ceiling
 		if hi < top {
 			if lo == hi {
 				break
 			}
 			mid := (lo + hi) / 2
-			if a.probe(cands[mid]*slack, tail, latBound) {
-				hi = mid
+			if lat, ok := a.probe(cands[mid]*slack, tail, latBound); ok {
+				hi, hiLat = mid, lat
 			} else {
 				lo = mid + 1
 			}
 			continue
 		}
-		// Nothing below the ceiling is proven feasible yet: the largest
-		// candidate under it decides whether anything there is.
+		// The ceiling fell to or below the smallest candidate proven
+		// feasible: the largest candidate under it decides whether
+		// anything there is.
 		if lo >= top {
-			if top == len(cands) {
-				return Result{}, ErrInfeasible
-			}
 			return Result{}, ErrNotBelow
 		}
-		if a.probe(cands[top-1]*slack, tail, latBound) {
-			hi = top - 1
+		if lat, ok := a.probe(cands[top-1]*slack, tail, latBound); ok {
+			hi, hiLat = top-1, lat
 		} else {
 			lo = top
 		}
 	}
-	_, state, ok := a.run(objMinLatency, cands[hi]*slack, &latencyCut{tail: tail, bound: latBound})
+	// A cut fill returns the dense optimum bit for bit whenever that
+	// optimum is within the cut. hiLat is the exact value of one final
+	// cell under cands[hi], so the optimum there is within it.
+	_, state, ok := a.run(objMinLatency, cands[hi]*slack, &latencyCut{tail: tail, bound: hiLat})
 	if !ok {
 		return Result{}, fmt.Errorf("exact: bisection lost feasibility at %g", cands[hi])
 	}
@@ -228,7 +256,7 @@ func ParetoFront(ev *mapping.Evaluator) ([]ParetoPoint, error) {
 	}
 	a := acquireArena(ev)
 	defer a.release()
-	cands := a.candidates()
+	cands := a.sortedCandidates()
 	tail := a.latencyTail()
 	optLat := ev.OptimalLatencyValue()
 

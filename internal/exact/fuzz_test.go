@@ -57,7 +57,7 @@ func FuzzCutFill(f *testing.F) {
 		ev := fuzzEvaluator(shape)
 		a := acquireArena(ev)
 		defer a.release()
-		cands := a.candidates()
+		cands := a.sortedCandidates()
 		bound := cands[int(cand)%len(cands)] * slack
 		tail := a.latencyTail()
 		v, state, ok := a.denseLatencyFill(bound)
@@ -90,8 +90,12 @@ func FuzzCutFill(f *testing.F) {
 		check("cut fill", L, cv, cstate, cok)
 		cv, cstate, cok = a.run(objMinLatency, bound, nil)
 		check("uncut fill", math.Inf(1), cv, cstate, cok)
-		if got, want := a.probe(bound, tail, L), ok && v+tail <= L; got != want {
+		found, got := a.probe(bound, tail, L)
+		if want := ok && v+tail <= L; got != want {
 			t.Fatalf("probe at candidate %g cut %v: %v, full fill %v", bound, L, got, want)
+		}
+		if got && (found > L || found < v+tail) {
+			t.Fatalf("probe at candidate %g cut %v: found %v, outside [%v, %v]", bound, L, found, v+tail, L)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package exact
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -22,7 +23,7 @@ import (
 func fullFillMinPeriodUnderLatency(ev *mapping.Evaluator, maxLatency float64) (Result, float64, error) {
 	a := acquireArena(ev)
 	defer a.release()
-	cands := a.candidates()
+	cands := a.sortedCandidates()
 	tail := a.latencyTail()
 	latBound := maxLatency * slack
 	feasibleAt := func(period float64) (int, bool) {
@@ -100,24 +101,32 @@ func sameOutcome(a Result, aerr error, b Result, berr error) bool {
 // and at bounds around the Lemma-1 latency.
 func TestProbeMatchesFullFill(t *testing.T) {
 	for ii, ev := range probeInstances(t) {
-		a := acquireArena(ev)
-		tail := a.latencyTail()
-		optLat := ev.OptimalLatencyValue()
-		for ci, c := range append([]float64(nil), a.candidates()...) {
-			bound := c * slack
-			v, _, ok := a.denseLatencyFill(bound)
-			lats := []float64{0, optLat, optLat * 1.25, optLat * 2, math.Inf(1)}
-			if ok {
-				lats = append(lats, v+tail, math.Nextafter(v+tail, math.Inf(-1)))
-			}
-			for _, lat := range lats {
-				want := ok && v+tail <= lat
-				if got := a.probe(bound, tail, lat); got != want {
-					t.Fatalf("instance %d candidate %d latency %g: probe %v, full fill %v", ii, ci, lat, got, want)
+		t.Run(fmt.Sprintf("instance-%d", ii), func(t *testing.T) {
+			t.Parallel()
+			a := acquireArena(ev)
+			defer a.release()
+			tail := a.latencyTail()
+			optLat := ev.OptimalLatencyValue()
+			for ci, c := range append([]float64(nil), a.sortedCandidates()...) {
+				bound := c * slack
+				v, _, ok := a.denseLatencyFill(bound)
+				lats := []float64{0, optLat, optLat * 1.25, optLat * 2, math.Inf(1)}
+				if ok {
+					lats = append(lats, v+tail, math.Nextafter(v+tail, math.Inf(-1)))
+				}
+				for _, lat := range lats {
+					want := ok && v+tail <= lat
+					found, got := a.probe(bound, tail, lat)
+					if got != want {
+						t.Fatalf("instance %d candidate %d latency %g: probe %v, full fill %v", ii, ci, lat, got, want)
+					}
+					// The final fill is cut at the latency a passing probe found.
+					if got && (found > lat || found < v+tail) {
+						t.Fatalf("instance %d candidate %d latency %g: probe found %v, outside [%v, %v]", ii, ci, lat, found, v+tail, lat)
+					}
 				}
 			}
-		}
-		a.release()
+		})
 	}
 }
 
@@ -131,43 +140,46 @@ func TestProbeMatchesFullFill(t *testing.T) {
 // ceiling the solver is the full-fill bisection.
 func TestMinPeriodUnderLatencyBelow(t *testing.T) {
 	for ii, ev := range probeInstances(t) {
-		a := acquireArena(ev)
-		cands := append([]float64(nil), a.candidates()...)
-		a.release()
-		maxCand := cands[len(cands)-1]
-		optLat := ev.OptimalLatencyValue()
-		for _, factor := range []float64{0.9, 1, 1.2, 1.5, 1.8, 3} {
-			lat := optLat * factor
-			ref, opt, refErr := fullFillMinPeriodUnderLatency(ev, lat)
-			if refErr != nil && !errors.Is(refErr, ErrInfeasible) {
-				t.Fatalf("instance %d latency %g: oracle: %v", ii, lat, refErr)
-			}
-			if refErr == nil && ref.Metrics.Period < opt {
-				t.Fatalf("instance %d latency %g: mapping period %g below its candidate %g", ii, lat, ref.Metrics.Period, opt)
-			}
-			if got, err := MinPeriodUnderLatency(ev, lat); !sameOutcome(got, err, ref, refErr) {
-				t.Fatalf("instance %d latency %g: unbounded solve (%+v, %v) != oracle (%+v, %v)", ii, lat, got.Metrics, err, ref.Metrics, refErr)
-			}
-			ceilings := []float64{0, cands[0], cands[len(cands)/2], maxCand, maxCand * 2, math.Inf(1)}
-			if refErr == nil {
-				ceilings = append(ceilings, opt, math.Nextafter(opt, math.Inf(1)), math.Nextafter(opt, 0), ref.Metrics.Period)
-			}
-			for _, ceil := range ceilings {
-				got, err := MinPeriodUnderLatencyBelow(ev, lat, func() float64 { return ceil })
-				switch {
-				case refErr != nil && ceil > maxCand:
-					if !errors.Is(err, ErrInfeasible) {
-						t.Fatalf("instance %d latency %g ceiling %g: got %v, want ErrInfeasible", ii, lat, ceil, err)
+		t.Run(fmt.Sprintf("instance-%d", ii), func(t *testing.T) {
+			t.Parallel()
+			a := acquireArena(ev)
+			cands := append([]float64(nil), a.sortedCandidates()...)
+			a.release()
+			maxCand := cands[len(cands)-1]
+			optLat := ev.OptimalLatencyValue()
+			for _, factor := range []float64{0.9, 1, 1.2, 1.5, 1.8, 3} {
+				lat := optLat * factor
+				ref, opt, refErr := fullFillMinPeriodUnderLatency(ev, lat)
+				if refErr != nil && !errors.Is(refErr, ErrInfeasible) {
+					t.Fatalf("instance %d latency %g: oracle: %v", ii, lat, refErr)
+				}
+				if refErr == nil && ref.Metrics.Period < opt {
+					t.Fatalf("instance %d latency %g: mapping period %g below its candidate %g", ii, lat, ref.Metrics.Period, opt)
+				}
+				if got, err := MinPeriodUnderLatency(ev, lat); !sameOutcome(got, err, ref, refErr) {
+					t.Fatalf("instance %d latency %g: unbounded solve (%+v, %v) != oracle (%+v, %v)", ii, lat, got.Metrics, err, ref.Metrics, refErr)
+				}
+				ceilings := []float64{0, cands[0], cands[len(cands)/2], maxCand, maxCand * 2, math.Inf(1)}
+				if refErr == nil {
+					ceilings = append(ceilings, opt, math.Nextafter(opt, math.Inf(1)), math.Nextafter(opt, 0), ref.Metrics.Period)
+				}
+				for _, ceil := range ceilings {
+					got, err := MinPeriodUnderLatencyBelow(ev, lat, func() float64 { return ceil })
+					switch {
+					case refErr != nil && ceil > maxCand:
+						if !errors.Is(err, ErrInfeasible) {
+							t.Fatalf("instance %d latency %g ceiling %g: got %v, want ErrInfeasible", ii, lat, ceil, err)
+						}
+					case refErr != nil || opt >= ceil:
+						if !errors.Is(err, ErrNotBelow) {
+							t.Fatalf("instance %d latency %g ceiling %g: got (%+v, %v), want ErrNotBelow", ii, lat, ceil, got.Metrics, err)
+						}
+					case !sameOutcome(got, err, ref, nil):
+						t.Fatalf("instance %d latency %g ceiling %g: (%+v, %v) != oracle %+v", ii, lat, ceil, got.Metrics, err, ref.Metrics)
 					}
-				case refErr != nil || opt >= ceil:
-					if !errors.Is(err, ErrNotBelow) {
-						t.Fatalf("instance %d latency %g ceiling %g: got (%+v, %v), want ErrNotBelow", ii, lat, ceil, got.Metrics, err)
-					}
-				case !sameOutcome(got, err, ref, nil):
-					t.Fatalf("instance %d latency %g ceiling %g: (%+v, %v) != oracle %+v", ii, lat, ceil, got.Metrics, err, ref.Metrics)
 				}
 			}
-		}
+		})
 	}
 }
 
