@@ -424,8 +424,9 @@ func BenchmarkSolveBatch(b *testing.B) {
 
 // BenchmarkBatchGrouped times SolveBatch on the skewed shape real
 // batches have: 64 pipelines against one shared platform object, as the
-// service layer's decode-time platform dedup produces, so the batch
-// builds the platform-derived evaluator tables once.
+// service layer's decode-time platform dedup produces for a run of equal
+// platforms, so the batch builds the platform-derived evaluator tables
+// once.
 func BenchmarkBatchGrouped(b *testing.B) {
 	instances := workload.GenerateSet(workload.E2, 20, 10, 64, 31000)
 	for i := range instances {

@@ -90,11 +90,18 @@
 // order. 3-Explo (H2, H3, X7, X8) tabulates a split's last parts once
 // and prices a cut pair's first part once per first cut, so a pair
 // prices only its middle part. A split's own processor is the fastest of
-// its three, so the pair's parts priced on it bound all six assignments
-// from below (worst cycle-time, and for H3 the Δlatency/Δperiod ratio);
-// once the scan holds a best candidate, a pair whose bound already loses
-// is skipped without building its candidates. The ratio skip runs only
-// with no latency cap (H2, H3), where no cap bookkeeping is read. H4's
+// its three, so the largest of a pair's part cycle-times priced on it
+// bounds all six assignments' worst cycle-time from below. Each part's
+// bound grows or falls with one cut (the first and middle parts' once a
+// communication term is dropped), so the cut loops stop at, or start
+// past, the parts the scan's filter drops, and visit only pairs it might
+// keep. For H3 the pair's latency is bounded by the sorted assignment
+// (the parts' works in descending order over the three speeds in
+// descending order, by the rearrangement inequality), less a relative
+// margin for its different summation order; once the scan holds a best
+// candidate, a pair whose Δlatency/Δperiod bound already loses is
+// skipped without building its candidates. The latency skip runs only
+// with no latency cap (H3), where no cap bookkeeping is read. H4's
 // capped bisection trials, and its final rewind, replay the uncapped
 // trial's logged splits while they meet the trial's latency cap and scan
 // only from the first one that does not. Most of those trials repeat an
@@ -301,10 +308,12 @@
 //   - One batch lane. portfolio.SolveBatch runs instances on a bounded
 //     worker pool and builds evaluators per platform group:
 //     mapping.NewEvaluators shares one platform's derived tables across
-//     the group. The service dedups wire-identical platforms at decode
-//     time, so batches arrive pointer-shared, and pipeschedbench -batch
-//     drives the lane end to end. ParetoSweep keeps its per-heuristic
-//     lane fan-out above 2048 stage × processor cells.
+//     the group. At decode time the service gives an instance whose
+//     platform repeats the previous instance's content the same object,
+//     so a batch sharing one platform arrives pointer-shared, and
+//     pipeschedbench -batch drives the lane end to end. ParetoSweep
+//     keeps its per-heuristic lane fan-out above 2048 stage × processor
+//     cells.
 //
 // BENCH_8 → BENCH_9 on the snapshot machine: a cache-miss /v1/solve
 // drops 83.6µs/90 allocs → 16.2µs/54, /v1/batch 65.5µs/252 allocs →

@@ -134,9 +134,11 @@ type state struct {
 	minRejectedLat float64
 	maxAdmittedLat float64
 
-	// pairsPriced counts the 3-way cut pairs whose candidates were built since
-	// the last reset (scanThreeWay skips the others whole).
-	pairsPriced int
+	// pairsVisited counts the 3-way cut pairs whose procs[0] floor was
+	// formed since the last reset, and pairsPriced those whose candidates
+	// were built (scanThreeWay's windows and bounds skip the others whole).
+	pairsVisited int
+	pairsPriced  int
 
 	// log is the trajectory of H4's uncapped trial: every applied step in
 	// order (see replay). trials memoises H4's bisection trials (see
@@ -228,7 +230,7 @@ func (st *state) reset() {
 	st.lat = st.latencyContribution(1, n, first) + st.deltaB[n]
 	st.minRejectedLat = math.Inf(1)
 	st.maxAdmittedLat = math.Inf(-1)
-	st.pairsPriced = 0
+	st.pairsVisited, st.pairsPriced = 0, 0
 }
 
 // cycle is Evaluator.Cycle(d, e, u) on the flat tables:
@@ -508,60 +510,109 @@ var perms = [6][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2,
 // per scan and the first part priced once per k1, so a cut pair prices
 // only its middle part. Values and generation order are unchanged.
 //
-// A cut pair whose six candidates provably cannot become the pick is
-// skipped whole, having priced its middle part on procs[0] only.
-// procs[0] is enrolled and the other two are the fastest free
-// processors, so procs[0] is the fastest of the three, and each part's
-// cycle-time and latency term are smallest on it (rounding is monotone,
-// as are the sums and the division of admit and splitRatio). So every
-// assignment has maxCycle ≥ mc, the largest of the parts' procs[0]
-// cycle-times, and newLat ≥ nl, their procs[0] latency terms summed in
-// admit's order:
-//   - skip(mc) implies skip for all six candidates;
-//   - under the bi rule, with dp = oldCycle − mc > 0, every ratio is at
-//     least (nl − oldLat)/dp: splitRatio divides a dLat ≥ 0 by at most
-//     dp (maxCycle ≥ mc) and a dLat < 0 by at least dp (the part on
-//     procs[0] has cycle ≤ mc), or returns +Inf. A pair whose bound
-//     exceeds the best ratio loses on the rule's first key. Equal ratios
-//     fall to the second key, so the test is strict.
-//
-// The bi skip leaves the pair's candidates out of maxAdmittedLat, so it
-// runs only in uncapped scans (H2, H3), where no cap bookkeeping is read.
+// Pairs whose six candidates provably cannot become the pick are not
+// priced. procs[0] is enrolled and the other two are the next free
+// processors, so the speeds fall (weakly) from procs[0] to procs[2], and
+// each part's cycle-time is smallest on procs[0] (rounding is monotone,
+// as are the sums of admit and the division of splitRatio). So every
+// assignment of a pair has maxCycle ≥ mc, the largest of its parts'
+// procs[0] cycle-times, and skip(mc) implies skip for all six:
+//   - Cut windows. Dropping one communication term from a part's procs[0]
+//     cycle-time leaves a lower bound of mc that is monotone in one cut:
+//     commB[d−1] + w₁·inv₀ grows with k1 and commB[k1] + w_m·inv₀ with
+//     k2. skip is monotone in its argument and only tightens during a
+//     scan (the lazy rule's best maxCycle only falls), so the k1 loop
+//     stops at the first skipped first part and the k2 loop at the first
+//     skipped middle part. The last part's procs[0] cycle-time falls with
+//     k2 up to its commB[k2] term, so the skipped last parts lead: k2
+//     starts past them, at a cursor that only moves right (a skipped
+//     part stays skipped). The loops leave out only pairs that skip(mc)
+//     would drop where they stand, so every candidate admit sees, cap
+//     bookkeeping included, is one the full loops would give it.
+//   - Sorted-assignment latency bound (uncapped bi scans). A latency term
+//     is δ_{start−1}/b + w/s_u, so by the rearrangement inequality every
+//     bijection's newLat is at least the parts' δ/b terms plus their
+//     works in descending order over the three speeds in descending
+//     order. The bound multiplies by reciprocals and adds in another
+//     order than admit, so it may exceed a true newLat by a few units in
+//     the last place; it gives up relEps·(1+bound), far above that, so
+//     an exact tie (no communication, equal speeds: every dLat 0) is
+//     never skipped. With dp = oldCycle − mc > 0 and the rise
+//     = bound − margin − oldLat > 0, every dLat of the pair is at least
+//     the rise, and splitRatio divides it by at most dp (maxCycle ≥ mc)
+//     or returns +Inf: every ratio is at least rise/dp. A pair whose
+//     bound exceeds the best ratio loses on the rule's first key. Equal
+//     ratios fall to the second key, so the test is strict. The skip
+//     leaves the pair's candidates out of maxAdmittedLat, so it runs only
+//     in uncapped scans (H3), where no cap bookkeeping is read.
 func (st *state) scanThreeWay(s *scan, iv mapping.Interval) {
 	d, e := iv.Start, iv.End
 	procs := [3]int{iv.Proc, st.free[st.freeOff], st.free[st.freeOff+1]}
+	inv0, inv1, inv2 := st.invSpeed[procs[0]], st.invSpeed[procs[1]], st.invSpeed[procs[2]]
+	w0, wE := st.work[d-1], st.work[e]
 	// ends[k2-d-1] prices [k2+1..e], for k2 in [d+1, e-1].
 	st.ends = st.ends[:0]
 	for k2 := d + 1; k2 < e; k2++ {
 		var ep endPart
-		w := st.work[e] - st.work[k2]
+		w := wE - st.work[k2]
 		for pi, u := range procs {
 			ep.cyc[pi] = st.commB[k2] + w*st.invSpeed[u] + st.commB[e]
 			ep.lat[pi] = st.deltaB[k2] + w/st.speed[u]
 		}
 		st.ends = append(st.ends, ep)
 	}
+	latBound := s.uncapped && s.rule == selectBi
 	var first, mid endPart
 	var cyc, lat [3]float64
+	lo := d + 1 // every k2 < lo has a skipped last part
 	for k1 := d; k1 < e-1; k1++ {
-		w := st.work[k1] - st.work[d-1]
+		w := st.work[k1] - w0
+		c1 := st.commB[d-1] + w*inv0
+		if s.skip(c1) {
+			break
+		}
+		for lo < e && s.skip(st.ends[lo-d-1].cyc[0]) {
+			lo++
+		}
+		if lo == e {
+			break
+		}
 		for pi, u := range procs {
 			first.cyc[pi] = st.commB[d-1] + w*st.invSpeed[u] + st.commB[k1]
 			first.lat[pi] = st.deltaB[d-1] + w/st.speed[u]
 		}
-		for k2 := k1 + 1; k2 < e; k2++ {
+		deltas := st.deltaB[d-1] + st.deltaB[k1]
+		from := max(k1+1, lo)
+		k2 := from
+		for ; k2 < e; k2++ {
 			wm := st.work[k2] - st.work[k1]
-			mid.cyc[0] = st.commB[k1] + wm*st.invSpeed[procs[0]] + st.commB[k2]
+			cm := st.commB[k1] + wm*inv0
+			if s.skip(cm) {
+				break
+			}
+			mid.cyc[0] = cm + st.commB[k2]
 			last := &st.ends[k2-d-1]
-			floor := [3]float64{first.cyc[0], mid.cyc[0], last.cyc[0]}
-			mc := maxOf(3, &floor)
+			mc := max(first.cyc[0], mid.cyc[0], last.cyc[0])
 			if s.skip(mc) {
 				continue
 			}
-			if s.uncapped && s.found && s.rule == selectBi {
-				mid.lat[0] = st.deltaB[k1] + wm/st.speed[procs[0]]
-				if dp := s.oldCycle - mc; dp > 0 && (first.lat[0]+mid.lat[0]+last.lat[0]-s.oldLat)/dp > s.best.ratio {
-					continue
+			if latBound && s.found {
+				if dp := s.oldCycle - mc; dp > 0 {
+					// The works in descending order a ≥ b ≥ c.
+					a, b, c := w, wm, wE-st.work[k2]
+					if a < b {
+						a, b = b, a
+					}
+					if b < c {
+						b, c = c, b
+						if a < b {
+							a, b = b, a
+						}
+					}
+					bound := deltas + st.deltaB[k2] + a*inv0 + b*inv1 + c*inv2
+					if rise := bound - relEps*(1+bound) - s.oldLat; rise > 0 && rise/dp > s.best.ratio {
+						continue
+					}
 				}
 			}
 			st.pairsPriced++
@@ -591,6 +642,7 @@ func (st *state) scanThreeWay(s *scan, iv mapping.Interval) {
 				}
 			}
 		}
+		st.pairsVisited += k2 - from
 	}
 }
 

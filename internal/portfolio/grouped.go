@@ -27,7 +27,8 @@ func SolveBatchGrouped(ctx context.Context, instances []workload.Instance, opts 
 // platform-derived tables within each pointer-identity group. Instances
 // with equal-content but distinct platform objects fall into singleton
 // groups, which is always correct, merely unshared (the service layer
-// dedups platforms at decode time, so its batches arrive pointer-shared).
+// gives each run of equal platforms one object at decode time, so a batch
+// sharing one platform arrives pointer-shared).
 // The returned slice is in input order.
 func groupEvaluators(instances []workload.Instance) []*mapping.Evaluator {
 	evs := make([]*mapping.Evaluator, len(instances))

@@ -31,7 +31,16 @@ import (
 // new ones (irrelevant for the in-memory cache, vital the day keys are
 // persisted or shared between replicas). Version 2 added the fully
 // heterogeneous platform arm (length-prefixed link-bandwidth rows).
-const canonVersion = 2
+// Version 3 writes samePlatform in place of a batch instance's platform
+// when it has the same canonical content as the previous instance's.
+const canonVersion = 3
+
+// samePlatform is the word a batch key writes where an instance's
+// platform would repeat the previous instance's canonical stream. A
+// platform stream starts with its kind word, a small platform.Kind, so
+// the back-reference cannot be read as the start of one and the stream
+// stays unambiguous.
+const samePlatform = math.MaxUint64
 
 // canon accumulates the canonical wire form directly into a hash.
 type canon struct {
@@ -174,7 +183,8 @@ func sweepKeyWire(points int, works, deltas []float64, plat *platformWire) cache
 // must not fragment the cache. It must produce the same key as the test
 // oracle batchKey on the constructed objects, so the primed batch hot
 // path can answer from the cache without materialising a single domain
-// object.
+// object. A platform that repeats the previous instance's (a batch
+// usually shares one) is written as samePlatform instead of hashed again.
 func batchKeyWire(opts portfolio.BatchOptions, instances []instanceWire) cache.Key {
 	c := newCanon("batch")
 	c.u64(uint64(opts.Objective))
@@ -186,19 +196,55 @@ func batchKeyWire(opts portfolio.BatchOptions, instances []instanceWire) cache.K
 		in := &instances[i]
 		c.floats(in.Pipeline.Works)
 		c.floats(in.Pipeline.Deltas)
+		if i > 0 && sameWirePlatform(&in.Platform, &instances[i-1].Platform) {
+			c.u64(samePlatform)
+			continue
+		}
 		c.wirePlatform(in.Platform.Kind, in.Platform.Speeds, in.Platform.Bandwidth, in.Platform.Links)
 	}
 	return c.key()
 }
 
-// platformKeyWire digests a platform alone — the fingerprint the batch
-// miss path dedups platforms by, so instances naming the same platform
-// share one constructed object (and therefore one evaluator-table group
-// in the grouped batch lane).
-func platformKeyWire(pw *platformWire) cache.Key {
-	c := newCanon("platform")
-	c.wirePlatform(pw.Kind, pw.Speeds, pw.Bandwidth, pw.Links)
-	return c.key()
+// sameWirePlatform reports whether two validated wire platforms have the
+// same canonical stream (wirePlatform): the same kind arm and speed bits,
+// then the same bandwidth bits or the same link rows, diagonal cells
+// aside, as fullyHeterogeneous writes them.
+func sameWirePlatform(a, b *platformWire) bool {
+	fullHet := wireFullHet(a.Kind)
+	if fullHet != wireFullHet(b.Kind) || !sameBits(a.Speeds, b.Speeds) {
+		return false
+	}
+	if !fullHet {
+		return math.Float64bits(a.Bandwidth) == math.Float64bits(b.Bandwidth)
+	}
+	if len(a.Links) != len(b.Links) {
+		return false
+	}
+	for u, row := range a.Links {
+		other := b.Links[u]
+		if len(row) != len(other) {
+			return false
+		}
+		for v, x := range row {
+			if u != v && math.Float64bits(x) != math.Float64bits(other[v]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sameBits reports whether two float slices hold the same bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func boolBit(b bool) uint64 {

@@ -68,7 +68,10 @@ func sweepKey(points int, app *pipeline.Pipeline, plat *platform.Platform) cache
 
 // batchKey digests one /v1/batch request. Worker count is deliberately
 // excluded: the batch engine guarantees results identical for any worker
-// count, so scheduling knobs must not fragment the cache.
+// count, so scheduling knobs must not fragment the cache. A platform
+// whose canonical stream repeats the previous instance's is written as
+// samePlatform, as batchKeyWire writes it; here the two streams are
+// compared by their digests.
 func batchKey(opts portfolio.BatchOptions, instances []workload.Instance) cache.Key {
 	c := newCanon("batch")
 	c.u64(uint64(opts.Objective))
@@ -76,9 +79,23 @@ func batchKey(opts portfolio.BatchOptions, instances []workload.Instance) cache.
 	c.u64(boolBit(opts.RelativeBound))
 	c.u64(boolBit(opts.Exact))
 	c.u64(uint64(len(instances)))
-	for _, in := range instances {
+	var prev cache.Key
+	for i, in := range instances {
 		c.pipeline(in.App)
-		c.platform(in.Plat)
+		pk := platformKey(in.Plat)
+		if i > 0 && pk == prev {
+			c.u64(samePlatform)
+		} else {
+			c.platform(in.Plat)
+		}
+		prev = pk
 	}
+	return c.key()
+}
+
+// platformKey digests a platform's canonical stream alone.
+func platformKey(plat *platform.Platform) cache.Key {
+	c := newCanon("platform")
+	c.platform(plat)
 	return c.key()
 }

@@ -591,26 +591,24 @@ func buildPlatform(pw *platformWire) (*platform.Platform, error) {
 }
 
 // buildBatchInstances constructs a batch's domain objects from the wire
-// form, validating each element and deduplicating platforms by content:
-// instances that spelled out the same platform get the same constructed
+// form, validating each element and deduplicating platforms by content
+// by the batch key's rule: an instance whose platform has the same
+// canonical content as the previous instance's gets the same constructed
 // object, so the grouped batch lane builds its shared evaluator tables
-// once per distinct platform rather than once per instance.
+// once per run of equal platforms rather than once per instance.
 func buildBatchInstances(wires []instanceWire) ([]workload.Instance, error) {
 	instances := make([]workload.Instance, len(wires))
-	plats := make(map[cache.Key]*platform.Platform, 4)
 	for i := range wires {
 		in := &wires[i]
 		app, err := pipeline.New(in.Pipeline.Works, in.Pipeline.Deltas)
 		if err != nil {
 			return nil, badRequest("instance %d: invalid request body: %v", i, err)
 		}
-		pk := platformKeyWire(&in.Platform)
-		plat, ok := plats[pk]
-		if !ok {
-			if plat, err = buildPlatform(&in.Platform); err != nil {
-				return nil, badRequest("instance %d: invalid request body: %v", i, err)
-			}
-			plats[pk] = plat
+		var plat *platform.Platform
+		if i > 0 && sameWirePlatform(&in.Platform, &wires[i-1].Platform) {
+			plat = instances[i-1].Plat
+		} else if plat, err = buildPlatform(&in.Platform); err != nil {
+			return nil, badRequest("instance %d: invalid request body: %v", i, err)
 		}
 		instances[i] = workload.Instance{App: app, Plat: plat}
 	}

@@ -361,6 +361,111 @@ func TestBatchWireKeyMatchesObjectKey(t *testing.T) {
 	}
 }
 
+// TestBatchKeySharedPlatforms pins the samePlatform back-reference of
+// batch keys. Instances that repeat the previous instance's platform key
+// the same on the wire and object paths: by pointer on the object side,
+// in fresh wire slices, under either spelling of the comm-homogeneous
+// kind, and with different diagonal link cells. A platform that differs
+// from the previous one in a speed, the bandwidth, a link or its kind
+// changes the key, on both paths alike. buildBatchInstances gives each
+// run of equal platforms one object.
+func TestBatchKeySharedPlatforms(t *testing.T) {
+	var apps []*pipeline.Pipeline
+	for seed := int64(1); seed <= 4; seed++ {
+		apps = append(apps, workload.Generate(workload.Config{Family: workload.E2, Stages: 6, Processors: 3, Seed: seed}).App)
+	}
+	hom := workload.Generate(workload.Config{Family: workload.E2, Stages: 6, Processors: 3, Seed: 9}).Plat
+	links := [][]float64{{0, 4, 9}, {4, 0, 6}, {9, 6, 0}}
+	fullhet, err := platform.NewFullyHeterogeneous(hom.Speeds(), links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// wire spells out plat afresh for instance i; kind "" is the default
+	// comm-homogeneous spelling, and full-het diagonals read i. Every wire
+	// also carries the field its kind ignores (hom's bandwidth, or the
+	// links), so that only the kind tells hom and fullhet apart.
+	wire := func(i int, plat *platform.Platform) instanceWire {
+		app := apps[i%len(apps)]
+		pw := platformWire{Speeds: append([]float64(nil), plat.Speeds()...), Bandwidth: hom.Bandwidth(), Links: links}
+		switch {
+		case plat.Kind() == platform.FullyHeterogeneous:
+			pw.Kind = plat.Kind().String()
+			pw.Links = nil
+			for u := 1; u <= plat.Processors(); u++ {
+				row := make([]float64, plat.Processors())
+				for v := range row {
+					if v+1 == u {
+						row[v] = float64(i)
+					} else {
+						row[v] = plat.LinkBandwidth(u, v+1)
+					}
+				}
+				pw.Links = append(pw.Links, row)
+			}
+		default:
+			pw.Bandwidth = plat.Bandwidth()
+			if i%2 == 1 {
+				pw.Kind = plat.Kind().String()
+			}
+		}
+		return instanceWire{Pipeline: pipelineWire{Works: app.Works(), Deltas: app.Deltas()}, Platform: pw}
+	}
+	opts := portfolio.BatchOptions{Bound: 1.5, RelativeBound: true}
+	keys := func(plats ...*platform.Platform) (string, string) {
+		instances := make([]workload.Instance, len(plats))
+		wires := make([]instanceWire, len(plats))
+		for i, plat := range plats {
+			instances[i] = workload.Instance{App: apps[i%len(apps)], Plat: plat}
+			wires[i] = wire(i, plat)
+		}
+		obj, wk := batchKey(opts, instances), batchKeyWire(opts, wires)
+		return fmt.Sprint(obj), fmt.Sprint(wk)
+	}
+	otherSpeed, err := platform.New([]float64{hom.Speeds()[0], math.Nextafter(hom.Speeds()[1], 0), hom.Speeds()[2]}, hom.Bandwidth())
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherBandwidth, err := platform.New(hom.Speeds(), 2*hom.Bandwidth())
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherLink, err := platform.NewFullyHeterogeneous(hom.Speeds(), [][]float64{{0, 4, 9}, {4, 0, 5}, {9, 5, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]string{}
+	for _, tc := range []struct {
+		name  string
+		plats []*platform.Platform
+	}{
+		{"one-hom", []*platform.Platform{hom, hom, hom, hom}},
+		{"one-fullhet", []*platform.Platform{fullhet, fullhet, fullhet}},
+		{"interleaved", []*platform.Platform{hom, fullhet, hom, hom}},
+		{"other-speed", []*platform.Platform{hom, otherSpeed, hom, hom}},
+		{"other-bandwidth", []*platform.Platform{hom, otherBandwidth, hom, hom}},
+		{"other-link", []*platform.Platform{fullhet, otherLink, fullhet}},
+		{"other-kind", []*platform.Platform{hom, fullhet, fullhet, fullhet}},
+	} {
+		obj, wk := keys(tc.plats...)
+		if obj != wk {
+			t.Errorf("%s: wire batch key diverges from object key", tc.name)
+		}
+		if prev, dup := seen[wk]; dup {
+			t.Errorf("%s: same key as %s", tc.name, prev)
+		}
+		seen[wk] = tc.name
+	}
+
+	wires := []instanceWire{wire(0, hom), wire(1, hom), wire(2, fullhet), wire(3, fullhet), wire(4, hom)}
+	instances, err := buildBatchInstances(wires)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := instances; p[0].Plat != p[1].Plat || p[2].Plat != p[3].Plat || p[1].Plat == p[2].Plat || p[3].Plat == p[4].Plat {
+		t.Errorf("platform objects %p %p %p %p %p: want one per run of equal platforms", p[0].Plat, p[1].Plat, p[2].Plat, p[3].Plat, p[4].Plat)
+	}
+}
+
 // TestNullElementDecodesAsOnFreshScratch pins the pooled request scratch
 // to fresh-slice semantics: encoding/json leaves an array element decoded
 // from null untouched, so it must read 0 whatever an earlier request left
