@@ -141,13 +141,18 @@
 // comm-homogeneous platform whose state space fits 2^16, so every
 // platform of up to 16 processors qualifies unconditionally.
 //
-// The DP workspace is pooled: value tables, backpointers, per-class cost
-// tables (each interval's cycle-time beside its latency term) and
-// transition lists live in a sync.Pool arena, so repeated solves —
-// portfolio races, batches, the daemon's cache-miss path — are
-// allocation-free in steady state, and the bound-probing solvers
-// (ExactMinPeriodUnderLatency, ExactParetoFront) reuse one arena across
-// all probes. Binding an arena to a new evaluator reads the state
+// The DP workspace is pooled: value tables, per-class cost tables (each
+// interval's cycle-time beside its latency term) and transition lists
+// live in a sync.Pool arena, so repeated solves — portfolio races,
+// batches, the daemon's cache-miss path — are allocation-free in steady
+// state, and the bound-probing solvers (ExactMinPeriodUnderLatency,
+// ExactParetoFront) reuse one arena across all probes. Fills keep values
+// only: no fill records which candidate a cell's value came from. The
+// solution's path is re-derived afterwards, cell by cell from its final
+// cell: each step scans the cell's candidates in the fill's order and
+// takes the first whose value equals the cell's bit for bit, which is the
+// candidate a strict-improvement backpointer would have recorded, so the
+// mapping is unchanged. Binding an arena to a new evaluator reads the state
 // structure off a mixed-radix counter of per-class usage digits, one
 // step per state. The min-period bisection pays only for the candidates
 // it can use: its first probe is always the largest candidate period
@@ -194,10 +199,8 @@
 //
 // scripts/bench.sh snapshots the exact/heuristic/portfolio/serving
 // benchmarks into BENCH_<pr>.json (ns/op, B/op, allocs/op per
-// benchmark); CI uploads the file as an artifact on every run and
-// scripts/bench_diff.sh compares two snapshots with crude regression
-// thresholds (the advisory bench-diff CI job), so comparing commits is a
-// diff of their BENCH_*.json.
+// benchmark); CI uploads the file as an artifact on every run, so
+// comparing commits is a diff of their BENCH_*.json.
 //
 // # Serving: the solver service
 //

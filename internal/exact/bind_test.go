@@ -142,14 +142,13 @@ func TestCutRowSixteenLiveTransitions(t *testing.T) {
 	a := acquireArena(ev)
 	defer a.release()
 	bound := works[0] / speeds[0] * slack
-	v, state, ok := a.denseLatencyFill(bound)
+	v, state, want, ok := a.denseLatencyFill(bound)
 	if !ok || state != a.states-1 {
 		t.Fatalf("16 classes: dense fill (%v, %d, %v), want a mapping on every processor", v, state, ok)
 	}
-	want := append([]mapping.Interval(nil), a.reconstruct(state)...)
 	cv, cstate, cok := a.run(objMinLatency, bound, nil)
 	if !cok || math.Float64bits(cv) != math.Float64bits(v) || cstate != state ||
-		!reflect.DeepEqual(a.reconstruct(cstate), want) {
+		!reflect.DeepEqual(a.path(cstate), want) {
 		t.Fatalf("16 classes: kernel (%v, %d, %v) != dense (%v, %d, %v)", cv, cstate, cok, v, state, ok)
 	}
 	for t0 := a.transOff[state]; t0 < a.transOff[state+1]; t0++ {

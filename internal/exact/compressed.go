@@ -25,11 +25,16 @@ import (
 // 14-processor ceiling become exactly solvable whenever their class
 // structure is small.
 //
-// The workspace (value table, backpointers, per-class cost tables,
-// transition lists) lives in a pooled arena so that repeated solves —
-// portfolio races, batch sweeps, the service daemon's cache-miss path, and
-// the incremental probing of MinPeriodUnderLatency/ParetoFront — are
-// allocation-free in steady state.
+// The workspace (value table, per-class cost tables, transition lists)
+// lives in a pooled arena so that repeated solves — portfolio races, batch
+// sweeps, the service daemon's cache-miss path, and the incremental
+// probing of MinPeriodUnderLatency/ParetoFront — are allocation-free in
+// steady state.
+//
+// Fills compute values only: no fill records which candidate a cell's
+// value came from. Bisection probes never read one, and a final fill needs
+// it only for the ≤ n cells of its winning path, which reconstruct
+// re-derives from the values afterwards.
 
 // objective selects which recurrence the arena runs.
 type objective int
@@ -47,11 +52,6 @@ const inf = math.MaxFloat64
 // slack absorbs float noise on constraint boundaries, matching the
 // historical behaviour of the solvers.
 const slack = 1 + 1e-12
-
-// backpointer packing: prev<<classShift | class. The guard bounds the
-// class count by log2(MaxStates) < 32, so five bits always suffice for
-// the class and the stage index keeps 26 bits — far beyond any pipeline.
-const classShift = 5
 
 // arena is one reusable compressed-DP workspace bound to an evaluator.
 // Acquire with acquireArena, return with release; between the two, all
@@ -86,8 +86,11 @@ type arena struct {
 	transPrev  []int32
 	usage      []int16 // usage[S] = Σ_k digit_k(S): processors consumed by S
 
-	f    []float64 // DP values, states×(n+1) state-major: f[S*(n+1)+i]
-	back []int32   // packed backpointers, same shape
+	f []float64 // DP values, states×(n+1) state-major: f[S*(n+1)+i]
+	// fillObj and fillBound are the recurrence and period bound of the
+	// last fill, under which reconstruct re-derives its winning path.
+	fillObj   objective
+	fillBound float64
 
 	// Bound tables of the latency kernel (cutRow), set at bind. spare[S]
 	// is the total speed of the processors S leaves unused, fastClass[S]
@@ -264,7 +267,6 @@ func (a *arena) bind(ev *mapping.Evaluator) {
 	a.transOff[states] = int32(t)
 
 	a.f = resize(a.f, (n+1)*states)
-	a.back = resize(a.back, (n+1)*states)
 	a.spans = resize(a.spans, states)
 	a.cursor = resize(a.cursor, a.classes)
 	a.boundTo = ev
@@ -347,6 +349,7 @@ func ReadStats() Stats {
 // lowering the cut to each better final it finds on the way.
 func (a *arena) run(obj objective, periodBound float64, cut *latencyCut) (best float64, bestState int, ok bool) {
 	dpRuns.Add(1)
+	a.fillObj, a.fillBound = obj, periodBound
 	n, states := a.n, a.states
 	f := a.f
 	f[0] = 0 // f[S=0][i=0]; the rest of row 0 is unreachable
@@ -408,7 +411,7 @@ func (a *arena) run(obj objective, periodBound float64, cut *latencyCut) (best f
 // end too, so each class's scan passes it once), and
 // every state's inner loop then begins there instead of re-rejecting the
 // same prefix — the skipped candidates are exactly those the unpruned
-// scan discards, so values, backpointers and tie-breaking are untouched.
+// scan discards, so values, winning paths and tie-breaking are untouched.
 // The same scan builds reach, a prefix max over feasStart, which bounds
 // the cells each transition visits. A bound that cannot prune (at or
 // above every cycle entry) disables both outright so the loose-bound
@@ -551,9 +554,8 @@ func (a *arena) merge() (best float64, bestState int, ok bool) {
 	return best, bestState, best < inf
 }
 
-// computeRow fills every cell of state S's row of the period recurrence —
-// values and backpointers — reading only predecessor rows (usage level one
-// below S's).
+// computeRow fills every cell of state S's row of the period recurrence,
+// values only, reading only predecessor rows (usage level one below S's).
 //
 // f[S][i] is the least period over all assignments of stages 1..i to
 // intervals consuming exactly the class-usage vector S; the recurrence
@@ -561,12 +563,15 @@ func (a *arena) merge() (best float64, bestState int, ok bool) {
 // spare member. Both f and the cost tables are laid out so the inner loop
 // over the last interval's start walks consecutive memory — on
 // portfolio-sized instances this cache behaviour, not arithmetic, bounds
-// the solve. Candidate enumeration order per cell (transition, then
-// start) is unchanged from the row-major formulation, so ties break
-// identically and results stay bit-identical.
+// the solve. An unreachable predecessor (inf, the largest finite float)
+// yields an inf candidate, which never lowers a cell, so the loop needs
+// no test for it. The windows are dense and a cell's best rarely falls
+// late in them, so the lowering branch predicts well, and its value-only
+// form beat a branch-free min chain here; periodStep re-derives the
+// winning candidate afterwards.
 func (a *arena) computeRow(S int) {
 	n, nn := a.n, a.n*a.n
-	f, back := a.f, a.back
+	f := a.f
 	rowS := S * (n + 1)
 	// A state consuming c processors covers at least c one-stage
 	// intervals, so f[S][i] is unreachable (inf) below i = c, and every
@@ -587,7 +592,6 @@ func (a *arena) computeRow(S int) {
 	t0, t1 := a.transOff[S], a.transOff[S+1]
 	for i := cS; i <= n; i++ {
 		bestV := inf
-		var bestB int32
 		for t := t0; t < t1; t++ {
 			k := int(a.transClass[t])
 			prevRow := int(a.transPrev[t]) * (n + 1)
@@ -599,23 +603,12 @@ func (a *arena) computeRow(S int) {
 			fprev := f[prevRow+lo : prevRow+i]
 			costs := a.cost[base+lo : base+i]
 			for j, fv := range fprev {
-				if fv == inf {
-					continue
-				}
-				cand := fv
-				if cy := costs[j].cyc; cy > cand {
-					cand = cy
-				}
-				if cand < bestV {
+				if cand := max(fv, costs[j].cyc); cand < bestV {
 					bestV = cand
-					bestB = int32(lo+j)<<classShift | int32(k)
 				}
 			}
 		}
 		f[rowS+i] = bestV
-		if bestV < inf {
-			back[rowS+i] = bestB
-		}
 	}
 }
 
@@ -636,8 +629,8 @@ func (a *arena) computeRow(S int) {
 // Both bounds are admissible, and consistent: a predecessor's bound never
 // exceeds its edge cost plus the cell's bound (its spare processors
 // include the edge's and S's own). So every cell that can still finish
-// within the cutoff keeps the dense value and backpointer, and candidates
-// tied with the one it selects are never pruned. The row records its
+// within the cutoff keeps the dense value, and candidates tied with the
+// first one that reaches it are never pruned. The row records its
 // first and last finite cell, and only those windows of its predecessor
 // rows are read: the pruned cells are what a bound saves, the windows are
 // what turns them into saved time.
@@ -647,17 +640,15 @@ func (a *arena) computeRow(S int) {
 // cell, and up to reach[k][last[p]] — so the per-transition bookkeeping
 // is paid once per row, not once per cell. A first pass over S's
 // transitions keeps the live ones, those whose predecessor has a finite
-// cell, with their windows; the fill then visits only those. Each cell
-// still sees its candidates in (transition, start) order with strict
-// improvement, so values, backpointers and ties are those of the
-// cell-major order. Cells outside the row's span are never read — later
-// rows read only the span, and run reads f[S][n] only when the span ends
-// there — so a row with no live predecessor costs one pass over its
-// transitions and writes nothing but its empty span. The completion
-// bound's row is read, and built, only when the row has a finite cell.
+// cell, with their windows; the fill then visits only those, each in
+// fillTrans. Cells outside the row's span are never read — later rows
+// read only the span, and run reads f[S][n] only when the span ends there
+// — so a row with no live predecessor costs one pass over its transitions
+// and writes nothing but its empty span. The completion bound's row is
+// read, and built, only when the row has a finite cell.
 func (a *arena) cutRow(periodBound, lim, tail float64, S int) {
 	n, nn := a.n, a.n*a.n
-	f, back := a.f, a.back
+	f := a.f
 	rowS := S * (n + 1)
 	armed := len(a.feasStart) > 0
 	// [start, stop] spans the cells some live predecessor's window can
@@ -691,42 +682,14 @@ func (a *arena) cutRow(periodBound, lim, tail float64, S int) {
 		row[i] = inf
 	}
 	for _, tr := range live[:nl] {
-		k, fp, lp := int(tr.k), int(tr.first), int(tr.last)
-		hi := min(stop, int(tr.hi))
+		k, lp := int(tr.k), int(tr.last)
 		var fs []int32
 		if armed {
 			fs = a.feasStart[k*n : (k+1)*n]
 		}
 		prev := f[int(tr.p)*(n+1) : int(tr.p)*(n+1)+lp+1]
-		costK := a.cost[k*nn : (k+1)*nn]
-		for i := max(start, fp+1); i <= hi; i++ {
-			lo := fp
-			if armed {
-				lo = max(lo, int(fs[i-1]))
-			}
-			end := min(i, lp+1)
-			if lo >= end {
-				continue
-			}
-			base := (i - 1) * n // cost[k][kk+1..i] is at base + kk
-			fprev := prev[lo:end]
-			costs := costK[base+lo : base+end]
-			// The cell's best so far is written back unconditionally: an
-			// unreachable predecessor (inf, the largest finite float)
-			// never improves on it, and a cell no candidate reaches keeps
-			// its value and backpointer.
-			bestV, bestB := row[i], back[rowS+i]
-			for j, fv := range fprev {
-				c := costs[j]
-				if c.cyc > periodBound {
-					continue
-				}
-				if cand := fv + c.lat; cand < bestV {
-					bestV, bestB = cand, int32(lo+j)<<classShift|int32(k)
-				}
-			}
-			row[i], back[rowS+i] = bestV, bestB
-		}
+		from, hi := max(start, int(tr.first)+1), min(stop, int(tr.hi))
+		fillTrans(row, prev, a.cost[k*nn:(k+1)*nn], fs, from, hi, int(tr.first), periodBound)
 	}
 	first, last := n+1, -1
 	var togo []float64
@@ -750,6 +713,42 @@ func (a *arena) cutRow(periodBound, lim, tail float64, S int) {
 	a.spans[S] = span{int32(first), int32(last)}
 }
 
+// fillTrans lowers cells from..hi of a latency row by the candidates of
+// one live transition (class k, predecessor p): prev is p's row up to its
+// last finite cell, fp its first, costK class k's cost table and fs class
+// k's feasible starts (nil when the prune is disarmed). It keeps values
+// only, in a running min; latencyStep re-derives the winning candidate
+// afterwards. Its own frame keeps the inner loop's index and bounds in
+// registers.
+func fillTrans(row, prev []float64, costK []cost, fs []int32, from, hi, fp int, periodBound float64) {
+	n := len(row) - 1
+	for i := from; i <= hi; i++ {
+		lo := fp
+		if fs != nil {
+			lo = max(lo, int(fs[i-1]))
+		}
+		end := min(i, len(prev))
+		if lo >= end {
+			continue
+		}
+		base := (i - 1) * n // cost[k][kk+1..i] is at base + kk
+		fprev := prev[lo:end]
+		costs := costK[base+lo : base+end]
+		costs = costs[:len(fprev)] // one length: the loop below reads costs without a bounds check
+		// The cell's best so far is written back unconditionally: an
+		// unreachable predecessor (inf, the largest finite float)
+		// never lowers it, and a cell no candidate reaches keeps its
+		// value.
+		best := row[i]
+		for j, fv := range fprev {
+			if c := costs[j]; c.cyc <= periodBound {
+				best = min(best, fv+c.lat)
+			}
+		}
+		row[i] = best
+	}
+}
+
 // liveTrans is a transition of cutRow's row whose predecessor row p has a
 // finite cell: class k, p's first and last finite cells, and hi, the last
 // cell of S's row its window can reach.
@@ -763,19 +762,35 @@ func (a *arena) latencyTail() float64 {
 	return out
 }
 
-// reconstruct walks the backpointers from the winning final state and
-// materialises the interval list, assigning concrete processor ids: the
-// classes recorded along the path take their members in increasing-id
-// order, which is valid because same-speed processors are interchangeable.
-// The returned slice aliases the arena's scratch buffer — it is consumed
-// by mapping.New (which copies) before the next run.
-func (a *arena) reconstruct(bestState int) []mapping.Interval {
+// reconstruct re-derives the winning path of the arena's last fill, from
+// bestState's final cell back to (0, 0), and materialises the interval
+// list, assigning concrete processor ids: the classes recorded along the
+// path take their members in increasing-id order, which is valid because
+// same-speed processors are interchangeable.
+//
+// Fills keep values only. At each cell on the path, reconstruct scans the
+// candidates the fill combined there, in (transition, start) order, and
+// steps to the first whose value equals the cell's bit for bit: the
+// candidate a strict-improvement scan in that order would have recorded,
+// so the path is the one a backpointer table would hold. The scans read
+// the last fill's values and row spans, so reconstruct must run before
+// the next fill; a cell that no candidate re-derives is an error. The
+// returned slice aliases the arena's scratch buffer — it is consumed by
+// mapping.New (which copies) before the next run.
+func (a *arena) reconstruct(bestState int) ([]mapping.Interval, error) {
 	a.ivbuf = a.ivbuf[:0]
 	i, S := a.n, bestState
 	for i > 0 {
-		b := a.back[S*(a.n+1)+i]
-		prev := int(b >> classShift)
-		class := int(b & (1<<classShift - 1))
+		var prev, class int
+		var ok bool
+		if a.fillObj == objMinPeriod {
+			prev, class, ok = a.periodStep(S, i)
+		} else {
+			prev, class, ok = a.latencyStep(S, i)
+		}
+		if !ok {
+			return nil, fmt.Errorf("exact: no candidate re-derives cell (%d, %d) of the winning path", S, i)
+		}
 		a.ivbuf = append(a.ivbuf, mapping.Interval{Start: prev + 1, End: i, Proc: class})
 		S -= a.radix[class]
 		i = prev
@@ -793,13 +808,66 @@ func (a *arena) reconstruct(bestState int) []mapping.Interval {
 		a.ivbuf[j].Proc = plat.ClassMember(class, a.cursor[class])
 		a.cursor[class]++
 	}
-	return a.ivbuf
+	return a.ivbuf, nil
+}
+
+// periodStep re-derives cell (S, i) of a period fill: the first start kk,
+// over S's transitions (class k) in order and the starts computeRow reads
+// in ascending order, whose candidate max(f[p][kk], cycle of [kk+1..i]
+// on k) equals f[S][i]. Cells on a winning path are finite, and an
+// unreachable predecessor's candidate is at least inf, so it never
+// matches.
+func (a *arena) periodStep(S, i int) (prev, class int, ok bool) {
+	n, nn := a.n, a.n*a.n
+	v := a.f[S*(n+1)+i]
+	for t := a.transOff[S]; t < a.transOff[S+1]; t++ {
+		k, p := int(a.transClass[t]), int(a.transPrev[t])
+		fprev := a.f[p*(n+1) : p*(n+1)+i]
+		costs := a.cost[k*nn+(i-1)*n : k*nn+i*n]
+		for kk := int(a.usage[S]) - 1; kk < i; kk++ {
+			if max(fprev[kk], costs[kk].cyc) == v {
+				return kk, k, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// latencyStep re-derives cell (S, i) of a latency fill: the first start
+// kk, over S's transitions (class k, predecessor p) in order and the
+// starts of p's span in ascending order, whose interval [kk+1..i] meets
+// the fill's period bound on k and whose candidate f[p][kk] + its latency
+// term equals f[S][i]. cutRow reads p's row only within that span, so
+// cells outside it, which may be stale, are never read. Its other limits
+// need no replay: the starts the feasible-start prune skips, and with
+// them every start of a transition past its reach, are starts whose
+// cycle exceeds the bound.
+func (a *arena) latencyStep(S, i int) (prev, class int, ok bool) {
+	n, nn := a.n, a.n*a.n
+	v := a.f[S*(n+1)+i]
+	for t := a.transOff[S]; t < a.transOff[S+1]; t++ {
+		k, p := int(a.transClass[t]), int(a.transPrev[t])
+		sp := a.spans[p]
+		lo, end := int(sp.first), min(i, int(sp.last)+1)
+		fprev := a.f[p*(n+1) : p*(n+1)+n+1]
+		costs := a.cost[k*nn+(i-1)*n : k*nn+i*n]
+		for kk := lo; kk < end; kk++ {
+			if c := costs[kk]; c.cyc <= a.fillBound && fprev[kk]+c.lat == v {
+				return kk, k, true
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 // result turns a winning state into a Result with validated mapping and
 // recomputed metrics.
 func (a *arena) result(bestState int) (Result, error) {
-	m, err := mapping.New(a.ev.Pipeline(), a.ev.Platform(), a.reconstruct(bestState))
+	ivs, err := a.reconstruct(bestState)
+	if err != nil {
+		return Result{}, err
+	}
+	m, err := mapping.New(a.ev.Pipeline(), a.ev.Platform(), ivs)
 	if err != nil {
 		return Result{}, fmt.Errorf("exact: reconstructed invalid mapping: %w", err)
 	}

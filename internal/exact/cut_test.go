@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pipesched/internal/heuristics"
@@ -14,16 +15,23 @@ import (
 	"pipesched/internal/workload"
 )
 
+// oracleStep is one backpointer of a dense test oracle: the start and
+// class of the candidate a cell's value came from.
+type oracleStep struct{ prev, class int }
+
 // denseLatencyFill is the latency recurrence the kernel is pinned
 // against: every cell of every row, with no bound, window or prefix
 // prune. The only skip is the usage floor: a predecessor consuming c
-// processors has no finite cell below c. It fills the arena's tables, so
-// reconstruct walks its winning path, and it returns what
-// run(objMinLatency, periodBound, nil) must return bit for bit. Keeping
-// it out of the package means the kernel is never its own reference.
-func (a *arena) denseLatencyFill(periodBound float64) (best float64, bestState int, ok bool) {
+// processors has no finite cell below c. It keeps a value and a
+// backpointer per cell in tables of its own, the candidate a
+// strict-improvement scan in (transition, start) order settles on, and
+// returns what run(objMinLatency, periodBound, nil) must return bit for
+// bit, with the winning path its backpointers record. Keeping it out of
+// the package means the kernel is never its own reference, and neither
+// is the path reconstruct re-derives.
+func (a *arena) denseLatencyFill(periodBound float64) (best float64, bestState int, path []mapping.Interval, ok bool) {
 	n, nn := a.n, a.n*a.n
-	f, back := a.f, a.back
+	f, back := make([]float64, a.states*(n+1)), make([]oracleStep, a.states*(n+1))
 	f[0] = 0
 	for i := 1; i <= n; i++ {
 		f[i] = inf
@@ -32,7 +40,7 @@ func (a *arena) denseLatencyFill(periodBound float64) (best float64, bestState i
 		row := S * (n + 1)
 		for i := 0; i <= n; i++ {
 			bestV := inf
-			var bestB int32
+			var bestB oracleStep
 			for t := a.transOff[S]; t < a.transOff[S+1]; t++ {
 				k := int(a.transClass[t])
 				prevRow := int(a.transPrev[t]) * (n + 1)
@@ -42,17 +50,64 @@ func (a *arena) denseLatencyFill(periodBound float64) (best float64, bestState i
 						continue
 					}
 					if cand := f[prevRow+kk] + a.cost[idx].lat; cand < bestV {
-						bestV, bestB = cand, int32(kk)<<classShift|int32(k)
+						bestV, bestB = cand, oracleStep{kk, k}
 					}
 				}
 			}
-			f[row+i] = bestV
-			if bestV < inf {
-				back[row+i] = bestB
-			}
+			f[row+i], back[row+i] = bestV, bestB
 		}
 	}
-	return a.merge()
+	return a.oracleWalk(f, back)
+}
+
+// oracleWalk merges an oracle's final cells in ascending state order with
+// strict improvement, as merge does, and walks the winner's backpointers
+// into its intervals, the classes taking their members in increasing-id
+// order as reconstruct assigns them.
+func (a *arena) oracleWalk(f []float64, back []oracleStep) (best float64, bestState int, path []mapping.Interval, ok bool) {
+	n := a.n
+	best = inf
+	for S := 1; S < a.states; S++ {
+		if v := f[S*(n+1)+n]; v < best {
+			best, bestState = v, S
+		}
+	}
+	if best == inf {
+		return best, 0, nil, false
+	}
+	for i, S := n, bestState; i > 0; {
+		b := back[S*(n+1)+i]
+		path = append(path, mapping.Interval{Start: b.prev + 1, End: i, Proc: b.class})
+		S -= a.radix[b.class]
+		i = b.prev
+	}
+	slices.Reverse(path)
+	cursor := make([]int, a.classes)
+	for j := range path {
+		class := path[j].Proc
+		path[j].Proc = a.ev.Platform().ClassMember(class, cursor[class])
+		cursor[class]++
+	}
+	return best, bestState, path, true
+}
+
+// oracleResult is the Result of an oracle's winning path.
+func oracleResult(ev *mapping.Evaluator, path []mapping.Interval) (Result, error) {
+	m, err := mapping.New(ev.Pipeline(), ev.Platform(), path)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Mapping: m, Metrics: ev.Metrics(m)}, nil
+}
+
+// path is the winning path reconstruct re-derives from the arena's last
+// fill, nil when it cannot.
+func (a *arena) path(state int) []mapping.Interval {
+	ivs, err := a.reconstruct(state)
+	if err != nil {
+		return nil
+	}
+	return ivs
 }
 
 // denseMinLatencyUnderPeriod is MinLatencyUnderPeriod through the dense
@@ -60,8 +115,8 @@ func (a *arena) denseLatencyFill(periodBound float64) (best float64, bestState i
 func denseMinLatencyUnderPeriod(ev *mapping.Evaluator, maxPeriod float64) (Result, error) {
 	a := acquireArena(ev)
 	defer a.release()
-	if _, state, ok := a.denseLatencyFill(maxPeriod * slack); ok {
-		return a.result(state)
+	if _, _, path, ok := a.denseLatencyFill(maxPeriod * slack); ok {
+		return oracleResult(ev, path)
 	}
 	return Result{}, ErrInfeasible
 }
@@ -116,11 +171,9 @@ func cutFillMatchesDense(t *testing.T, ii int, ev *mapping.Evaluator) {
 	tail := a.latencyTail()
 	for ci, c := range append([]float64(nil), a.sortedCandidates()...) {
 		bound := c * slack
-		v, state, ok := a.denseLatencyFill(bound)
-		var want []mapping.Interval
+		v, state, want, ok := a.denseLatencyFill(bound)
 		cuts := []float64{0, ev.OptimalLatencyValue() * 1.5, math.Inf(1)}
 		if ok {
-			want = append(want, a.reconstruct(state)...)
 			opt := v + tail
 			cuts = append(cuts, opt, math.Nextafter(opt, 0), math.Nextafter(opt, math.Inf(1)))
 		}
@@ -135,7 +188,7 @@ func cutFillMatchesDense(t *testing.T, ii int, ev *mapping.Evaluator) {
 					ii, ci, label, cok, wantOK, v+tail)
 			}
 			if cok && (math.Float64bits(cv) != math.Float64bits(v) || cstate != state ||
-				!reflect.DeepEqual(a.reconstruct(cstate), want)) {
+				!reflect.DeepEqual(a.path(cstate), want)) {
 				t.Fatalf("instance %d candidate %d %s: cut fill (%v, %d) != dense (%v, %d)",
 					ii, ci, label, cv, cstate, v, state)
 			}

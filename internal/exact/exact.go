@@ -106,8 +106,9 @@ func MinLatencyUnderPeriod(ev *mapping.Evaluator, maxPeriod float64) (Result, er
 //
 // The fill reads inc before every row and prunes each cell that can no
 // longer finish within the smallest value read. Every cell that can keeps
-// its exact value and backpointer, so when the optimum is within the
-// cutoff the mapping is MinLatencyUnderPeriod's, bit for bit. Otherwise
+// its exact value, and so does every cell on the optimum's path, from
+// which the path is re-derived: when the optimum is within the cutoff the
+// mapping is MinLatencyUnderPeriod's, bit for bit. Otherwise
 // the result is ErrNotBelow, or ErrInfeasible when inc read +Inf
 // throughout and no mapping meets the period bound.
 func MinLatencyUnderPeriodWithin(ev *mapping.Evaluator, maxPeriod float64, inc Incumbent) (Result, error) {

@@ -48,10 +48,11 @@ func fuzzEvaluator(shape []byte) *mapping.Evaluator {
 // period bound (cand indexes the candidate set) and a latency cut: +Inf
 // (cut 0), the dense optimum (1), one ulp below (2) or above (3) it, or
 // cut/64 × the Lemma-1 latency. The cut fill must return the oracle's
-// value bits, winning state and intervals when the optimum is within the
-// cut, and nothing otherwise; the uncut fill must return the oracle's
-// answer; and the probe must answer the full fill's predicate. The seed
-// corpus is testdata/fuzz/FuzzCutFill.
+// value bits and winning state, with the path reconstruct re-derives
+// equal to the intervals the oracle's backpointers record, when the
+// optimum is within the cut, and nothing otherwise; the uncut fill must
+// return the oracle's answer; and the probe must answer the full fill's
+// predicate. The seed corpus is testdata/fuzz/FuzzCutFill.
 func FuzzCutFill(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape []byte, cand uint16, cut uint8) {
 		ev := fuzzEvaluator(shape)
@@ -60,11 +61,7 @@ func FuzzCutFill(f *testing.F) {
 		cands := a.sortedCandidates()
 		bound := cands[int(cand)%len(cands)] * slack
 		tail := a.latencyTail()
-		v, state, ok := a.denseLatencyFill(bound)
-		var want []mapping.Interval
-		if ok {
-			want = append(want, a.reconstruct(state)...)
-		}
+		v, state, want, ok := a.denseLatencyFill(bound)
 		L := math.Inf(1)
 		switch opt := v + tail; {
 		case cut >= 4:
@@ -82,7 +79,7 @@ func FuzzCutFill(f *testing.F) {
 				t.Fatalf("%s at candidate %g cut %v: fill ok %v, dense %v (optimum %v)", label, bound, L, cok, wantOK, v+tail)
 			}
 			if cok && (math.Float64bits(cv) != math.Float64bits(v) || cstate != state ||
-				!reflect.DeepEqual(a.reconstruct(cstate), want)) {
+				!reflect.DeepEqual(a.path(cstate), want)) {
 				t.Fatalf("%s at candidate %g cut %v: (%v, %d) != dense (%v, %d)", label, bound, L, cv, cstate, v, state)
 			}
 		}
@@ -96,6 +93,21 @@ func FuzzCutFill(f *testing.F) {
 		}
 		if got && (found > L || found < v+tail) {
 			t.Fatalf("probe at candidate %g cut %v: found %v, outside [%v, %v]", bound, L, found, v+tail, L)
+		}
+	})
+}
+
+// FuzzPeriodFill drives the period recurrence differentially against its
+// backpointer oracle (densePeriodFill). The input decodes to an instance
+// (fuzzEvaluator), whose few speed values and small integer works make
+// tied candidates common. The fill must return the oracle's value bits
+// and winning state, reconstruct must re-derive the oracle's path, and
+// MinPeriod must return its mapping and metric bits. The seed corpus is
+// testdata/fuzz/FuzzPeriodFill.
+func FuzzPeriodFill(f *testing.F) {
+	f.Fuzz(func(t *testing.T, shape []byte) {
+		if err := samePeriodFill(fuzzEvaluator(shape)); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -26,9 +26,9 @@ func fullFillMinPeriodUnderLatency(ev *mapping.Evaluator, maxLatency float64) (R
 	cands := a.sortedCandidates()
 	tail := a.latencyTail()
 	latBound := maxLatency * slack
-	feasibleAt := func(period float64) (int, bool) {
-		v, state, ok := a.denseLatencyFill(period * slack)
-		return state, ok && v+tail <= latBound
+	feasibleAt := func(period float64) ([]mapping.Interval, bool) {
+		v, _, path, ok := a.denseLatencyFill(period * slack)
+		return path, ok && v+tail <= latBound
 	}
 	lo, hi := 0, len(cands)-1
 	if _, ok := feasibleAt(cands[hi]); !ok {
@@ -42,8 +42,8 @@ func fullFillMinPeriodUnderLatency(ev *mapping.Evaluator, maxLatency float64) (R
 			lo = mid + 1
 		}
 	}
-	state, _ := feasibleAt(cands[lo])
-	res, err := a.result(state)
+	path, _ := feasibleAt(cands[lo])
+	res, err := oracleResult(ev, path)
 	return res, cands[lo], err
 }
 
@@ -109,7 +109,7 @@ func TestProbeMatchesFullFill(t *testing.T) {
 			optLat := ev.OptimalLatencyValue()
 			for ci, c := range append([]float64(nil), a.sortedCandidates()...) {
 				bound := c * slack
-				v, _, ok := a.denseLatencyFill(bound)
+				v, _, _, ok := a.denseLatencyFill(bound)
 				lats := []float64{0, optLat, optLat * 1.25, optLat * 2, math.Inf(1)}
 				if ok {
 					lats = append(lats, v+tail, math.Nextafter(v+tail, math.Inf(-1)))

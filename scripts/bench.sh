@@ -17,9 +17,8 @@
 # root solvers plus the serving layer, its cache and the cluster fleet),
 # under a header naming the Go version, the CPU model, the host's online
 # core count (nproc) and the GOMAXPROCS the benchmarks ran with.
-# Comparing two commits is a diff of their BENCH_*.json files
-# (scripts/bench_diff.sh automates it); CI uploads the fresh file as a
-# build artifact on every run.
+# Comparing two commits is a diff of their BENCH_*.json files; CI
+# uploads the fresh file as a build artifact on every run.
 set -euo pipefail
 
 # Resolve a caller-supplied output path against the caller's directory
