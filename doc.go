@@ -177,10 +177,17 @@
 // on unlimited processors of the fastest class the state leaves spare,
 // built per class only when a row first reads it. Both bounds are
 // admissible and consistent, with a 1e-9 relative margin for rounding,
-// so every cell that can still meet the cutoff keeps its exact value and
-// the mapping is unchanged bit for bit. Each row records its first and
-// last finite cell, and the fill runs transition-major: each (class,
-// predecessor) pair visits only the cells its window can reach. Every
+// so neither drops a cell that can still meet the cutoff. Each row
+// records its first and last finite cell, and the fill runs
+// transition-major: each (class, predecessor) pair visits only the cells
+// its window can reach. A cell is also dropped when a state with one
+// processor fewer already reaches the same stage at no greater latency
+// (a dominance rule): that state can finish every mapping the larger one
+// can, so every mapping within the cutoff is still covered by a kept
+// cell, and no cell on the winner's path is ever dominated, since its
+// dominator would reach an equally good final state of smaller id. So
+// the mapping is unchanged bit for bit. The rule costs one comparison
+// per cell against a floor of the live predecessors' values. Every
 // latency fill runs this one kernel, an uncut one under a cutoff that
 // starts at +Inf; a full fill lowers its cutoff to each better final
 // latency it finds.
@@ -189,18 +196,12 @@
 // period, and the min-latency DP cuts its fill at the best finished
 // H1–H4 latency (non-strictly: an equal latency can still win on its
 // period). Either abandons as a lost race when nothing meets its
-// ceiling, a result the race's selection could never pick. On the loopbench solve-cold workload (2-vCPU Xeon,
-// medians of ten alternating 20 s runs) the cut fills took throughput
-// from 642 to 1114 req/s and p99 from 35.9 to 14.8 ms, with identical
-// answers; the early-exit probes had taken it from 360 to 708 req/s. The
-// completion bound and the transition-major fill then took it from 1619
-// to 2196 req/s, p99 from 13.8 to 8.2 ms and CPU per request from 0.96
-// to 0.64 ms, again with identical answers.
+// ceiling, a result the race's selection could never pick.
 //
-// scripts/bench.sh snapshots the exact/heuristic/portfolio/serving
-// benchmarks into BENCH_<pr>.json (ns/op, B/op, allocs/op per
-// benchmark); CI uploads the file as an artifact on every run, so
-// comparing commits is a diff of their BENCH_*.json.
+// The repository benchmark (loopbench, declared in BENCHMARK.json) is the
+// performance gate, and CHANGES.md records what each change measured.
+// scripts/bench.sh snapshots the layer benchmarks (ns/op, B/op,
+// allocs/op) into a temporary file unless given an output.
 //
 // # Serving: the solver service
 //

@@ -124,7 +124,8 @@ func TestBindMatchesDivisionLoop(t *testing.T) {
 // TestCutRowSixteenLiveTransitions fills a 16-class platform, the
 // MaxStates edge, whose last row has a live predecessor through every
 // one of its 16 transitions, and pins the kernel against the dense
-// oracle there.
+// oracle there: the arena's live-transition list, sized at bind to the
+// class count, holds all 16.
 func TestCutRowSixteenLiveTransitions(t *testing.T) {
 	t.Parallel()
 	// Sixteen stages of work in [5, 6) on speeds in [1, 1.5), under a
@@ -156,7 +157,7 @@ func TestCutRowSixteenLiveTransitions(t *testing.T) {
 			t.Fatalf("16 classes: predecessor %d of the last row has no finite cell", a.transPrev[t0])
 		}
 	}
-	if got := a.transOff[state+1] - a.transOff[state]; got != maxClasses {
-		t.Fatalf("16 classes: the last row has %d transitions, want %d", got, maxClasses)
+	if got := a.transOff[state+1] - a.transOff[state]; got != 16 {
+		t.Fatalf("16 classes: the last row has %d transitions, want 16", got)
 	}
 }

@@ -35,6 +35,11 @@ import (
 // value came from. Bisection probes never read one, and a final fill needs
 // it only for the ≤ n cells of its winning path, which reconstruct
 // re-derives from the values afterwards.
+//
+// Latency fills keep only the cells that can matter: a cell that cannot
+// finish within the fill's latency cutoff is dropped, and so is a cell
+// that a state with one processor fewer already reaches at no greater
+// latency (cutRow gives the rules and why the answers stay bit for bit).
 
 // objective selects which recurrence the arena runs.
 type objective int
@@ -111,6 +116,11 @@ type arena struct {
 	togoBuilt uint32
 	// spans[S] delimits the finite cells of row S after a latency fill.
 	spans []span
+	// live and floor are cutRow's per-row scratch, sized at bind: the
+	// row's live transitions (at most one per class), and per cell the
+	// least value its live predecessors hold there, inside their spans.
+	live  []liveTrans
+	floor []float64
 
 	cands  []float64          // candidate scratch, refilled by each solve that bisects
 	ivbuf  []mapping.Interval // reconstruction scratch
@@ -141,10 +151,6 @@ type span struct{ first, last int32 }
 // cost is one interval's entry in the cost table: its full cycle-time and
 // its latency contribution (input + compute terms).
 type cost struct{ cyc, lat float64 }
-
-// maxClasses bounds the speed-class count, hence the transitions into any
-// state: every class has a member, so 2^classes ≤ MaxStates.
-const maxClasses = 16
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
@@ -268,6 +274,8 @@ func (a *arena) bind(ev *mapping.Evaluator) {
 
 	a.f = resize(a.f, (n+1)*states)
 	a.spans = resize(a.spans, states)
+	a.live = resize(a.live, a.classes)
+	a.floor = resize(a.floor, n+1)
 	a.cursor = resize(a.cursor, a.classes)
 	a.boundTo = ev
 }
@@ -533,8 +541,13 @@ func (c *latencyCut) poll() {
 // winner of a full fill would. Speed classes are numbered
 // fastest-first, so the states that hold a feasible mapping's fast
 // processors are among the first rows filled. When ok, lat is the latency
-// of the final cell that passed: the exact value of a state's final
-// cell, so the optimum under periodBound is at most lat.
+// of the final cell that passed, so the optimum under periodBound is at
+// most lat. Dominance moves neither that cell nor its value: the probe
+// exits at the first state whose dense final cell passes, with the dense
+// value. Were a cell on that cell's best path dominated, the dominating
+// prefix plus the path's suffix would end one processor short, in a
+// smaller state, within the bound: cutRow's winner argument, with the
+// first state to pass for the optimal one.
 func (a *arena) probe(periodBound, tail, latBound float64) (lat float64, ok bool) {
 	v, _, ok := a.run(objMinLatency, periodBound, &latencyCut{tail: tail, bound: latBound, exit: true})
 	return v + tail, ok
@@ -615,7 +628,9 @@ func (a *arena) computeRow(S int) {
 // cutRow fills state S's row of the latency recurrence: f[S][i] is the
 // least latency (tail excluded) of stages 1..i in intervals consuming
 // exactly S, every cycle-time within periodBound. It leaves cell (S, i)
-// unreachable when no completion of it can meet both bounds.
+// unreachable when no completion of it can meet both bounds, or when a
+// state with one processor fewer already reaches stage i at no greater
+// latency.
 //
 //   - Capacity: every remaining interval's work is at most periodBound ×
 //     its processor's speed, so the remaining work rem[i] cannot exceed
@@ -625,15 +640,44 @@ func (a *arena) computeRow(S int) {
 //     latency is at least f + togo[fastClass[S]][i] + tail; it must not
 //     exceed lim, the latency cutoff with cutMargin applied. Under a
 //     +Inf cutoff this bound never prunes, and togo is not built.
+//   - Dominance: a predecessor p = S - e_k whose cell (p, i) lies inside
+//     p's span with f[p][i] <= f[S][i], ties included, makes (S, i)
+//     redundant: p covers the same stages at no greater latency and
+//     leaves one more processor spare, so every completion of (S, i) is
+//     open to (p, i) (Ibaraki, "The power of dominance relations in
+//     branch-and-bound algorithms", JACM 24(2), 1977).
 //
-// Both bounds are admissible, and consistent: a predecessor's bound never
-// exceeds its edge cost plus the cell's bound (its spare processors
-// include the edge's and S's own). So every cell that can still finish
-// within the cutoff keeps the dense value, and candidates tied with the
-// first one that reaches it are never pruned. The row records its
-// first and last finite cell, and only those windows of its predecessor
-// rows are read: the pruned cells are what a bound saves, the windows are
-// what turns them into saved time.
+// The capacity and latency bounds are admissible, and consistent: a
+// predecessor's bound never exceeds its edge cost plus the cell's bound
+// (its spare processors include the edge's and S's own). A kept cell
+// never holds less than its dense value, but it may hold more, when its
+// best candidate's cell was dominated. The answers still come out bit
+// for bit:
+//
+//   - Coverage. Take any mapping M within the cut. Every prefix cell
+//     (T, i) of M has a kept cell (S, i) with S <= T componentwise and a
+//     value no larger. By induction along M: from the kept cell covering
+//     M's previous prefix cell, a smaller S leaves a superset of
+//     processors spare, so the capacity, reach, feasible-start and togo
+//     bounds all admit M's next interval from it, and the cell that
+//     interval reaches is kept or dominated by a kept cell of a smaller
+//     state. So a probe passes exactly when the dense fill does, and the
+//     optimum's value is unchanged.
+//   - Winner and path. The dense winner T* is the smallest-id final state
+//     of optimal value v*. Were a cell (q, l) on its re-derived path
+//     dominated by (q - e_m, l), that cell's dense prefix plus the path's
+//     suffix would end in T* - e_m, a smaller id, at latency <= v* (float
+//     addition is monotone): a contradiction. So the whole path survives
+//     with exact values, and since no value falls below its dense one,
+//     run still picks T*. Every other candidate's value can only rise, so
+//     latencyStep's first-match re-derivation returns the same path.
+//
+// Each dominance compare reads only cells inside the predecessor's span,
+// all written by this fill; a pruned predecessor cell is inf, so it
+// prunes nothing. The row records its first and last finite cell, and
+// only those windows of its predecessor rows are read: the pruned cells
+// are what the bounds and dominance save, the windows are what turns them
+// into saved time.
 //
 // The fill is transition-major: each transition (class k, predecessor p)
 // visits only the cells its window can reach — past p's first finite
@@ -641,11 +685,15 @@ func (a *arena) computeRow(S int) {
 // is paid once per row, not once per cell. A first pass over S's
 // transitions keeps the live ones, those whose predecessor has a finite
 // cell, with their windows; the fill then visits only those, each in
-// fillTrans. Cells outside the row's span are never read — later rows
-// read only the span, and run reads f[S][n] only when the span ends there
-// — so a row with no live predecessor costs one pass over its transitions
-// and writes nothing but its empty span. The completion bound's row is
-// read, and built, only when the row has a finite cell.
+// fillTrans, and lowers the row's floor, per cell the least value a live
+// predecessor holds there inside its span, so that dominance costs the
+// span pass one comparison per cell, the same one that skips an
+// unreachable cell. Cells outside the row's span are never read — later
+// rows read only the span, and run reads f[S][n] only when the span ends
+// there — so a row with no live predecessor costs one pass over its
+// transitions and writes nothing but its empty span. The completion
+// bound's row is read, and built, only when the row has a cell that no
+// predecessor dominates.
 func (a *arena) cutRow(periodBound, lim, tail float64, S int) {
 	n, nn := a.n, a.n*a.n
 	f := a.f
@@ -654,8 +702,7 @@ func (a *arena) cutRow(periodBound, lim, tail float64, S int) {
 	// [start, stop] spans the cells some live predecessor's window can
 	// reach; start then skips the cells whose remaining work the spare
 	// speed cannot carry (rem only falls as i grows).
-	var live [maxClasses]liveTrans
-	nl := 0
+	live := a.live[:0]
 	start, stop := n+1, -1
 	for t := a.transOff[S]; t < a.transOff[S+1]; t++ {
 		p := a.transPrev[t]
@@ -668,8 +715,7 @@ func (a *arena) cutRow(periodBound, lim, tail float64, S int) {
 		if armed {
 			hi = a.reach[int(k)*(n+1)+int(sp.last)]
 		}
-		live[nl] = liveTrans{k, p, sp.first, sp.last, hi}
-		nl++
+		live = append(live, liveTrans{k, p, sp.first, sp.last, hi})
 		start = min(start, int(sp.first)+1)
 		stop = max(stop, int(hi))
 	}
@@ -677,25 +723,28 @@ func (a *arena) cutRow(periodBound, lim, tail float64, S int) {
 	for start < n && a.rem[start] > capacity {
 		start++
 	}
-	row := f[rowS : rowS+n+1]
+	row, floor := f[rowS:rowS+n+1], a.floor
 	for i := start; i <= stop; i++ {
-		row[i] = inf
+		row[i], floor[i] = inf, inf
 	}
-	for _, tr := range live[:nl] {
-		k, lp := int(tr.k), int(tr.last)
+	for _, tr := range live {
+		k, fp, lp := int(tr.k), int(tr.first), int(tr.last)
 		var fs []int32
 		if armed {
 			fs = a.feasStart[k*n : (k+1)*n]
 		}
 		prev := f[int(tr.p)*(n+1) : int(tr.p)*(n+1)+lp+1]
-		from, hi := max(start, int(tr.first)+1), min(stop, int(tr.hi))
-		fillTrans(row, prev, a.cost[k*nn:(k+1)*nn], fs, from, hi, int(tr.first), periodBound)
+		fillTrans(row, prev, a.cost[k*nn:(k+1)*nn], fs, max(start, fp+1), min(stop, int(tr.hi)), fp, periodBound)
+		for i := max(start, fp); i <= min(stop, lp); i++ {
+			floor[i] = min(floor[i], prev[i])
+		}
 	}
 	first, last := n+1, -1
 	var togo []float64
 	for i := start; i <= stop; i++ {
 		v := row[i]
-		if v == inf {
+		if v >= floor[i] {
+			row[i] = inf // unreachable (inf), or dominated
 			continue
 		}
 		if lim < math.Inf(1) {

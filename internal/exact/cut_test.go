@@ -12,6 +12,8 @@ import (
 	"pipesched/internal/heuristics"
 	"pipesched/internal/lowerbound"
 	"pipesched/internal/mapping"
+	"pipesched/internal/pipeline"
+	"pipesched/internal/platform"
 	"pipesched/internal/workload"
 )
 
@@ -20,18 +22,24 @@ import (
 type oracleStep struct{ prev, class int }
 
 // denseLatencyFill is the latency recurrence the kernel is pinned
-// against: every cell of every row, with no bound, window or prefix
-// prune. The only skip is the usage floor: a predecessor consuming c
-// processors has no finite cell below c. It keeps a value and a
-// backpointer per cell in tables of its own, the candidate a
-// strict-improvement scan in (transition, start) order settles on, and
-// returns what run(objMinLatency, periodBound, nil) must return bit for
-// bit, with the winning path its backpointers record. Keeping it out of
-// the package means the kernel is never its own reference, and neither
-// is the path reconstruct re-derives.
+// against: every cell of every row, with no bound, window, prefix or
+// dominance prune. The only skip is the usage floor: a predecessor
+// consuming c processors has no finite cell below c. It keeps a value
+// and a backpointer per cell in tables of its own (denseLatencyTable),
+// the candidate a strict-improvement scan in (transition, start) order
+// settles on, and returns what run(objMinLatency, periodBound, nil) must
+// return bit for bit, with the winning path its backpointers record.
+// Keeping it out of the package means the kernel is never its own
+// reference, and neither is the path reconstruct re-derives.
 func (a *arena) denseLatencyFill(periodBound float64) (best float64, bestState int, path []mapping.Interval, ok bool) {
+	return a.oracleWalk(a.denseLatencyTable(periodBound))
+}
+
+// denseLatencyTable fills denseLatencyFill's value and backpointer
+// tables, states×(n+1) state-major as the arena's.
+func (a *arena) denseLatencyTable(periodBound float64) (f []float64, back []oracleStep) {
 	n, nn := a.n, a.n*a.n
-	f, back := make([]float64, a.states*(n+1)), make([]oracleStep, a.states*(n+1))
+	f, back = make([]float64, a.states*(n+1)), make([]oracleStep, a.states*(n+1))
 	f[0] = 0
 	for i := 1; i <= n; i++ {
 		f[i] = inf
@@ -57,7 +65,55 @@ func (a *arena) denseLatencyFill(periodBound float64) (best float64, bestState i
 			f[row+i], back[row+i] = bestV, bestB
 		}
 	}
-	return a.oracleWalk(f, back)
+	return f, back
+}
+
+// firstWithin is the state at which an exit-armed fill under latency
+// cutoff L must stop: the smallest id whose dense final cell meets L,
+// tail included, with that cell's value; ok is false when none does.
+func (a *arena) firstWithin(f []float64, tail, L float64) (v float64, state int, ok bool) {
+	n := a.n
+	for S := 1; S < a.states; S++ {
+		if v := f[S*(n+1)+n]; v < inf && v+tail <= L {
+			return v, S, true
+		}
+	}
+	return inf, 0, false
+}
+
+// emptySpans marks every row empty, so that after the next fill the rows
+// with a non-empty span are exactly those that fill wrote: an exit-armed
+// fill leaves the rows past its exit as they were.
+func (a *arena) emptySpans() {
+	for S := range a.spans {
+		a.spans[S] = span{1, 0}
+	}
+}
+
+// dominated reports a finite cell of the last latency fill that cutRow
+// should have pruned: a cell (S, i) inside S's span with a one-step
+// predecessor p = S - e_k whose cell (p, i) lies inside p's span at a
+// value no greater. The fill must have run after emptySpans, so that
+// only rows it wrote are read.
+func (a *arena) dominated() error {
+	n := a.n
+	for S := 1; S < a.states; S++ {
+		sp := a.spans[S]
+		for i := int(sp.first); i <= int(sp.last); i++ {
+			v := a.f[S*(n+1)+i]
+			if v == inf {
+				continue
+			}
+			for t := a.transOff[S]; t < a.transOff[S+1]; t++ {
+				p := int(a.transPrev[t])
+				ps := a.spans[p]
+				if int(ps.first) <= i && i <= int(ps.last) && a.f[p*(n+1)+i] <= v {
+					return fmt.Errorf("cell (%d, %d) = %v is dominated by (%d, %d) = %v", S, i, v, p, i, a.f[p*(n+1)+i])
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // oracleWalk merges an oracle's final cells in ascending state order with
@@ -155,21 +211,31 @@ func h1Latency(ev *mapping.Evaluator, maxPeriod float64) (float64, bool) {
 // at +Inf; a fixed or falling incumbent is polled the way the race polls
 // it. A bound that ever prunes a cell still able to finish within the
 // cut, by an off-by-one in the remaining work or by rounding, fails here.
+// After every fill no cell may survive that cutRow's dominance rule
+// drops. Besides probeInstances, dominanceInstances run at four
+// candidates spread over their sorted set.
 func TestCutFillMatchesDense(t *testing.T) {
 	for ii, ev := range probeInstances(t) {
 		t.Run(fmt.Sprintf("instance-%d", ii), func(t *testing.T) {
 			t.Parallel()
-			cutFillMatchesDense(t, ii, ev)
+			cutFillMatchesDense(t, fmt.Sprintf("instance %d", ii), ev, 0)
+		})
+	}
+	for _, x := range dominanceInstances() {
+		t.Run(x.name, func(t *testing.T) {
+			t.Parallel()
+			cutFillMatchesDense(t, x.name, x.ev, 4)
 		})
 	}
 }
 
-// cutFillMatchesDense checks one instance of TestCutFillMatchesDense.
-func cutFillMatchesDense(t *testing.T, ii int, ev *mapping.Evaluator) {
+// cutFillMatchesDense checks one instance of TestCutFillMatchesDense at
+// spread candidates (every candidate when spread is 0).
+func cutFillMatchesDense(t *testing.T, name string, ev *mapping.Evaluator, spread int) {
 	a := acquireArena(ev)
 	defer a.release()
 	tail := a.latencyTail()
-	for ci, c := range append([]float64(nil), a.sortedCandidates()...) {
+	for ci, c := range spreadCandidates(a.sortedCandidates(), spread) {
 		bound := c * slack
 		v, state, want, ok := a.denseLatencyFill(bound)
 		cuts := []float64{0, ev.OptimalLatencyValue() * 1.5, math.Inf(1)}
@@ -180,40 +246,107 @@ func cutFillMatchesDense(t *testing.T, ii int, ev *mapping.Evaluator) {
 		if h1, feasible := h1Latency(ev, c); feasible {
 			cuts = append(cuts, h1)
 		}
+		// fill runs one latency fill and checks that it left no cell
+		// that cutRow's dominance rule drops.
+		fill := func(label string, cut *latencyCut) (float64, int, bool) {
+			a.emptySpans()
+			cv, cstate, cok := a.run(objMinLatency, bound, cut)
+			if err := a.dominated(); err != nil {
+				t.Fatalf("%s candidate %d %s: %v", name, ci, label, err)
+			}
+			return cv, cstate, cok
+		}
 		// verify checks one cut fill: the optimum survives exactly when
 		// it is within L, with the dense value, state and path.
 		verify := func(label string, L, cv float64, cstate int, cok bool) {
 			if wantOK := ok && v+tail <= L; cok != wantOK {
-				t.Fatalf("instance %d candidate %d %s: cut fill ok %v, dense %v (optimum %v)",
-					ii, ci, label, cok, wantOK, v+tail)
+				t.Fatalf("%s candidate %d %s: cut fill ok %v, dense %v (optimum %v)",
+					name, ci, label, cok, wantOK, v+tail)
 			}
 			if cok && (math.Float64bits(cv) != math.Float64bits(v) || cstate != state ||
 				!reflect.DeepEqual(a.path(cstate), want)) {
-				t.Fatalf("instance %d candidate %d %s: cut fill (%v, %d) != dense (%v, %d)",
-					ii, ci, label, cv, cstate, v, state)
+				t.Fatalf("%s candidate %d %s: cut fill (%v, %d) != dense (%v, %d)",
+					name, ci, label, cv, cstate, v, state)
 			}
 		}
 		for _, L := range cuts {
-			cv, cstate, cok := a.run(objMinLatency, bound, &latencyCut{tail: tail, bound: L})
-			verify(fmt.Sprintf("cut %v", L), L, cv, cstate, cok)
+			label := fmt.Sprintf("cut %v", L)
+			cv, cstate, cok := fill(label, &latencyCut{tail: tail, bound: L})
+			verify(label, L, cv, cstate, cok)
 		}
 		// The uncut fill runs the kernel under an internal +Inf cut.
-		cv, cstate, cok := a.run(objMinLatency, bound, nil)
+		cv, cstate, cok := fill("uncut", nil)
 		verify("uncut", math.Inf(1), cv, cstate, cok)
 		// An incumbent reading +Inf for k polls and L after them: once
 		// L has been read the fill answers as a cut at L.
 		for _, k := range []int{0, 2, 40} {
 			for _, L := range cuts[3:] {
+				label := fmt.Sprintf("incumbent %v after %d polls", L, k)
 				inc := &fallingCeiling{k: k, ceil: L}
-				cv, cstate, cok := a.run(objMinLatency, bound, &latencyCut{tail: tail, bound: math.Inf(1), inc: inc})
+				cv, cstate, cok := fill(label, &latencyCut{tail: tail, bound: math.Inf(1), inc: inc})
 				seen := math.Inf(1)
 				if inc.polls > k {
 					seen = L
 				}
-				verify(fmt.Sprintf("incumbent %v after %d polls", L, k), seen, cv, cstate, cok)
+				verify(label, seen, cv, cstate, cok)
 			}
 		}
 	}
+}
+
+// namedInstance is a test instance with its subtest name.
+type namedInstance struct {
+	name string
+	ev   *mapping.Evaluator
+}
+
+// dominanceInstances are the instances, besides probeInstances, on
+// which the latency fills are checked against cutRow's dominance rule:
+// E1–E4 at n = 20 and 40 on p = 10, few-class platforms, and equal-work,
+// one-speed, communication-free pipelines whose mappings tie exactly.
+func dominanceInstances() []namedInstance {
+	var xs []namedInstance
+	for _, n := range []int{20, 40} {
+		for fi, fam := range workload.Families() {
+			ev := workload.Generate(workload.Config{Family: fam, Stages: n, Processors: 10, Seed: int64(3500 + 10*n + fi)}).Evaluator()
+			xs = append(xs, namedInstance{fmt.Sprintf("%v-n=%d", fam, n), ev})
+		}
+	}
+	r := rand.New(rand.NewSource(35))
+	for i := 0; i < 6; i++ {
+		xs = append(xs, namedInstance{fmt.Sprintf("few-class-%d", i), fewClassEvaluator(r, 4+r.Intn(9), 4+r.Intn(9), 1+i%3)})
+	}
+	for _, n := range []int{6, 12} {
+		xs = append(xs, namedInstance{fmt.Sprintf("equal-works-n=%d", n), tiedEvaluator(n, 8)})
+	}
+	return xs
+}
+
+// spreadCandidates copies k candidates spread evenly over the sorted
+// set, its first and last included, or all of them when k is 0 or the
+// set is no larger.
+func spreadCandidates(cands []float64, k int) []float64 {
+	if k == 0 || len(cands) <= k {
+		return append([]float64(nil), cands...)
+	}
+	spread := make([]float64, k)
+	for j := range spread {
+		spread[j] = cands[j*(len(cands)-1)/(k-1)]
+	}
+	return spread
+}
+
+// tiedEvaluator is an instance whose mappings tie exactly and often: n
+// stages of equal work, no communication, p processors of one speed.
+func tiedEvaluator(n, p int) *mapping.Evaluator {
+	works, speeds := make([]float64, n), make([]float64, p)
+	for i := range works {
+		works[i] = 4
+	}
+	for i := range speeds {
+		speeds[i] = 2
+	}
+	return mapping.NewEvaluator(pipeline.MustNew(works, make([]float64, n+1)), platform.MustNew(speeds, 10))
 }
 
 // TestMinLatencyUnderPeriodWithin pins the raced entry point against

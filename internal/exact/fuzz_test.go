@@ -52,7 +52,11 @@ func fuzzEvaluator(shape []byte) *mapping.Evaluator {
 // equal to the intervals the oracle's backpointers record, when the
 // optimum is within the cut, and nothing otherwise; the uncut fill must
 // return the oracle's answer; and the probe must answer the full fill's
-// predicate. The seed corpus is testdata/fuzz/FuzzCutFill.
+// predicate, exiting at the first dense final cell within the cut with
+// that cell's value. No fill may leave a cell that cutRow's dominance
+// rule drops. The seed corpus is testdata/fuzz/FuzzCutFill; its ties-*
+// entries (one or two speed classes, no communication, equal works) make
+// dominance ties exact.
 func FuzzCutFill(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape []byte, cand uint16, cut uint8) {
 		ev := fuzzEvaluator(shape)
@@ -61,7 +65,8 @@ func FuzzCutFill(f *testing.F) {
 		cands := a.sortedCandidates()
 		bound := cands[int(cand)%len(cands)] * slack
 		tail := a.latencyTail()
-		v, state, want, ok := a.denseLatencyFill(bound)
+		table, back := a.denseLatencyTable(bound)
+		v, state, want, ok := a.oracleWalk(table, back)
 		L := math.Inf(1)
 		switch opt := v + tail; {
 		case cut >= 4:
@@ -83,16 +88,32 @@ func FuzzCutFill(f *testing.F) {
 				t.Fatalf("%s at candidate %g cut %v: (%v, %d) != dense (%v, %d)", label, bound, L, cv, cstate, v, state)
 			}
 		}
+		// undominated checks the fill just run, which started from
+		// emptySpans, against cutRow's dominance rule.
+		undominated := func(label string) {
+			if err := a.dominated(); err != nil {
+				t.Fatalf("%s at candidate %g cut %v: %v", label, bound, L, err)
+			}
+		}
+		a.emptySpans()
 		cv, cstate, cok := a.run(objMinLatency, bound, &latencyCut{tail: tail, bound: L})
+		undominated("cut fill")
 		check("cut fill", L, cv, cstate, cok)
+		a.emptySpans()
 		cv, cstate, cok = a.run(objMinLatency, bound, nil)
+		undominated("uncut fill")
 		check("uncut fill", math.Inf(1), cv, cstate, cok)
+		a.emptySpans()
 		found, got := a.probe(bound, tail, L)
+		undominated("probe")
 		if want := ok && v+tail <= L; got != want {
 			t.Fatalf("probe at candidate %g cut %v: %v, full fill %v", bound, L, got, want)
 		}
 		if got && (found > L || found < v+tail) {
 			t.Fatalf("probe at candidate %g cut %v: found %v, outside [%v, %v]", bound, L, found, v+tail, L)
+		}
+		if first, _, _ := a.firstWithin(table, tail, L); got && math.Float64bits(found) != math.Float64bits(first+tail) {
+			t.Fatalf("probe at candidate %g cut %v: found %v, want the first dense final within the cut, %v", bound, L, found, first+tail)
 		}
 	})
 }

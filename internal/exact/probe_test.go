@@ -98,35 +98,57 @@ func sameOutcome(a Result, aerr error, b Result, berr error) bool {
 // TestProbeMatchesFullFill pins the early exit: at every candidate period
 // bound, the probe's answer equals the predicate a full fill applies to
 // its merged optimum — at the optimum's exact latency, one ulp below it,
-// and at bounds around the Lemma-1 latency.
+// and at bounds around the Lemma-1 latency. A passing probe exits at the
+// first state whose dense final cell meets its bound, with that cell's
+// value bit for bit, and leaves no cell that cutRow's dominance rule
+// drops. Besides probeInstances, dominanceInstances run at four
+// candidates spread over their sorted set.
 func TestProbeMatchesFullFill(t *testing.T) {
 	for ii, ev := range probeInstances(t) {
 		t.Run(fmt.Sprintf("instance-%d", ii), func(t *testing.T) {
 			t.Parallel()
-			a := acquireArena(ev)
-			defer a.release()
-			tail := a.latencyTail()
-			optLat := ev.OptimalLatencyValue()
-			for ci, c := range append([]float64(nil), a.sortedCandidates()...) {
-				bound := c * slack
-				v, _, _, ok := a.denseLatencyFill(bound)
-				lats := []float64{0, optLat, optLat * 1.25, optLat * 2, math.Inf(1)}
-				if ok {
-					lats = append(lats, v+tail, math.Nextafter(v+tail, math.Inf(-1)))
-				}
-				for _, lat := range lats {
-					want := ok && v+tail <= lat
-					found, got := a.probe(bound, tail, lat)
-					if got != want {
-						t.Fatalf("instance %d candidate %d latency %g: probe %v, full fill %v", ii, ci, lat, got, want)
-					}
-					// The final fill is cut at the latency a passing probe found.
-					if got && (found > lat || found < v+tail) {
-						t.Fatalf("instance %d candidate %d latency %g: probe found %v, outside [%v, %v]", ii, ci, lat, found, v+tail, lat)
-					}
-				}
-			}
+			probeMatchesFullFill(t, fmt.Sprintf("instance %d", ii), ev, 0)
 		})
+	}
+	for _, x := range dominanceInstances() {
+		t.Run(x.name, func(t *testing.T) {
+			t.Parallel()
+			probeMatchesFullFill(t, x.name, x.ev, 4)
+		})
+	}
+}
+
+// probeMatchesFullFill checks one instance of TestProbeMatchesFullFill
+// at spread candidates (every candidate when spread is 0).
+func probeMatchesFullFill(t *testing.T, name string, ev *mapping.Evaluator, spread int) {
+	a := acquireArena(ev)
+	defer a.release()
+	tail := a.latencyTail()
+	optLat := ev.OptimalLatencyValue()
+	for ci, c := range spreadCandidates(a.sortedCandidates(), spread) {
+		bound := c * slack
+		table, back := a.denseLatencyTable(bound)
+		v, _, _, ok := a.oracleWalk(table, back)
+		lats := []float64{0, optLat, optLat * 1.25, optLat * 2, math.Inf(1)}
+		if ok {
+			lats = append(lats, v+tail, math.Nextafter(v+tail, math.Inf(-1)))
+		}
+		for _, lat := range lats {
+			want := ok && v+tail <= lat
+			a.emptySpans()
+			found, got := a.probe(bound, tail, lat)
+			if got != want {
+				t.Fatalf("%s candidate %d latency %g: probe %v, full fill %v", name, ci, lat, got, want)
+			}
+			if err := a.dominated(); err != nil {
+				t.Fatalf("%s candidate %d latency %g: %v", name, ci, lat, err)
+			}
+			// The final fill is cut at the latency a passing probe found:
+			// the first dense final within lat, so in [v+tail, lat].
+			if first, _, _ := a.firstWithin(table, tail, lat); got && math.Float64bits(found) != math.Float64bits(first+tail) {
+				t.Fatalf("%s candidate %d latency %g: probe found %v, want the first dense final within it, %v", name, ci, lat, found, first+tail)
+			}
+		}
 	}
 }
 

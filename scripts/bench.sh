@@ -1,29 +1,30 @@
 #!/usr/bin/env bash
 # bench.sh — snapshot the exact-engine, heuristic, portfolio and serving
-# benchmarks into a machine-readable JSON trajectory file.
+# benchmarks into a machine-readable JSON file.
 #
 # Usage:
-#   scripts/bench.sh                 # writes BENCH_<next>.json in the repo root
+#   scripts/bench.sh                 # writes a temporary file and prints its path
 #   scripts/bench.sh out.json        # explicit output path (first arg)
 #   scripts/bench.sh some/dir        # derived name inside an existing directory
 #   BENCH_OUT=out.json scripts/bench.sh
 #   BENCHTIME=0.5s scripts/bench.sh  # shorter runs (CI)
 #
-# The default output name tracks the PR trajectory: the next generation
-# after the highest committed BENCH_<n>.json (so no one has to bump a
-# constant when cutting a snapshot, and CI never collides with a
-# committed file). The output records ns/op, B/op and allocs/op for
-# every benchmark matched by BENCH_PATTERN across BENCH_PACKAGES (the
-# root solvers plus the serving layer, its cache and the cluster fleet),
-# under a header naming the Go version, the CPU model, the host's online
-# core count (nproc) and the GOMAXPROCS the benchmarks ran with.
-# Comparing two commits is a diff of their BENCH_*.json files; CI
-# uploads the fresh file as a build artifact on every run.
+# The repository benchmark (loopbench, declared in BENCHMARK.json) is the
+# performance gate; this is a local helper for the layer benchmarks, and
+# it writes nothing into the repository unless asked to. A directory
+# argument gets the name one generation past the highest committed
+# BENCH_<n>.json, so CI never collides with a committed snapshot. The
+# output records ns/op, B/op and allocs/op for every benchmark matched by
+# BENCH_PATTERN across BENCH_PACKAGES (the root solvers plus the serving
+# layer, its cache and the cluster fleet), under a header naming the Go
+# version, the CPU model, the host's online core count (nproc) and the
+# GOMAXPROCS the benchmarks ran with. CI uploads the file it writes as a
+# build artifact on every run.
 set -euo pipefail
 
 # Resolve a caller-supplied output path against the caller's directory
 # BEFORE changing into the repo root, so `scripts/bench.sh out.json`
-# writes where the caller stands; the default lands in the repo root.
+# writes where the caller stands.
 OUT="${BENCH_OUT:-${1:-}}"
 case "$OUT" in
 "" | /*) ;;
@@ -31,12 +32,13 @@ case "$OUT" in
 esac
 cd "$(dirname "$0")/.."
 
-# The default name is one generation past the highest committed snapshot.
-latest=$(ls BENCH_*.json 2>/dev/null | sed -En 's/^BENCH_([0-9]+)\.json$/\1/p' | sort -n | tail -1)
-BENCH_DEFAULT="BENCH_$((${latest:-0} + 1)).json"
-[ -n "$OUT" ] || OUT="$BENCH_DEFAULT"
-# A directory argument gets the derived name inside it.
-[ -d "$OUT" ] && OUT="$OUT/$BENCH_DEFAULT"
+if [ -z "$OUT" ]; then
+    OUT="$(mktemp "${TMPDIR:-/tmp}/pipesched-bench.XXXXXX")"
+elif [ -d "$OUT" ]; then
+    # A directory argument gets the next generation's name inside it.
+    latest=$(ls BENCH_*.json 2>/dev/null | sed -En 's/^BENCH_([0-9]+)\.json$/\1/p' | sort -n | tail -1)
+    OUT="$OUT/BENCH_$((${latest:-0} + 1)).json"
+fi
 BENCHTIME="${BENCHTIME:-1s}"
 PATTERN="${BENCH_PATTERN:-^(BenchmarkExactMinPeriod|BenchmarkExactParetoFront|BenchmarkExactLargeFewClass|BenchmarkExactMinPeriodUnderLatencyFewClass|BenchmarkExactMinPeriodUnderLatencyPaper|BenchmarkExactMinLatencyUnderPeriodRaced|BenchmarkBatchGrouped|BenchmarkPortfolioRace|BenchmarkFullHetPortfolioRace|BenchmarkSplitFullyHet|BenchmarkHeuristicSolve|BenchmarkPeriodLowerBound|BenchmarkParetoSweep|BenchmarkBulkMix|BenchmarkServeSolve|BenchmarkServeBatch|BenchmarkServeSweep|BenchmarkDecodeBody|BenchmarkCacheGetHitParallel|BenchmarkCacheDoHitParallel|BenchmarkCacheChurnParallel|BenchmarkFleetServe|BenchmarkFleetForward|BenchmarkFleetHedgedForward|BenchmarkFleetReplicatedMiss|BenchmarkFleetAntiEntropy|BenchmarkFleetJoinWarmup)$}"
 PACKAGES="${BENCH_PACKAGES:-. ./internal/service ./internal/service/cache ./internal/cluster}"
