@@ -39,11 +39,11 @@ const (
 	MinimizePeriod = portfolio.MinimizePeriod
 )
 
-// SolveBatch solves every instance under opts across a bounded worker pool
-// (opts.Workers goroutines, default GOMAXPROCS) and returns one result per
-// instance plus the batch-level non-dominated frontier. One instance's
-// failure never aborts the batch. Cancelling ctx stops the batch promptly;
-// instances that never started carry the cancellation error.
+// SolveBatch solves every instance under opts, at most opts.Workers
+// (default GOMAXPROCS) at once on the caller and idle solver-pool workers,
+// and returns one result per instance plus the batch-level non-dominated
+// frontier. One instance's failure never aborts the batch. Cancelling ctx
+// stops the batch promptly; unstarted instances carry the cancellation.
 func SolveBatch(ctx context.Context, instances []WorkloadInstance, opts BatchOptions) (BatchReport, error) {
 	return portfolio.SolveBatch(ctx, instances, opts)
 }

@@ -58,7 +58,7 @@ func run(args []string, out, errOut io.Writer) error {
 		trials   = fs.Int("trials", 0, "instances per point (0 = paper's 50)")
 		points   = fs.Int("points", 0, "sweep grid size (0 = default 25)")
 		outDir   = fs.String("out", "", "directory for .dat/.csv/.txt outputs (omit to print only)")
-		workers  = fs.Int("workers", 0, "worker goroutines per sweep (0 = GOMAXPROCS)")
+		workers  = fs.Int("workers", 0, "sweep elements run at once (0 = GOMAXPROCS)")
 		list     = fs.Bool("list", false, "list available experiment ids and exit")
 		ablation = fs.Bool("ablation", false, "run the H5/H6 vs X7/X8 latency-constrained ablation (E2, n=40, p=10 and p=100)")
 	)

@@ -12,7 +12,7 @@
 //	                  "mode": "portfolio"|"best"|"exact"|"H1".."H6"|"F1"|"F5"|"F6",
 //	                  "timeout_ms": N}
 //	POST /v1/batch   {"instances": [...], "bound": B, "relative_bound": bool,
-//	                  "exact": bool, "workers": N}
+//	                  "exact": bool}
 //	POST /v1/sweep   {"pipeline": ..., "platform": ..., "points": N}
 //	GET  /healthz    liveness probe
 //	GET  /metrics    cache hit rate, in-flight gauge, per-endpoint latencies
@@ -121,7 +121,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	var (
 		addr           = fs.String("addr", ":8080", "listen address")
 		cacheEntries   = fs.Int("cache-entries", 0, "result cache bound in entries (0 = default 1024, negative = disable storage)")
-		workers        = fs.Int("workers", 0, "batch worker pool cap (0 = GOMAXPROCS)")
 		requestTimeout = fs.Duration("request-timeout", 0, "server-side deadline per request (0 = none; requests may still set timeout_ms)")
 		drainTimeout   = fs.Duration("drain-timeout", 15*time.Second, "graceful-shutdown wait for in-flight requests")
 		maxBody        = fs.Int64("max-body-bytes", 0, "request body limit in bytes (0 = default 8 MiB)")
@@ -244,7 +243,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	}
 	srv := service.New(service.Options{
 		CacheEntries:   *cacheEntries,
-		Workers:        *workers,
 		RequestTimeout: *requestTimeout,
 		DrainTimeout:   *drainTimeout,
 		MaxBodyBytes:   *maxBody,

@@ -263,6 +263,9 @@ func TestDaemonFlagValidation(t *testing.T) {
 		want int
 	}{
 		{"unknown-flag", []string{"-bogus"}, 2},
+		// The solver pool sets the width; the bad address fails fast
+		// should -workers ever parse again.
+		{"no-workers-flag", []string{"-workers", "4", "-addr", "500.500.500.500:99999"}, 2},
 		{"positional-args", []string{"stray"}, 2},
 		{"negative-timeout", []string{"-drain-timeout", "-1s"}, 2},
 		{"bad-addr", []string{"-addr", "500.500.500.500:99999"}, 1},

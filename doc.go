@@ -35,22 +35,22 @@
 //
 // Both mapping problems are NP-hard, so at scale the library's value
 // comes from throwing many solvers at many instances at once. All
-// orchestration lives in a worker-pool layer (internal/portfolio) that
-// keeps the solvers themselves deterministic and single-threaded; every
-// concurrent entry point returns bit-identical results whatever the
-// worker count.
+// orchestration lives in internal/portfolio, on one pool of GOMAXPROCS
+// long-lived solver workers; the solvers stay deterministic and
+// single-threaded, and every concurrent entry point returns
+// bit-identical results whatever the worker count.
 //
 //   - BestUnderPeriod and BestUnderLatency race their heuristics and
 //     select the winner with the original serial tie-breaking rules.
 //   - PortfolioUnderPeriod and PortfolioUnderLatency additionally race
 //     the exact DP on ExactEligible platforms and name the winning
 //     solver.
-//   - SolveBatch solves a slice of WorkloadInstances across a bounded
-//     pool (BatchOptions.Workers, default GOMAXPROCS) with per-instance
-//     error capture, context cancellation, and a non-dominated
-//     cross-instance frontier in the returned BatchReport.
-//   - HeuristicParetoSweep runs one warm-started lane per heuristic over
-//     the same pool (see the Performance chapter).
+//   - SolveBatch solves a slice of WorkloadInstances, at most
+//     BatchOptions.Workers (default GOMAXPROCS) at once, with
+//     per-instance error capture, context cancellation, and a
+//     non-dominated cross-instance frontier in the returned BatchReport.
+//   - HeuristicParetoSweep runs one warm-started lane per heuristic in
+//     the same way (see the Performance chapter).
 //
 // For example:
 //
@@ -309,15 +309,15 @@
 //     aborts once its running bound proves it cannot be selected. The
 //     race is pinned bit-identical to an oracle that runs every member
 //     to completion, with an AllocsPerRun cap.
-//   - One batch lane. portfolio.SolveBatch runs instances on a bounded
-//     worker pool and builds evaluators per platform group:
-//     mapping.NewEvaluators shares one platform's derived tables across
-//     the group. At decode time the service gives an instance whose
-//     platform repeats the previous instance's content the same object,
-//     so a batch sharing one platform arrives pointer-shared, and
-//     pipeschedbench -batch drives the lane end to end. ParetoSweep
-//     keeps its per-heuristic lane fan-out above 2048 stage × processor
-//     cells.
+//   - One batch lane. portfolio.SolveBatch runs instances on the
+//     calling goroutine, helped by idle solver-pool workers, and builds
+//     evaluators per platform group: mapping.NewEvaluators shares one
+//     platform's derived tables across the group. At decode time the
+//     service gives an instance whose platform repeats the previous
+//     instance's content the same object, so a batch sharing one
+//     platform arrives pointer-shared; the repository benchmark's bulk
+//     workload drives the lane end to end. ParetoSweep keeps its
+//     per-heuristic lane fan-out above 2048 stage × processor cells.
 //
 // BENCH_8 → BENCH_9 on the snapshot machine: a cache-miss /v1/solve
 // drops 83.6µs/90 allocs → 16.2µs/54, /v1/batch 65.5µs/252 allocs →

@@ -86,10 +86,10 @@ func ExampleExactParetoFront() {
 }
 
 // A batch of random instances solved concurrently: each instance races
-// H1–H4 plus the exact DP under 1.5× its own period lower bound, the pool
-// fans instances out over GOMAXPROCS workers, and the report aggregates
-// the non-dominated (period, latency) frontier across the whole batch.
-// Results are identical whatever the worker count.
+// H1–H4 plus the exact DP under 1.5× its own period lower bound, idle
+// solver-pool workers help the caller with the instances, and the report
+// aggregates the non-dominated (period, latency) frontier across the
+// whole batch. Results are identical whatever the worker count.
 func ExampleSolveBatch() {
 	var batch []pipesched.WorkloadInstance
 	for seed := int64(1); seed <= 16; seed++ {

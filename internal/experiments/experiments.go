@@ -31,7 +31,7 @@ type CurveSpec struct {
 	Trials     int   // instances averaged per grid point (paper: 50)
 	Points     int   // sweep grid size (0 → DefaultPoints)
 	BaseSeed   int64 // instance i uses BaseSeed+i
-	// Concurrency bounds the worker pool (0 → GOMAXPROCS).
+	// Concurrency bounds the elements run at once (0 → GOMAXPROCS).
 	Concurrency int
 }
 
@@ -214,9 +214,9 @@ func sweepLatency(spec CurveSpec, evs []*mapping.Evaluator, h heuristics.Latency
 	return s
 }
 
-// parMap applies fn to every element of in through a portfolio.Map worker
-// pool — bounded per call, not shared across calls — and returns the
-// results in input order.
+// parMap applies fn to every element of in through portfolio.Map, at most
+// workers at once on the caller and idle solver-pool workers, and returns
+// the results in input order.
 func parMap[T, R any](workers int, in []T, fn func(T) R) []R {
 	if workers < 1 {
 		workers = 1

@@ -53,8 +53,8 @@ type BatchOptions struct {
 	// is exact.Eligible (comm-homogeneous, compressed speed-class state
 	// space within exact.MaxStates).
 	Exact bool
-	// Workers bounds the worker pool; 0 selects runtime.GOMAXPROCS(0).
-	// Results are the same for every worker count.
+	// Workers bounds how many instances run at once (see Map); 0 selects
+	// runtime.GOMAXPROCS(0). Results are the same for every worker count.
 	Workers int
 }
 
@@ -140,7 +140,7 @@ func solveOne(ctx context.Context, ev *mapping.Evaluator, index int, opts BatchO
 	return r
 }
 
-// SolveBatch solves every instance under opts on a bounded worker pool and
+// SolveBatch solves every instance under opts through MapIndexed and
 // aggregates the outcomes. Results are reported per instance — one
 // element's failure never aborts the batch — and the report carries the
 // non-dominated frontier of all solved metrics. Instances sharing a

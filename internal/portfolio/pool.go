@@ -1,7 +1,7 @@
 // Package portfolio is the concurrent solving layer of the reproduction:
 // it races the paper's solvers against each other on one instance
-// (portfolio solving) and batch-solves slices of workload instances on a
-// bounded, context-aware worker pool (batch solving).
+// (portfolio solving) and batch-solves slices of workload instances
+// (batch solving), all on one process-wide solver pool.
 //
 // Everything here is pure orchestration. The heuristics and exact solvers
 // stay deterministic and single-threaded; the portfolio only decides what
@@ -14,11 +14,48 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// Map applies fn to every element of in using at most workers goroutines
-// and returns the results in input order. workers < 1 selects
-// runtime.GOMAXPROCS(0).
+// The solver pool: GOMAXPROCS long-lived workers, started on first use,
+// that bound how many solves run at once and keep the stacks the solvers
+// grew. They run what Go queues, FIFO, and help Map when idle: a send on
+// the unbuffered idle reaches only a worker idle at that moment. The
+// queue holds a burst of misses, whose callers wait under their deadlines.
+var (
+	poolOnce    sync.Once
+	queue, idle = make(chan func(), 1024), make(chan func())
+)
+
+func startPool() {
+	poolOnce.Do(func() {
+		for range runtime.GOMAXPROCS(0) {
+			go func() {
+				for {
+					select {
+					case task := <-queue:
+						task()
+					case task := <-idle:
+						task()
+					}
+				}
+			}()
+		}
+	})
+}
+
+// Go queues task on the solver pool, waiting while the queue is full.
+// Tasks must not call Go: workers waiting on a full queue would serve none.
+func Go(task func()) {
+	startPool()
+	queue <- task
+}
+
+// Map applies fn to every element of in, at most workers at once
+// (workers < 1 selects runtime.GOMAXPROCS(0)), and returns the results in
+// input order. It starts no goroutine: the caller runs elements itself,
+// helped by pool workers idle at the call. Helpers never wait and Map
+// never queues, so a Map running on a pool worker cannot deadlock.
 //
 // Map is context-aware: once ctx is cancelled no new element is started
 // (elements already running finish — the solvers themselves are not
@@ -32,59 +69,35 @@ func Map[T, R any](ctx context.Context, workers int, in []T, fn func(context.Con
 }
 
 // MapIndexed is Map with the element's input position passed to fn, for
-// callers whose work depends on position (e.g. sweep grids flattened into
-// one task slice).
+// callers whose work depends on position (SolveBatch's instance index).
 func MapIndexed[T, R any](ctx context.Context, workers int, in []T, fn func(context.Context, int, T) R) ([]R, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(in) {
-		workers = len(in)
-	}
 	out := make([]R, len(in))
-	if len(in) == 0 {
-		return out, ctx.Err()
-	}
-	if workers == 1 {
-		// Inline lane handoff: one worker needs no goroutine, no channel
-		// and no WaitGroup — the single-lane path must never cost more
-		// than a plain loop, so the serial fallback genuinely is serial.
-		for i := range in {
-			if ctx.Err() != nil {
-				break
+	var next atomic.Int64
+	run := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= len(in) {
+				return
 			}
 			out[i] = fn(ctx, i, in[i])
 		}
-		return out, ctx.Err()
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = fn(ctx, i, in[i])
-			}
-		}()
-	}
-feed:
-	for i := range in {
-		// Poll cancellation first: the blocking select below picks
-		// randomly among ready cases, so with idle workers it could keep
-		// dispatching after the context died.
+	var helpers sync.WaitGroup
+offer:
+	for range min(workers, len(in)) - 1 {
+		startPool()
+		helpers.Add(1)
 		select {
-		case <-ctx.Done():
-			break feed
-		default:
-		}
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
+		case idle <- func() { defer helpers.Done(); run() }:
+		default: // no worker is idle: the caller goes on alone
+			helpers.Done()
+			break offer
 		}
 	}
-	close(idx)
-	wg.Wait()
+	run()
+	helpers.Wait()
 	return out, ctx.Err()
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // sweepSerialCells is the instance size (stages × processors) at or
-// below which a sweep runs its lanes on one goroutine. A sweep spawns one
-// long-lived lane per heuristic that must amortise its goroutine,
-// channel handoff and per-lane sweeper allocation over the whole grid,
+// below which a sweep runs its lanes on one goroutine. A sweep hands one
+// long-lived lane per heuristic to an idle pool worker, and each lane
+// must amortise that handoff and its sweeper allocation over the grid,
 // and warm-started grid points are cheap, so the break-even instance is
 // large. BENCH_8 showed the parallel sweep losing to serial on the
 // 1200-cell bench instance (819µs vs 762µs); under this threshold that
@@ -55,19 +55,19 @@ type TradeoffPoint struct {
 // extend the splitting trajectory instead of recomputing its prefix,
 // repeated results are reused without re-enumeration, and a lane stops as
 // soon as its heuristic's failure threshold is crossed. Lanes fan out
-// over a workers-bounded pool (0 selects GOMAXPROCS); every per-point
-// result is bit-identical to a fresh run, and candidates are aggregated
-// in grid order, so the frontier is identical to the historical
-// point-by-point sweep. Cancelling ctx stops lanes between grid points;
-// points never reached are simply absent, exactly as if the grid had
-// been truncated.
+// through Map, at most workers at once (0 selects GOMAXPROCS); every
+// per-point result is bit-identical to a fresh run, and candidates are
+// aggregated in grid order, so the frontier is identical to the
+// historical point-by-point sweep. Cancelling ctx stops lanes between
+// grid points; points never reached are simply absent, exactly as if the
+// grid had been truncated.
 func ParetoSweep(ctx context.Context, ev *mapping.Evaluator, points, workers int) []TradeoffPoint {
 	if points < 2 {
 		points = 2
 	}
 	// Small instances (and single-processor hosts) take the inline
-	// single-lane path: the per-point solves are microseconds, so lane
-	// goroutines and channel handoff would cost more than they overlap.
+	// single-lane path: the per-point solves are microseconds, so handing
+	// lanes to pool workers would cost more than they overlap.
 	// Candidates aggregate in grid order either way — the frontier is
 	// bit-identical to the fanned-out sweep.
 	if sweepSerialFallback(ev) {

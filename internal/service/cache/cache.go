@@ -1,7 +1,7 @@
 // Package cache provides the result cache of the solver service: a
 // bounded LRU keyed by canonical instance hashes, fronted by singleflight
 // deduplication so that concurrent identical requests collapse to one
-// underlying solve.
+// underlying solve, which runs on the solver pool of internal/portfolio.
 //
 // The cache is value-agnostic; the service stores fully rendered response
 // bodies, so a hit is a pure memory copy. All operations are safe for
@@ -13,6 +13,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"pipesched/internal/portfolio"
 )
 
 // Key is a canonical request digest (a SHA-256 sum). Equal keys must mean
@@ -114,13 +116,13 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 // bound); errors are returned to every collapsed waiter but never cached,
 // so the next call retries.
 //
-// fn runs on its own goroutine, detached from every caller: ctx bounds
-// only this caller's wait. A caller whose context fires abandons the wait
-// with ctx's error while the computation proceeds — its result still
-// lands in the cache for the benefit of other waiters and later calls.
-// fn should therefore not observe any single request's context. A panic
-// in fn is contained: the computing goroutine converts it into an error
-// delivered to every waiter, and the in-flight slot is always released.
+// fn runs on a solver-pool worker (portfolio.Go), detached from every
+// caller: ctx bounds only this caller's wait, not the enqueue. A caller
+// whose context fires abandons the wait with ctx's error while the
+// computation proceeds — its result still lands in the cache for other
+// waiters and later calls. fn should therefore not observe any single
+// request's context, nor call Do. A panic in fn is contained: it becomes
+// an error delivered to every waiter, and the in-flight slot is released.
 func (c *Cache[V]) Do(ctx context.Context, k Key, fn func() (V, error)) (V, Source, error) {
 	c.mu.Lock()
 	if el, ok := c.items[k]; ok {
@@ -140,7 +142,7 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func() (V, error)) (V, Sour
 	c.stats.Misses++
 	c.mu.Unlock()
 
-	go func() {
+	portfolio.Go(func() {
 		defer func() {
 			if r := recover(); r != nil {
 				cl.err = fmt.Errorf("cache: compute panicked: %v", r)
@@ -154,7 +156,7 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func() (V, error)) (V, Sour
 			close(cl.done)
 		}()
 		cl.val, cl.err = fn()
-	}()
+	})
 	return c.wait(ctx, cl, Computed)
 }
 

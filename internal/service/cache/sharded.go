@@ -91,8 +91,8 @@ func (s *Sharded[V]) Get(k Key) (V, bool) { return s.shard(k).Get(k) }
 // Do returns the cached value for k, or computes it with fn, with
 // singleflight collapse scoped to k's shard — identical keys always land
 // on the same shard, so the collapse guarantee is global. See Cache.Do
-// for the full contract (detached compute, error pass-through, panic
-// containment).
+// for the full contract (detached compute on the solver pool, error
+// pass-through, panic containment).
 func (s *Sharded[V]) Do(ctx context.Context, k Key, fn func() (V, error)) (V, Source, error) {
 	return s.shard(k).Do(ctx, k, fn)
 }

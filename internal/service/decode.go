@@ -449,7 +449,7 @@ func (sw *sweepWire) field(r *reader, key []byte) error {
 }
 
 func (bw *batchWire) field(r *reader, key []byte) error {
-	switch fieldIndex(key, "instances", "objective", "bound", "relative_bound", "exact", "workers", "timeout_ms") {
+	switch fieldIndex(key, "instances", "objective", "bound", "relative_bound", "exact", "timeout_ms") {
 	case 0:
 		return readArray(r, &bw.Instances, instance)
 	case 1:
@@ -461,8 +461,6 @@ func (bw *batchWire) field(r *reader, key []byte) error {
 	case 4:
 		return r.boolean(&bw.Exact)
 	case 5:
-		return r.integer(&bw.Workers)
-	case 6:
 		return r.integer(&bw.TimeoutMS)
 	}
 	return unknownField(key)

@@ -83,8 +83,8 @@ func describe(v wireBody) string {
 		for i := range w.Instances {
 			pair(&w.Instances[i].Pipeline, &w.Instances[i].Platform)
 		}
-		fmt.Fprintf(&b, " objective=%q bound=%x relative=%t exact=%t workers=%d timeout=%d",
-			w.Objective, math.Float64bits(w.Bound), w.RelativeBound, w.Exact, w.Workers, w.TimeoutMS)
+		fmt.Fprintf(&b, " objective=%q bound=%x relative=%t exact=%t timeout=%d",
+			w.Objective, math.Float64bits(w.Bound), w.RelativeBound, w.Exact, w.TimeoutMS)
 	}
 	return b.String()
 }
@@ -96,7 +96,7 @@ var primers = map[string][]byte{
 	"solve": []byte(`{"pipeline":{"works":[9,9,9,9,9,9,9,9,9,9,9,9],"deltas":[8,8,8,8,8,8,8,8,8,8,8,8,8]},"platform":{"kind":"fully-heterogeneous","speeds":[7,7,7,7,7],"bandwidth":6,"links":[[5,5,5,5,5],[5,5,5,5,5],[5,5,5,5,5],[5,5,5,5,5],[5,5,5,5,5]]},"objective":"min-period","bound":4,"mode":"best","timeout_ms":3}`),
 	"sweep": []byte(`{"pipeline":{"works":[9,9,9,9,9,9,9,9,9,9,9,9],"deltas":[8,8,8,8,8,8,8,8,8,8,8,8,8]},"platform":{"kind":"fully-heterogeneous","speeds":[7,7,7,7,7],"bandwidth":6,"links":[[5,5,5,5,5],[5,5,5,5,5],[5,5,5,5,5],[5,5,5,5,5],[5,5,5,5,5]]},"points":4,"timeout_ms":3}`),
 	"batch": []byte(`{"instances":[` + strings.Repeat(`{"pipeline":{"works":[9,9,9,9,9,9],"deltas":[8,8,8,8,8,8,8]},"platform":{"kind":"fully-heterogeneous","speeds":[7,7,7,7],"bandwidth":6,"links":[[5,5,5,5],[5,5,5,5],[5,5,5,5],[5,5,5,5]]}},`, 5) +
-		`{"pipeline":{"works":[9],"deltas":[8,8]},"platform":{"speeds":[7],"bandwidth":6}}],"objective":"min-period","bound":4,"relative_bound":true,"exact":true,"workers":2,"timeout_ms":3}`),
+		`{"pipeline":{"works":[9],"deltas":[8,8]},"platform":{"speeds":[7],"bandwidth":6}}],"objective":"min-period","bound":4,"relative_bound":true,"exact":true,"timeout_ms":3}`),
 }
 
 // checkDecode decodes body into each wire kind with the reader and with
@@ -153,7 +153,7 @@ var decodeTable = []string{
 	`{"instances":[{"pipeline":{"works":[1]}}],"instances":null}`,
 	`{"mode":"best","mode":null,"objective":"min-period","objective":null,"timeout_ms":7,"timeout_ms":null}`,
 	`{"bound":1,"bound":null,"points":3,"points":null}`,
-	`{"relative_bound":true,"relative_bound":null,"exact":true,"exact":false,"workers":2,"workers":null}`,
+	`{"relative_bound":true,"relative_bound":null,"exact":true,"exact":false,"timeout_ms":2,"timeout_ms":null}`,
 	`{"pipeline":null,"platform":null,"instances":[null]}`,
 	// Case-folded and escaped keys.
 	`{"Pipeline":{"WORKS":[1]}}`,
@@ -202,7 +202,7 @@ var decodeTable = []string{
 	`{"timeout_ms":1.5}`, `{"timeout_ms":1e2}`, `{"timeout_ms":-0}`, `{"timeout_ms":10}`,
 	`{"timeout_ms":9223372036854775807}`, `{"timeout_ms":9223372036854775808}`,
 	`{"timeout_ms":-9223372036854775808}`, `{"timeout_ms":-9223372036854775809}`,
-	`{"points":3}`, `{"points":-3}`, `{"points":3.0}`, `{"workers":2}`, `{"workers":"2"}`,
+	`{"points":3}`, `{"points":-3}`, `{"points":3.0}`, `{"workers":2}`, `{"timeout_ms":"2"}`,
 	// Type mismatches.
 	`{"bound":"1"}`, `{"bound":true}`, `{"bound":[1]}`, `{"bound":{}}`,
 	`{"mode":1}`, `{"mode":true}`, `{"mode":["best"]}`, `{"mode":{}}`,
@@ -264,13 +264,15 @@ func FuzzWireDecodeMatchesJSON(f *testing.F) {
 
 // TestNestedUnknownKeyRejected pins the strictness of nested objects: an
 // unknown key inside a pipeline, a platform or a batch instance is a 400
-// whose body names the key, as at the top level.
+// whose body names the key, as at the top level, where a batch's
+// "workers" is one too: the daemon's solver pool sets its width.
 func TestNestedUnknownKeyRejected(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for _, tc := range []struct{ name, path, key, body string }{
 		{"pipeline", "/v1/solve", "bogusPipe", `{"pipeline":{"works":[1],"deltas":[1,1],"bogusPipe":1},"platform":{"speeds":[1],"bandwidth":1},"bound":1}`},
 		{"platform", "/v1/sweep", "bogusPlat", `{"pipeline":{"works":[1],"deltas":[1,1]},"platform":{"speeds":[1],"bandwidth":1,"bogusPlat":1}}`},
 		{"instance", "/v1/batch", "bogusInst", `{"instances":[{"pipeline":{"works":[1],"deltas":[1,1]},"platform":{"speeds":[1],"bandwidth":1},"bogusInst":1}],"bound":1}`},
+		{"batch-workers", "/v1/batch", "workers", `{"instances":[{"pipeline":{"works":[1],"deltas":[1,1]},"platform":{"speeds":[1],"bandwidth":1}}],"bound":1,"workers":2}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, data := post(t, ts, tc.path, []byte(tc.body))

@@ -65,9 +65,6 @@ type Options struct {
 	// and negative values disable storage while keeping singleflight
 	// deduplication.
 	CacheEntries int
-	// Workers caps the batch engine's worker pool when a request does not
-	// set its own; 0 selects runtime.GOMAXPROCS(0).
-	Workers int
 	// RequestTimeout bounds every request without an explicit timeout_ms;
 	// 0 means no server-side deadline.
 	RequestTimeout time.Duration
@@ -281,7 +278,6 @@ type BatchRequest struct {
 	RelativeBound bool `json:"relative_bound,omitempty"`
 	// Exact additionally races the exact DP where the platform fits.
 	Exact     bool `json:"exact,omitempty"`
-	Workers   int  `json:"workers,omitempty"`
 	TimeoutMS int  `json:"timeout_ms,omitempty"`
 }
 
@@ -622,7 +618,8 @@ type solver func(ctx context.Context) ([]byte, error)
 
 // serveKeyed is the path every solver endpoint takes once it has decoded,
 // validated and keyed its request: cache hit, peer route, prepare,
-// request context, one detached solve under cache.Do, one write.
+// request context, one detached solve on the solver pool under cache.Do
+// (at most GOMAXPROCS solves run at once; later misses queue), one write.
 //
 // forwardPath is the endpoint a peer-owned key is proxied to; empty keeps
 // the request node-local. prepare runs on a local miss only: it builds
@@ -655,11 +652,11 @@ func (s *Server) serveKeyed(w http.ResponseWriter, r *http.Request, key cache.Ke
 	}
 	ctx, cancel := s.requestContext(r, timeoutMS)
 	defer cancel()
-	// The solve itself runs detached from this request's lifetime: ctx
-	// bounds only the wait below, so one impatient or disconnecting
-	// client can never poison collapsed waiters, and the finished result
-	// still lands in the cache. Since solveCtx is never cancelled, a
-	// sweep's frontier or a batch's report is never truncated.
+	// The solve runs on a pool worker, detached from this request's
+	// lifetime: ctx bounds only the wait below, so one impatient or
+	// disconnecting client can never poison collapsed waiters, and the
+	// finished result still lands in the cache. Since solveCtx is never
+	// cancelled, a sweep's frontier or a batch's report is never truncated.
 	solveCtx := context.WithoutCancel(ctx)
 	body, src, err := s.cache.Do(ctx, key, func() ([]byte, error) {
 		if s.solveHook != nil {
@@ -810,8 +807,8 @@ func (s *Server) handleBatch(sc *scratch, w http.ResponseWriter, r *http.Request
 	// run never touches the scratch after the handler returns.
 	// Batch requests stay node-local in peer mode: the canonical key of a
 	// whole instance list is effectively unique per client, so forwarding
-	// would add a hop for no expected hit, and the batch engine already
-	// spreads the work across this node's cores.
+	// would add a hop for no expected hit, and idle solver-pool workers
+	// already spread the batch across this node's cores.
 	req := &sc.batch
 	req.reset()
 	if _, err := s.decodeJSON(w, r, req); err != nil {
@@ -842,16 +839,11 @@ func (s *Server) handleBatch(sc *scratch, w http.ResponseWriter, r *http.Request
 		s.writeError(w, r, err)
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.opts.Workers
-	}
 	opts := portfolio.BatchOptions{
 		Objective:     objective,
 		Bound:         req.Bound,
 		RelativeBound: req.RelativeBound,
 		Exact:         req.Exact,
-		Workers:       workers,
 	}
 	key := batchKeyWire(opts, req.Instances)
 	s.serveKeyed(w, r, key, "", nil, req.TimeoutMS, func() (solver, error) {

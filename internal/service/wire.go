@@ -106,7 +106,6 @@ type batchWire struct {
 	Bound         float64        `json:"bound"`
 	RelativeBound bool           `json:"relative_bound"`
 	Exact         bool           `json:"exact"`
-	Workers       int            `json:"workers"`
 	TimeoutMS     int            `json:"timeout_ms"`
 }
 
@@ -116,11 +115,7 @@ func (bw *batchWire) reset() {
 		insts[i].Pipeline.reset()
 		insts[i].Platform.reset()
 	}
-	bw.Instances = insts[:0]
-	bw.Objective = ""
-	bw.Bound = 0
-	bw.RelativeBound, bw.Exact = false, false
-	bw.Workers, bw.TimeoutMS = 0, 0
+	*bw = batchWire{Instances: insts[:0]}
 }
 
 // sweepWire is the top-level body of POST /v1/sweep.

@@ -23,9 +23,9 @@ type (
 	// the Serve function below) for a managed listen-drain-stop
 	// lifecycle.
 	Server = service.Server
-	// ServerOptions configure a Server: cache bound, worker cap,
-	// per-request timeout, drain timeout, body limit and logger. The zero
-	// value is fully usable.
+	// ServerOptions configure a Server: cache bound, per-request
+	// timeout, drain timeout, body limit and logger. The zero value is
+	// fully usable. Every Server in a process solves on one pool.
 	ServerOptions = service.Options
 	// ServerMetrics is the snapshot served by GET /metrics.
 	ServerMetrics = service.MetricsSnapshot

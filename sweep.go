@@ -30,12 +30,12 @@ type TradeoffPoint = portfolio.TradeoffPoint
 // sorted bound grid on a single pooled engine, extending its splitting
 // trajectory across adjacent grid points instead of recomputing the
 // shared prefix, reusing repeated results outright, and stopping at the
-// heuristic's failure threshold. Lanes fan out over a GOMAXPROCS-bounded
-// worker pool; every per-point result is bit-identical to a fresh run
-// and candidates are aggregated in grid order, so the frontier is
-// identical to the historical point-by-point sweep. The sweep core lives
-// in internal/portfolio (ParetoSweep), where the serving layer reaches
-// it with per-request contexts.
+// heuristic's failure threshold. Lanes fan out to idle solver-pool
+// workers, at most GOMAXPROCS at once; every per-point result is
+// bit-identical to a fresh run and candidates are aggregated in grid
+// order, so the frontier is identical to the historical point-by-point
+// sweep. The sweep core lives in internal/portfolio (ParetoSweep), where
+// the serving layer reaches it with per-request contexts.
 func HeuristicParetoSweep(ev *Evaluator, points int) []TradeoffPoint {
 	return portfolio.ParetoSweep(context.Background(), ev, points, 0)
 }
